@@ -3,6 +3,7 @@
 from .errors import *  # noqa: F401,F403
 from .grid import (  # noqa: F401
     DEFAULT_N_POINTS,
+    DensityMatrix,
     Grid,
     GridPdf,
     Srd,

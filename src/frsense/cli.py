@@ -54,8 +54,7 @@ from .io import (
     write_manifest,
     write_sweep_csv,
 )
-from .samplers import derived_seed
-from .sweep import model_sampler, run_sweep
+from .sweep import run_sweep
 
 __all__ = ["main"]
 
@@ -164,12 +163,9 @@ def _cmd_sweep(args) -> int:
     write_manifest(os.path.join(out_dir, "manifest.ini"), config, run_info)
     written = ["sweep.csv", "bands.csv", "manifest.ini"]
     if config.output.densities:
-        sampler = model_sampler(config.spec.model)
-        ctl = dataclasses.replace(
-            config.spec.mcmc, seed=derived_seed(result.base_seed, 1)
+        write_density_matrix(
+            os.path.join(out_dir, "densities.csv"), result.baseline_sample
         )
-        sample = sampler(data, config.spec.baseline, ctl, grid=Grid(geo.n_points))
-        write_density_matrix(os.path.join(out_dir, "densities.csv"), sample.pdfs)
         written.append("densities.csv")
 
     spec = config.spec

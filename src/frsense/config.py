@@ -38,7 +38,7 @@ import os
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .grid import DEFAULT_N_POINTS
+from .grid import DEFAULT_N_POINTS, MIN_POINTS
 from .samplers import (
     BetaBase,
     CcvConfig,
@@ -90,9 +90,10 @@ class GeometryOptions:
     karcher_max_iter: int = 200
 
     def __post_init__(self):
-        if self.n_points < 4:
+        if self.n_points < MIN_POINTS:
             raise ConfigError(
-                "CONFIG_BAD_GEOMETRY", f"n_points must be >= 4, got {self.n_points}"
+                "CONFIG_BAD_GEOMETRY",
+                f"n_points must be >= {MIN_POINTS}, got {self.n_points}",
             )
         if not self.karcher_eps1 > 0.0:
             raise ConfigError(

@@ -12,13 +12,18 @@ Intrinsic means are computed by gradient descent on the sum of squared
 distances (tangent averaging), and principal modes of a sample come from the
 eigendecomposition of the tangent covariance with quadrature-weight scaling,
 so eigenvalues approximate those of the continuum covariance operator.
+
+Every sample statistic goes through one private core, ``_karcher_fit``: the
+sample becomes one SRD matrix (validated, square-rooted and put in canonical
+row order once), and the Karcher iteration returns the tangents and the
+distances at the mean it returns, from which the variance and the spectrum
+follow without another pass.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -30,7 +35,17 @@ from .errors import (
     GridMismatchError,
     InsufficientSamplesError,
 )
-from .grid import Grid, GridPdf, Srd, TangentVector, check_same_grid, from_srd, to_srd
+from .grid import (
+    DensityMatrix,
+    Grid,
+    GridPdf,
+    Srd,
+    TangentVector,
+    check_same_grid,
+    from_srd,
+    srd_rows,
+    to_srd,
+)
 
 __all__ = [
     "fr_distance",
@@ -165,44 +180,127 @@ class KarcherInfo:
     grad_norm: float
 
 
-def _stack(samples: Sequence[Srd]) -> tuple[Grid, np.ndarray]:
+def _canonical_order(rows: np.ndarray) -> np.ndarray:
+    """Row order by raw bytes: every permutation of the same rows sorts alike.
+
+    Every consumer (mean, variance, tangent PCA) is a symmetric function of
+    the sample; sorting before any arithmetic makes that exact in floating
+    point, not just in theory.
+    """
+    keys = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
+    return np.argsort(keys.ravel(), kind="stable")
+
+
+def _srd_matrix(samples) -> tuple[Grid, np.ndarray]:
+    """Grid and canonically ordered SRD matrix of a sample.
+
+    A DensityMatrix (such as a PosteriorSample) or a sequence of GridPdf is
+    sorted and square-rooted as one matrix; any other sequence is lifted
+    item by item with ``_as_srd`` and then sorted.
+    """
     if len(samples) == 0:
         raise EmptyInputError("need at least one SRD")
-    srds = [_as_srd(s) for s in samples]
-    grid = srds[0].grid
-    for s in srds[1:]:
-        if s.grid != grid:
-            raise GridMismatchError("SRDs live on different grids")
-    stacked = np.stack([s.values for s in srds])
-    # Canonical row order: every consumer (mean, variance, tangent PCA) is a
-    # symmetric function of the sample, and sorting makes that exact in
-    # floating point, not just in theory.
-    return grid, stacked[np.lexsort(stacked.T[::-1])]
+    if isinstance(samples, DensityMatrix):
+        grid, rows, densities = samples.grid, samples.densities, True
+    else:
+        grid = samples[0].grid
+        for s in samples[1:]:
+            if s.grid != grid:
+                raise GridMismatchError("SRDs live on different grids")
+        densities = all(isinstance(s, GridPdf) for s in samples)
+        rows = np.stack([s.values if densities else _as_srd(s).values for s in samples])
+    rows = rows[_canonical_order(rows)]
+    return grid, srd_rows(grid, rows) if densities else rows
 
 
-def _log_rows(grid: Grid, base: np.ndarray, stacked: np.ndarray):
-    """Inverse exp map of every row of ``stacked`` at ``base``, vectorized.
+def _distances(grid: Grid, base: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Fisher-Rao distance of every row of ``psi`` from ``base``."""
+    sq = np.subtract(psi, base)
+    np.square(sq, out=sq)
+    return _angle_from_chord(sq @ grid.weights)
+
+
+def _log_rows(grid: Grid, base: np.ndarray, psi: np.ndarray):
+    """Inverse exp map of every row of ``psi`` at ``base``, vectorized.
 
     Returns the tangent matrix and the vector of distances.
     """
-    cosines = np.clip(stacked @ (grid.weights * base), -1.0, 1.0)
-    diff = stacked - base
-    u = _angle_from_chord((diff**2) @ grid.weights)
+    cosines = np.clip(psi @ (grid.weights * base), -1.0, 1.0)
+    u = _distances(grid, base, psi)
     if np.any(u >= np.pi / 2.0 - BOUNDARY_MARGIN):
         raise AntipodalOrBoundaryError("a sample point is a quarter circle from the base")
     with np.errstate(invalid="ignore", divide="ignore"):
         factor = np.where(u < SMALL_ANGLE, 1.0, u / np.sin(u))
-    return factor[:, None] * (stacked - cosines[:, None] * base), u
+    tangents = np.multiply(cosines[:, None], base)
+    np.subtract(psi, tangents, out=tangents)
+    tangents *= factor[:, None]
+    return tangents, u
+
+
+@dataclass(frozen=True)
+class _KarcherFit:
+    """One Karcher pass over a sample, with what it leaves at the mean.
+
+    ``tangents`` and ``distances`` are the log maps and the Fisher-Rao
+    distances of the (canonically ordered) draws at ``mean``.
+    """
+
+    grid: Grid
+    mean: np.ndarray
+    tangents: np.ndarray
+    distances: np.ndarray
+    info: KarcherInfo
+
+    @property
+    def variance(self) -> float:
+        return float(np.mean(self.distances**2))
+
+    def warn_unconverged(self, consequence: str = "") -> None:
+        if not self.info.converged:
+            warnings.warn(
+                f"intrinsic mean not converged after {self.info.n_iter} iterations "
+                f"(gradient norm {self.info.grad_norm:.3e}){consequence}",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+
+
+def _karcher_fit(samples, eps1: float = 1e-6, eps2: float = 0.5, max_iter: int = 200) -> _KarcherFit:
+    """The Karcher iteration of ``karcher_mean``, keeping its last tangents."""
+    grid, psi = _srd_matrix(samples)
+    vals = psi.mean(axis=0)
+    vals = vals / grid.norm(vals)
+
+    best = None
+    best_gnorm = np.inf
+    converged = False
+    n_iter = 0
+    for n_iter in range(max_iter + 1):
+        tangents, u = _log_rows(grid, vals, psi)
+        dbar = tangents.mean(axis=0)
+        gnorm = grid.norm(dbar)
+        if best is None or gnorm < best_gnorm:
+            best_gnorm = gnorm
+            best = (vals, tangents, u)
+        if gnorm < eps1:
+            converged = True
+            break
+        if n_iter == max_iter:
+            break
+        vals = _exp_values(grid, vals, eps2 * dbar)
+
+    info = KarcherInfo(converged=converged, n_iter=n_iter, grad_norm=float(best_gnorm))
+    return _KarcherFit(grid, *best, info)
 
 
 def karcher_mean(
-    samples: Sequence[Srd],
+    samples,
     eps1: float = 1e-6,
     eps2: float = 0.5,
     max_iter: int = 200,
     full_output: bool = False,
 ):
-    """Intrinsic (Karcher) mean of a collection of SRDs.
+    """Intrinsic (Karcher) mean of a sample of densities or SRDs.
 
     Gradient descent on the Frechet functional: average the log maps of all
     samples at the current estimate, step along that average scaled by
@@ -211,7 +309,7 @@ def karcher_mean(
 
     Parameters
     ----------
-    samples : sequence of Srd
+    samples : DensityMatrix, or sequence of GridPdf or Srd
     eps1 : float
         Gradient-norm stopping tolerance.
     eps2 : float
@@ -228,48 +326,39 @@ def karcher_mean(
     EmptyInputError
         If ``samples`` is empty.
     """
-    grid, stacked = _stack(samples)
-    vals = stacked.mean(axis=0)
-    vals = vals / grid.norm(vals)
-
-    best_gnorm = np.inf
-    best_vals = vals
-    converged = False
-    n_iter = 0
-    for n_iter in range(max_iter + 1):
-        tangents, _ = _log_rows(grid, vals, stacked)
-        dbar = tangents.mean(axis=0)
-        gnorm = grid.norm(dbar)
-        if gnorm < best_gnorm:
-            best_gnorm = gnorm
-            best_vals = vals
-        if gnorm < eps1:
-            converged = True
-            break
-        if n_iter == max_iter:
-            break
-        vals = _exp_values(grid, vals, eps2 * dbar)
-
-    mean = Srd(grid, best_vals)
-    info = KarcherInfo(converged=converged, n_iter=n_iter, grad_norm=float(best_gnorm))
+    fit = _karcher_fit(samples, eps1, eps2, max_iter)
+    mean = Srd(fit.grid, fit.mean)
     if full_output:
-        return mean, info
-    if not converged:
-        warnings.warn(
-            f"intrinsic mean not converged after {max_iter} iterations "
-            f"(gradient norm {best_gnorm:.3e})",
-            RuntimeWarning,
-        )
+        return mean, fit.info
+    fit.warn_unconverged()
     return mean
 
 
-def karcher_variance(samples: Sequence[Srd], mean: Srd) -> float:
+def karcher_variance(samples, mean: Srd) -> float:
     """Average squared Fisher-Rao distance of ``samples`` from ``mean``."""
-    grid, stacked = _stack(samples)
+    grid, psi = _srd_matrix(samples)
     check_same_grid(samples[0], mean)
-    diff = stacked - mean.values
-    u = _angle_from_chord((diff**2) @ grid.weights)
-    return float(np.mean(u**2))
+    return float(np.mean(_distances(grid, mean.values, psi) ** 2))
+
+
+def _tangent_spectrum(fit: _KarcherFit) -> np.ndarray:
+    """Eigenvalues of the weighted tangent covariance, nonincreasing.
+
+    With n draws on p grid points the nonzero spectrum of the p x p
+    covariance ``X^T X / (n - 1)`` equals that of the n x n Gram matrix
+    ``X X^T / (n - 1)`` (the method of snapshots), so the smaller of the two
+    is decomposed.  The result has ``min(n, p)`` entries.
+    """
+    n = fit.tangents.shape[0]
+    scaled = fit.tangents * np.sqrt(fit.grid.weights)
+    small = scaled @ scaled.T if n <= scaled.shape[1] else scaled.T @ scaled
+    return _checked_spectrum(np.linalg.eigvalsh(small / (n - 1))[::-1])
+
+
+def _checked_spectrum(evals: np.ndarray) -> np.ndarray:
+    if evals[-1] < -1e-10:
+        raise FrsenseError(f"covariance produced eigenvalue {evals[-1]:.3e} < -1e-10")
+    return np.clip(evals, 0.0, None)
 
 
 @dataclass(frozen=True)
@@ -292,13 +381,9 @@ class TpcaResult:
     def grid(self) -> Grid:
         return self.mean.grid
 
-    def component(self, j: int) -> TangentVector:
-        """The j-th principal direction as a tangent vector at the mean."""
-        return TangentVector(self.mean, self.eigenvectors[:, j])
-
 
 def tangent_pca(
-    samples: Sequence[Srd],
+    samples,
     eps1: float = 1e-6,
     eps2: float = 0.5,
     max_iter: int = 200,
@@ -314,27 +399,18 @@ def tangent_pca(
     """
     if len(samples) < 2:
         raise InsufficientSamplesError("tangent PCA needs at least two SRDs")
-    mean, info = karcher_mean(samples, eps1, eps2, max_iter, full_output=True)
-    if not info.converged:
-        warnings.warn(
-            f"intrinsic mean not converged (gradient norm {info.grad_norm:.3e}); "
-            "principal modes may be unreliable",
-            RuntimeWarning,
-        )
-    grid, stacked = _stack(samples)
-    tangents, _ = _log_rows(grid, mean.values, stacked)
+    fit = _karcher_fit(samples, eps1, eps2, max_iter)
+    fit.warn_unconverged("; principal modes may be unreliable")
 
-    sqrt_w = np.sqrt(grid.weights)
-    scaled = tangents * sqrt_w[None, :]
+    sqrt_w = np.sqrt(fit.grid.weights)
+    scaled = fit.tangents * sqrt_w[None, :]
     cov = (scaled.T @ scaled) / (len(samples) - 1)
     evals, evecs = np.linalg.eigh(cov)
-    evals = evals[::-1]
+    evals = _checked_spectrum(evals[::-1])
     evecs = evecs[:, ::-1]
-    if evals[-1] < -1e-10:
-        raise FrsenseError(f"covariance produced eigenvalue {evals[-1]:.3e} < -1e-10")
-    evals = np.clip(evals, 0.0, None)
 
     funcs = evecs / sqrt_w[:, None]
     flip = funcs[np.argmax(np.abs(funcs), axis=0), np.arange(funcs.shape[1])] < 0
     funcs[:, flip] *= -1.0
+    mean = Srd(fit.grid, fit.mean)
     return TpcaResult(mean=mean, eigenvalues=evals, eigenvectors=funcs, n_samples=len(samples))

@@ -22,13 +22,16 @@ from .errors import (
 )
 
 __all__ = [
+    "DensityMatrix",
     "Grid",
     "GridPdf",
     "Srd",
     "TangentVector",
     "DEFAULT_N_POINTS",
+    "MIN_POINTS",
     "default_grid",
     "normalize_pdf",
+    "normalize_rows",
     "to_srd",
     "from_srd",
     "tangent_project",
@@ -43,7 +46,8 @@ INTEGRAL_TOL = 1e-8
 #: Tangency (orthogonality to the base point) must hold to this tolerance.
 ORTHO_TOL = 1e-6
 
-_MIN_POINTS = 16
+#: Coarsest grid accepted anywhere: configs, files and direct construction.
+MIN_POINTS = 16
 
 
 @dataclass(frozen=True)
@@ -53,8 +57,8 @@ class Grid:
     n_points: int = DEFAULT_N_POINTS
 
     def __post_init__(self):
-        if self.n_points < _MIN_POINTS:
-            raise ValueError(f"grid needs at least {_MIN_POINTS} points, got {self.n_points}")
+        if self.n_points < MIN_POINTS:
+            raise ValueError(f"grid needs at least {MIN_POINTS} points, got {self.n_points}")
 
     @property
     def spacing(self) -> float:
@@ -78,6 +82,16 @@ class Grid:
     def integrate(self, values: np.ndarray) -> float:
         """Trapezoidal integral of a grid function (or of each row of a stack)."""
         return values @ self.weights
+
+    def integrate_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Trapezoidal integral of each row of a matrix.
+
+        Each row is reduced on its own, so its integral does not depend on
+        where it sits in the matrix; a BLAS matrix-vector product rounds
+        rows differently by position, which would let a draw's bits depend
+        on how many draws precede it.
+        """
+        return np.einsum("ij,j->i", rows, self.weights)
 
     def inner(self, f: np.ndarray, g: np.ndarray) -> float:
         """L2 inner product <f, g> under the trapezoid rule."""
@@ -110,6 +124,31 @@ def _check_shape(grid: Grid, values: np.ndarray):
         )
 
 
+def first_invalid_row(grid: Grid, rows: np.ndarray):
+    """Index and error of the first row of ``rows`` that is no density on ``grid``.
+
+    The vectorized form of the GridPdf checks: a density row is nonnegative
+    and integrates to one within INTEGRAL_TOL; NaN fails both.  Returns None
+    when every row passes.
+    """
+    negative = ~np.all(rows >= 0.0, axis=1)
+    totals = grid.integrate_rows(rows)
+    bad = negative | ~(np.abs(totals - 1.0) <= INTEGRAL_TOL)
+    if not bad.any():
+        return None
+    i = int(np.argmax(bad))
+    if negative[i]:
+        return i, NegativeValueError("density values must be >= 0")
+    return i, ValueError(f"density integrates to {float(totals[i])!r}, not 1")
+
+
+def _check_rows_shape(grid: Grid, rows: np.ndarray):
+    if rows.ndim != 2 or rows.shape[1] != grid.n_points:
+        raise GridMismatchError(
+            f"rows of shape {rows.shape} on a grid of {grid.n_points} points"
+        )
+
+
 def check_same_grid(a, b):
     """Raise GridMismatchError unless the two objects share a grid."""
     if a.grid != b.grid:
@@ -126,15 +165,57 @@ class GridPdf:
     def __post_init__(self):
         object.__setattr__(self, "values", _freeze(self.values))
         _check_shape(self.grid, self.values)
-        if np.any(self.values < 0.0):
+        if not np.all(self.values >= 0.0):
             raise NegativeValueError("density values must be >= 0")
         total = self.grid.integrate(self.values)
-        if abs(total - 1.0) > INTEGRAL_TOL:
+        if not abs(total - 1.0) <= INTEGRAL_TOL:
             raise ValueError(f"density integrates to {total!r}, not 1")
+
+    @classmethod
+    def _view(cls, grid: Grid, values: np.ndarray) -> "GridPdf":
+        """Wrap a validated read-only row without copying or checking it again."""
+        pdf = object.__new__(cls)
+        object.__setattr__(pdf, "grid", grid)
+        object.__setattr__(pdf, "values", values)
+        return pdf
 
     @property
     def x(self) -> np.ndarray:
         return self.grid.x
+
+
+@dataclass(frozen=True, eq=False)
+class DensityMatrix:
+    """Densities on one grid, held as one read-only ``(n_rows, n_points)`` matrix.
+
+    Every row is validated as a GridPdf would be, in one vectorized pass.
+    ``len``, indexing and iteration give GridPdf views of the rows that
+    share the matrix's memory.  Samplers and ``read_density_matrix`` hand
+    samples to the summary in this form.
+    """
+
+    grid: Grid
+    densities: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        rows = np.array(self.densities, dtype=float)
+        _check_rows_shape(self.grid, rows)
+        bad = first_invalid_row(self.grid, rows)
+        if bad is not None:
+            raise bad[1]
+        rows.flags.writeable = False
+        object.__setattr__(self, "densities", rows)
+
+    def __len__(self) -> int:
+        return self.densities.shape[0]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        return GridPdf._view(self.grid, self.densities[index])
+
+    def __iter__(self):
+        return (GridPdf._view(self.grid, row) for row in self.densities)
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,6 +299,30 @@ def normalize_pdf(grid: Grid, raw) -> GridPdf:
     if total <= 0.0:
         raise AllZeroError("cannot normalize the zero function")
     return GridPdf(grid, arr / total)
+
+
+def normalize_rows(grid: Grid, raw) -> np.ndarray:
+    """``normalize_pdf`` applied to every row of a matrix at once.
+
+    Returns a new ``(n_rows, n_points)`` array; raises as ``normalize_pdf``
+    does if any row is negative somewhere or integrates to zero.  A row's
+    result does not depend on the other rows.
+    """
+    arr = np.asarray(raw, dtype=float)
+    _check_rows_shape(grid, arr)
+    if np.any(arr < 0.0):
+        raise NegativeValueError("cannot normalize a function with negative values")
+    totals = grid.integrate_rows(arr)
+    if np.any(totals <= 0.0):
+        raise AllZeroError("cannot normalize the zero function")
+    return arr / totals[:, None]
+
+
+def srd_rows(grid: Grid, densities: np.ndarray) -> np.ndarray:
+    """Square-root transform of every row of a density matrix (see ``to_srd``)."""
+    root = np.sqrt(densities)
+    root /= np.sqrt(grid.integrate_rows(root**2))[:, None]
+    return root
 
 
 def to_srd(pdf: GridPdf) -> Srd:

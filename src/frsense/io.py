@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import configparser
 import os
+import warnings
 
 import numpy as np
 
 from .config import ExperimentConfig, TRANSFORMS, dump_config
 from .errors import ConfigError, NonPositiveForLogError, ParseError
-from .grid import Grid, GridPdf
+from .grid import DensityMatrix, Grid, first_invalid_row
 from .samplers import Dataset
 from .sweep import SweepResult
 
@@ -95,43 +96,72 @@ def write_density_matrix(path: str, densities) -> None:
     _write_lines(path, density_matrix_lines(densities))
 
 
-def read_density_matrix(path: str) -> list:
-    """Parse a density matrix back into GridPdf rows.
+def read_density_matrix(path: str) -> DensityMatrix:
+    """Parse a density matrix file into a DensityMatrix.
 
     The header must reproduce the uniform grid abscissae for its length;
-    every later row must be a nonnegative density with unit integral.
+    every later row must be a nonnegative density with unit integral.  Any
+    problem raises ParseError with the 1-based line number it sits on.
     """
-    with open(path, encoding="utf-8") as fh:
-        raw_lines = fh.read().splitlines()
-    rows = [(i + 1, line) for i, line in enumerate(raw_lines) if line.strip()]
-    if not rows:
+    table = _read_table(path)
+    if table.size == 0:
         raise ParseError("empty density matrix", 1)
-
-    def parse_row(lineno, text):
-        try:
-            return np.array([float(p) for p in text.split(",")], dtype=float)
-        except ValueError:
-            raise ParseError("row is not comma-separated numbers", lineno) from None
-
-    header_no, header_text = rows[0]
-    header = parse_row(header_no, header_text)
+    header, rows = table[0], table[1:]
     try:
         grid = Grid(header.size)
     except ValueError as exc:
-        raise ParseError(str(exc), header_no) from None
+        raise ParseError(str(exc), _line_number(path, 0)) from None
     if not np.allclose(header, grid.x, rtol=0.0, atol=_HEADER_TOL):
         raise ParseError(
             f"header is not a uniform grid over [0, 1] with {header.size} points",
-            header_no,
+            _line_number(path, 0),
         )
-    densities = []
-    for lineno, text in rows[1:]:
-        values = parse_row(lineno, text)
-        try:
-            densities.append(GridPdf(grid, values))
-        except ValueError as exc:
-            raise ParseError(str(exc), lineno) from None
-    return densities
+    try:
+        return DensityMatrix(grid, rows)
+    except ValueError as exc:
+        index, _ = first_invalid_row(grid, rows)
+        raise ParseError(str(exc), _line_number(path, index + 1)) from None
+
+
+def _read_table(path: str) -> np.ndarray:
+    """The numbers of a comma-separated file as one 2-D array.
+
+    The C-level ``np.loadtxt`` reads well-formed files.  Whatever it
+    rejects is parsed again line by line, which skips whitespace-only lines
+    and reports a malformed row with its line number.
+    """
+    try:
+        with warnings.catch_warnings():
+            # An empty file is reported by the caller.
+            warnings.simplefilter("ignore", UserWarning)
+            return np.loadtxt(
+                path, delimiter=",", ndmin=2, comments=None, encoding="utf-8"
+            )
+    except ValueError:
+        pass
+    rows = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                values = [float(p) for p in line.split(",")]
+            except ValueError:
+                raise ParseError("row is not comma-separated numbers", lineno) from None
+            if rows and len(values) != len(rows[0]):
+                raise ParseError(
+                    f"values of length {len(values)} on a grid of {len(rows[0])} points",
+                    lineno,
+                )
+            rows.append(values)
+    return np.array(rows, dtype=float).reshape(len(rows), -1)
+
+
+def _line_number(path: str, index: int) -> int:
+    """1-based line number of the ``index``-th non-blank line (header is 0)."""
+    with open(path, encoding="utf-8") as fh:
+        nonblank = [lineno for lineno, line in enumerate(fh, start=1) if line.strip()]
+    return nonblank[index]
 
 
 def write_sweep_csv(path: str, result: SweepResult) -> None:

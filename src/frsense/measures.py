@@ -12,7 +12,8 @@ baseline sample of grid densities:
   [0, e_upper_bound(d)].
 
 All three vanish when the samples are identical.  Inputs can be
-PosteriorSample objects or plain sequences of GridPdf / Srd draws.
+PosteriorSample or DensityMatrix objects, or plain sequences of GridPdf /
+Srd draws; each sample goes through one Karcher pass of the geometry core.
 """
 
 from __future__ import annotations
@@ -27,9 +28,8 @@ from .errors import (
     InsufficientSamplesError,
     InsufficientValuesError,
 )
-from .geometry import fr_distance, karcher_mean, karcher_variance, tangent_pca
+from .geometry import KarcherInfo, _karcher_fit, _tangent_spectrum, fr_distance, karcher_mean
 from .grid import Srd
-from .samplers import PosteriorSample
 
 __all__ = [
     "DEFAULT_N_COMPONENTS",
@@ -52,12 +52,6 @@ DEFAULT_N_COMPONENTS = 20
 
 #: Karcher variances below this are treated as degenerate (no spread).
 VARIANCE_FLOOR = 1e-14
-
-
-def _draws(sample) -> list:
-    if isinstance(sample, PosteriorSample):
-        return sample.pdfs
-    return list(sample)
 
 
 @dataclass(frozen=True)
@@ -144,17 +138,19 @@ def e_upper_bound(d: int) -> float:
 
 def measure_d(base, pert) -> float:
     """Shift: Fisher-Rao distance between the two intrinsic means."""
-    mean_b = karcher_mean(_draws(base))
-    mean_p = karcher_mean(_draws(pert))
-    return fr_distance(mean_b, mean_p)
+    return fr_distance(karcher_mean(base), karcher_mean(pert))
+
+
+def _variance(sample) -> float:
+    fit = _karcher_fit(sample)
+    fit.warn_unconverged()
+    return fit.variance
 
 
 def measure_v(base, pert) -> float:
     """Spread: log of the Karcher variance ratio, perturbed over baseline."""
-    draws_b = _draws(base)
-    draws_p = _draws(pert)
-    var_b = karcher_variance(draws_b, karcher_mean(draws_b))
-    var_p = karcher_variance(draws_p, karcher_mean(draws_p))
+    var_b = _variance(base)
+    var_p = _variance(pert)
     if var_b < VARIANCE_FLOOR or var_p < VARIANCE_FLOOR:
         raise DegenerateSampleError(
             f"Karcher variance below {VARIANCE_FLOOR:g} (base {var_b:g}, "
@@ -165,12 +161,8 @@ def measure_v(base, pert) -> float:
 
 def measure_e(base, pert, d: int = DEFAULT_N_COMPONENTS) -> float:
     """Covariance shape: distance of the scaled cumulative spectra."""
-    draws_b = _draws(base)
-    draws_p = _draws(pert)
-    _require_more_than(draws_b, d)
-    _require_more_than(draws_p, d)
-    omega_b = cumulative_spectrum(tangent_pca(draws_b).eigenvalues, d).omega
-    omega_p = cumulative_spectrum(tangent_pca(draws_p).eigenvalues, d).omega
+    omega_b = summarize_sample(base, d).spectrum.omega
+    omega_p = summarize_sample(pert, d).spectrum.omega
     return float(np.linalg.norm(omega_b - omega_p))
 
 
@@ -187,8 +179,9 @@ def _require_more_than(draws, d: int) -> None:
 class SampleSummary:
     """Geometry of one posterior sample, enough to compare it to another.
 
-    Holds the intrinsic mean, the Karcher variance about it, and the scaled
-    cumulative spectrum from tangent PCA.  Two summaries are all a
+    Holds the intrinsic mean, the Karcher variance about it, the scaled
+    cumulative spectrum from tangent PCA, and the convergence report of the
+    one Karcher pass that produced them.  Two summaries are all a
     MeasureTriple needs, so a sweep can summarize each sampler run once and
     compare the small summaries instead of re-running PCA per pair.
     """
@@ -197,6 +190,7 @@ class SampleSummary:
     variance: float
     spectrum: CumulativeSpectrum
     n_draws: int
+    karcher: KarcherInfo
 
     @property
     def d(self) -> int:
@@ -211,16 +205,21 @@ def summarize_sample(
     eps2: float = 0.5,
     max_iter: int = 200,
 ) -> SampleSummary:
-    """One tangent PCA pass over a sample, reduced to a SampleSummary."""
-    draws = _draws(sample)
-    _require_more_than(draws, d)
-    pca = tangent_pca(draws, eps1=eps1, eps2=eps2, max_iter=max_iter)
-    var = karcher_variance(draws, pca.mean)
+    """One Karcher pass over a sample, reduced to a SampleSummary.
+
+    The variance is the mean squared distance at the returned mean, and the
+    spectrum comes from the tangents there; a mean that did not converge
+    gives one RuntimeWarning and is flagged in ``SampleSummary.karcher``.
+    """
+    _require_more_than(sample, d)
+    fit = _karcher_fit(sample, eps1, eps2, max_iter)
+    fit.warn_unconverged("; principal modes may be unreliable")
     return SampleSummary(
-        mean=pca.mean,
-        variance=var,
-        spectrum=cumulative_spectrum(pca.eigenvalues, d),
-        n_draws=len(draws),
+        mean=Srd(fit.grid, fit.mean),
+        variance=fit.variance,
+        spectrum=cumulative_spectrum(_tangent_spectrum(fit), d),
+        n_draws=len(sample),
+        karcher=fit.info,
     )
 
 

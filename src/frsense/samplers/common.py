@@ -8,7 +8,7 @@ from functools import cached_property
 import numpy as np
 
 from ..errors import EmptyDatasetError
-from ..grid import Grid, GridPdf, Srd, normalize_pdf, to_srd
+from ..grid import DensityMatrix, Grid
 
 __all__ = [
     "MARGIN",
@@ -108,43 +108,36 @@ class McmcControl:
         return self.burn_in + self.n_samples * self.thin
 
 
-@dataclass(frozen=True)
-class PosteriorSample:
+@dataclass(frozen=True, eq=False)
+class PosteriorSample(DensityMatrix):
     """Density draws emitted by one sampler run.
 
-    ``trace`` holds one scalar series per monitored quantity (cluster count,
-    sampled hyperparameters, ...) aligned with ``pdfs``; ``diagnostics`` holds
-    whole-run scalars such as acceptance rates.
+    ``densities`` is the validated ``(n_draws, n_points)`` matrix of the
+    draws in emission order; ``pdfs`` and indexing give GridPdf views of its
+    rows.  ``trace`` holds one scalar series per monitored quantity (cluster
+    count, sampled hyperparameters, ...) aligned with the rows;
+    ``diagnostics`` holds whole-run scalars such as acceptance rates.
     """
 
     model: str
-    pdfs: list[GridPdf]
     seed: int
     config: object = None
     trace: dict = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if len(self.pdfs) == 0:
+        super().__post_init__()
+        if len(self) == 0:
             raise EmptyDatasetError("posterior sample needs at least one draw")
 
     @property
     def n_draws(self) -> int:
-        return len(self.pdfs)
+        return len(self)
 
     @property
-    def grid(self) -> Grid:
-        return self.pdfs[0].grid
-
-    @cached_property
-    def densities(self) -> np.ndarray:
-        """All draws stacked into an (n_draws, n_points) matrix."""
-        d = np.stack([p.values for p in self.pdfs])
-        d.flags.writeable = False
-        return d
-
-    def srds(self) -> list[Srd]:
-        return [to_srd(p) for p in self.pdfs]
+    def pdfs(self) -> list:
+        """The draws as GridPdf views, built on each access."""
+        return list(self)
 
 
 _BASELINE_SLOT = 0xFFFFFFFF
@@ -205,7 +198,3 @@ def silverman_bandwidth(values: np.ndarray, grid: Grid) -> float:
     sd = float(np.std(values, ddof=1))
     return max(1.06 * sd * n ** (-0.2), floor)
 
-
-def density_rows_to_pdfs(grid: Grid, rows: np.ndarray) -> list[GridPdf]:
-    """Normalize raw density rows into GridPdf objects on a shared grid."""
-    return [normalize_pdf(grid, row) for row in rows]

@@ -18,12 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import TruncationTooSmallError
-from ..grid import Grid, GridPdf, default_grid, normalize_pdf
+from ..grid import Grid, GridPdf, default_grid, normalize_pdf, normalize_rows
 from .common import (
     Dataset,
     McmcControl,
     PosteriorSample,
-    density_rows_to_pdfs,
     make_rng,
     silverman_bandwidth,
 )
@@ -126,10 +125,20 @@ def _draw_atoms_and_weights(rng, config: DpConfig, x_data: np.ndarray, w_g0: flo
     return atoms, weights, remainder
 
 
-def _smooth(grid: Grid, atoms: np.ndarray, weights: np.ndarray, bw: float) -> np.ndarray:
-    z = (grid.x[:, None] - atoms[None, :]) / bw
-    kernel = np.exp(-0.5 * z * z)
-    return kernel @ weights
+def _smooth(grid: Grid, atoms: np.ndarray, weights: np.ndarray, bw: float, out=None) -> np.ndarray:
+    """Gaussian-kernel mixture of the atoms, evaluated on the grid.
+
+    ``out`` is an optional ``(n_points, n_atoms)`` scratch buffer for the
+    kernel matrix.  ``dp_posterior`` reuses one across draws: a fresh matrix
+    per draw is large enough to be mapped anew each time, and its page
+    faults cost more than the arithmetic.
+    """
+    z = np.subtract.outer(grid.x, atoms, out=out)
+    z /= bw
+    np.square(z, out=z)
+    z *= -0.5
+    np.exp(z, out=z)
+    return z @ weights
 
 
 def smoothed_centering_measure(
@@ -181,18 +190,20 @@ def dp_posterior(
 
     rows = np.empty((ctl.n_samples, grid.n_points))
     remainders = np.empty(ctl.n_samples)
+    kernel = np.empty((grid.n_points, config.truncation))
     kept = 0
     for sweep in range(ctl.n_sweeps):
         atoms, weights, remainder = _draw_atoms_and_weights(rng, config, x, w_g0)
         if sweep >= ctl.burn_in and (sweep - ctl.burn_in) % ctl.thin == 0:
-            rows[kept] = _smooth(grid, atoms, weights, bw)
+            rows[kept] = _smooth(grid, atoms, weights, bw, kernel)
             remainders[kept] = remainder
             kept += 1
             if kept == ctl.n_samples:
                 break
     return PosteriorSample(
         model="dp",
-        pdfs=density_rows_to_pdfs(grid, rows),
+        grid=grid,
+        densities=normalize_rows(grid, rows),
         seed=ctl.seed,
         config=config,
         trace={"absorbed_remainder": remainders},

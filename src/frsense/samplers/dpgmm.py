@@ -20,12 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..grid import Grid, default_grid
+from ..grid import Grid, default_grid, normalize_rows
 from .common import (
     Dataset,
     McmcControl,
     PosteriorSample,
-    density_rows_to_pdfs,
     make_rng,
     sample_crp_partition,
 )
@@ -215,7 +214,8 @@ def dpgmm_posterior(
                 break
     return PosteriorSample(
         model="dpgmm",
-        pdfs=density_rows_to_pdfs(grid, rows),
+        grid=grid,
+        densities=normalize_rows(grid, rows),
         seed=ctl.seed,
         config=config,
         trace={"n_clusters": k_trace},

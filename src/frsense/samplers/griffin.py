@@ -35,12 +35,11 @@ import numpy as np
 from scipy.special import roots_genlaguerre
 
 from ..errors import InvalidPhiError
-from ..grid import Grid, default_grid
+from ..grid import Grid, default_grid, normalize_rows
 from .common import (
     Dataset,
     McmcControl,
     PosteriorSample,
-    density_rows_to_pdfs,
     make_rng,
     sample_crp_partition,
 )
@@ -486,7 +485,8 @@ def _run_chain(chain, model: str, ctl: McmcControl, grid: Grid, cfg) -> Posterio
                 break
     return PosteriorSample(
         model=model,
-        pdfs=density_rows_to_pdfs(grid, rows),
+        grid=grid,
+        densities=normalize_rows(grid, rows),
         seed=ctl.seed,
         config=cfg,
         trace={name: trace[:, idx].copy() for idx, name in enumerate(names)},

@@ -40,6 +40,7 @@ from .samplers import (
     DpConfig,
     DpgmmConfig,
     McmcControl,
+    PosteriorSample,
     ccv_posterior,
     dcv_posterior,
     derived_seed,
@@ -185,6 +186,17 @@ class SweepSpec:
                 "CONFIG_BAD_GRID",
                 f"baseline {self.parameter}={base_val!r} is not on the grid",
             )
+        # Build every perturbed config now, so a value outside the model's
+        # domain is a config error before any sampler runs.
+        for v in values:
+            try:
+                self.config_for(v)
+            except (ConfigError, UnknownParameterError):
+                raise
+            except ValueError as exc:
+                raise ConfigError(
+                    "CONFIG_BAD_VALUE", f"{self.parameter}={v!r}: {exc}"
+                ) from exc
         if not isinstance(self.replicates, int) or self.replicates < 1:
             raise ConfigError(
                 "CONFIG_BAD_REPLICATES",
@@ -250,7 +262,8 @@ class SweepResult:
     `triples` holds one MeasureTriple per grid value: replicate 1's when
     aggregate is "first", the field-wise replicate mean when "mean".
     `replicate_triples[r - 1]` is the full curve of replicate r.  `bands`
-    maps each declared band value to its BandTriple.
+    maps each declared band value to its BandTriple.  `baseline_sample` is
+    replicate 1's baseline posterior sample, the one `densities.csv` holds.
     """
 
     spec: SweepSpec
@@ -260,6 +273,7 @@ class SweepResult:
     bands: dict
     base_seed: int
     wall_clock: float
+    baseline_sample: PosteriorSample
 
     def band_at(self, value: float) -> BandTriple:
         return self.bands[float(value)]
@@ -315,7 +329,7 @@ def run_sweep(
         for idx in range(len(spec.values)):
             jobs.append((r, idx))
 
-    def run_one(job) -> SampleSummary:
+    def run_one(job) -> tuple[SampleSummary, PosteriorSample | None]:
         r, idx = job
         if idx is None:
             label = "the baseline"
@@ -333,7 +347,7 @@ def run_sweep(
                     spec.mcmc, seed=derived_seed(base_seed, r, idx)
                 )
             sample = sampler(data, config, ctl, grid=grid)
-            return summarize_sample(
+            summary = summarize_sample(
                 sample,
                 spec.d_components,
                 eps1=karcher_eps1,
@@ -343,12 +357,14 @@ def run_sweep(
         except Exception as exc:
             _annotate(exc, f"sweep task failed at {label}, replicate {r}")
             raise
+        return summary, (sample if job == (1, None) else None)
 
     if n_workers == 1:
-        summaries = {job: run_one(job) for job in jobs}
+        outcomes = {job: run_one(job) for job in jobs}
     else:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            summaries = dict(zip(jobs, pool.map(run_one, jobs)))
+            outcomes = dict(zip(jobs, pool.map(run_one, jobs)))
+    summaries = {job: summary for job, (summary, _) in outcomes.items()}
 
     per_replicate = []
     for r in range(1, spec.replicates + 1):
@@ -391,6 +407,7 @@ def run_sweep(
         bands=bands,
         base_seed=base_seed,
         wall_clock=time.perf_counter() - start,
+        baseline_sample=outcomes[(1, None)][1],
     )
 
 

@@ -1,6 +1,7 @@
 """Command line interface: exit codes, archives and reproducibility."""
 
 import contextlib
+import dataclasses
 import io
 import os
 
@@ -9,9 +10,9 @@ import numpy.testing as npt
 import pytest
 from conftest import random_mixture_pdf
 
-from frsense import Grid, fr_distance
+from frsense import Grid, derived_seed, dp_posterior, fr_distance, load_config
 from frsense.cli import main
-from frsense.io import read_density_matrix, write_density_matrix
+from frsense.io import load_dataset, read_density_matrix, write_density_matrix
 
 CONFIG = """\
 [dataset]
@@ -116,6 +117,16 @@ class TestSweepCommand:
         draws = read_density_matrix("res/densities.csv")
         assert len(draws) == 16
         assert draws[0].grid == Grid(64)
+        # the file holds replicate 1's baseline chain, as an explicit rerun gives it
+        config = load_config("exp.ini")
+        ctl = dataclasses.replace(
+            config.spec.mcmc, seed=derived_seed(config.spec.mcmc.seed, 1)
+        )
+        rerun = dp_posterior(
+            load_dataset(config.dataset_path), config.spec.baseline, ctl, grid=Grid(64)
+        )
+        write_density_matrix("rerun.csv", rerun.pdfs)
+        assert open("res/densities.csv", "rb").read() == open("rerun.csv", "rb").read()
 
 
 class TestValidateConfigCommand:
@@ -138,6 +149,28 @@ class TestValidateConfigCommand:
         rc, _, err = invoke(["validate-config", "--config", "exp.ini"])
         assert rc == 1
         assert err.startswith("CONFIG_BAD_PATH:")
+
+    @pytest.mark.parametrize("command", ["validate-config", "sweep"])
+    @pytest.mark.parametrize(
+        "edit, code",
+        [
+            (("n_points = 64", "n_points = 8"), "CONFIG_BAD_GEOMETRY"),
+            (("values = 1.0,", "values = -1.0, 1.0,"), "CONFIG_BAD_VALUE"),
+        ],
+    )
+    def test_bad_config_fails_before_any_sampler_runs(
+        self, workdir, monkeypatch, command, edit, code
+    ):
+        import frsense.cli as cli_mod
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("a sweep started")
+
+        monkeypatch.setattr(cli_mod, "run_sweep", no_sweep)
+        open("bad.ini", "w").write(CONFIG.replace(*edit))
+        rc, _, err = invoke([command, "--config", "bad.ini"])
+        assert rc == 1, err
+        assert err.startswith(code + ":")
 
 
 class TestGeodesicCommand:

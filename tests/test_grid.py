@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import numpy as np
+import numpy.testing as npt
 import pytest
 
 from frsense import (
     AllZeroError,
     BaseMismatchError,
+    DensityMatrix,
     Grid,
     GridMismatchError,
     GridPdf,
@@ -17,6 +19,7 @@ from frsense import (
     tangent_project,
     to_srd,
 )
+from frsense.grid import normalize_rows
 
 from conftest import random_mixture_pdf
 
@@ -72,10 +75,65 @@ class TestNormalizePdf:
             normalize_pdf(grid, np.ones(grid.n_points + 1))
 
 
+class TestNormalizeRows:
+    def test_rows_are_unit_densities_independent_of_their_neighbours(self, grid, rng):
+        # A row's bits must not depend on how many rows precede it.
+        raw = rng.uniform(0.1, 2.0, size=(37, grid.n_points))
+        rows = normalize_rows(grid, raw)
+        npt.assert_allclose(rows @ grid.weights, 1.0, rtol=0.0, atol=1e-12)
+        for i in range(raw.shape[0]):
+            assert rows[i].tobytes() == normalize_rows(grid, raw[i:])[0].tobytes()
+
+    def test_bad_rows_rejected(self, grid):
+        raw = np.ones((3, grid.n_points))
+        raw[1] = 0.0
+        with pytest.raises(AllZeroError):
+            normalize_rows(grid, raw)
+        raw[1, 5] = -1.0
+        with pytest.raises(NegativeValueError):
+            normalize_rows(grid, raw)
+        with pytest.raises(GridMismatchError):
+            normalize_rows(grid, np.ones((3, grid.n_points - 1)))
+
+
+class TestDensityMatrix:
+    def rows(self, grid, rng, n=4):
+        return np.stack([random_mixture_pdf(grid, rng).values for _ in range(n)])
+
+    def test_rows_are_read_only_views(self, grid, rng):
+        raw = self.rows(grid, rng)
+        m = DensityMatrix(grid, raw)
+        raw[0, 0] = 99.0
+        assert m.densities[0, 0] != 99.0
+        assert len(m) == 4 and len(list(m)) == 4
+        last = m[-1]
+        assert isinstance(last, GridPdf) and last.grid == grid
+        assert np.shares_memory(last.values, m.densities)
+        with pytest.raises(ValueError):
+            last.values[0] = 1.0
+        assert [p.values.tobytes() for p in m[1:3]] == [r.tobytes() for r in raw[1:3]]
+
+    def test_every_row_validated(self, grid, rng):
+        raw = self.rows(grid, rng)
+        raw[2] *= 2.0
+        with pytest.raises(ValueError, match="integrates to"):
+            DensityMatrix(grid, raw)
+        raw[2] = np.nan
+        with pytest.raises(ValueError):
+            DensityMatrix(grid, raw)
+        raw[2] = -raw[0]
+        with pytest.raises(NegativeValueError):
+            DensityMatrix(grid, raw)
+        with pytest.raises(GridMismatchError):
+            DensityMatrix(grid, raw[:, 1:])
+
+
 class TestGridPdf:
     def test_requires_unit_integral(self, grid):
         with pytest.raises(ValueError):
             GridPdf(grid, np.ones(grid.n_points) * 2.0)
+        with pytest.raises(ValueError):
+            GridPdf(grid, np.full(grid.n_points, np.nan))
 
     def test_values_are_immutable(self, grid):
         pdf = normalize_pdf(grid, np.ones(grid.n_points))

@@ -98,6 +98,33 @@ class TestDensityMatrix:
         for orig, loaded in zip(pdfs, back):
             assert loaded.grid == g
             npt.assert_allclose(loaded.values, orig.values, rtol=0.0, atol=1e-10)
+        parsed = [[float(v) for v in line.split(",")] for line in open(path).read().splitlines()[1:]]
+        assert back.densities.tobytes() == np.array(parsed).tobytes()
+
+    def test_blank_lines_are_skipped_and_lines_still_counted(self, tmp_path, rng):
+        g = Grid(32)
+        path = str(tmp_path / "dens.csv")
+        write_density_matrix(path, [random_mixture_pdf(g, rng) for _ in range(3)])
+        header, *rows = open(path).read().splitlines()
+        open(path, "w").write("\n".join([header, "", rows[0], "   ", rows[1], rows[2]]) + "\n")
+        assert len(read_density_matrix(path)) == 3
+        doubled = ",".join(str(2.0 * float(v)) for v in rows[2].split(","))
+        for blank in ("", "  "):
+            open(path, "w").write("\n".join([header, rows[0], blank, rows[1], doubled]) + "\n")
+            with pytest.raises(ParseError) as exc:
+                read_density_matrix(path)
+            assert exc.value.line_number == 5
+
+    def test_short_row_reports_its_line(self, tmp_path, rng):
+        g = Grid(32)
+        path = str(tmp_path / "dens.csv")
+        write_density_matrix(path, [random_mixture_pdf(g, rng) for _ in range(3)])
+        lines = open(path).read().splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0]
+        open(path, "w").write("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as exc:
+            read_density_matrix(path)
+        assert exc.value.line_number == 4
 
     def test_header_row_is_the_abscissae(self, tmp_path, rng):
         g = Grid(32)

@@ -1,5 +1,7 @@
 """Sensitivity measures between baseline and perturbed density samples."""
 
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -18,6 +20,7 @@ from frsense import (
     measure_v,
     normalize_pdf,
     replicate_band,
+    summarize_sample,
     tangent_project,
     to_srd,
 )
@@ -240,6 +243,25 @@ class TestMeasureTriple:
             MeasureTriple(0.1, 0.0, 99.0, 20)
         with pytest.raises(ValueError):
             MeasureTriple(0.1, 0.0, 0.1, 1)
+
+
+class TestSampleSummary:
+    def test_carries_the_karcher_report(self, grid, rng):
+        base, dirs = orthonormal_directions(grid, 3)
+        draws = geodesic_sample(base, dirs, 0.05 * rng.standard_normal((16, 3)))
+        summary = summarize_sample(draws, d=3)
+        assert summary.karcher.converged
+        assert summary.karcher.grad_norm < 1e-6
+
+    def test_unconverged_mean_warns_once_and_is_flagged(self, grid, rng):
+        base, dirs = orthonormal_directions(grid, 3)
+        draws = geodesic_sample(base, dirs, 0.05 * rng.standard_normal((16, 3)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            summary = summarize_sample(draws, d=3, eps1=1e-15, max_iter=1)
+        assert [w.category for w in caught] == [RuntimeWarning]
+        assert not summary.karcher.converged
+        assert summary.karcher.n_iter == 1
 
 
 class TestReplicateBand:

@@ -112,6 +112,12 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             small_dp_spec(d_components=24)
 
+    def test_out_of_domain_value_rejected_before_sampling(self):
+        with pytest.raises(ConfigError) as exc:
+            small_dp_spec(values=(-1.0, 5.0))
+        assert exc.value.code == "CONFIG_BAD_VALUE"
+        assert "alpha=-1.0" in str(exc.value)
+
     def test_baseline_lookup_and_config_for(self):
         spec = small_dp_spec()
         assert spec.baseline_value == 5.0
@@ -195,17 +201,25 @@ class TestRunSweep:
         assert 0.0 <= base_band.d_shift[0] and base_band.d_shift[1] < 0.5
         assert base_band.v_spread[0] < 0.0 < base_band.v_spread[1]
 
-    def test_sampler_error_carries_grid_position(self):
+    def test_sampler_error_carries_grid_position(self, monkeypatch):
+        dp_sampler = frsense.sweep._MODELS["dp"][1]
+
+        def fragile(data, config, ctl, grid=None):
+            if config.truncation == 60:
+                raise ValueError("chain blew up")
+            return dp_sampler(data, config, ctl, grid=grid)
+
+        monkeypatch.setitem(frsense.sweep._MODELS, "dp", (DpConfig, fragile))
         spec = SweepSpec(
             model="dp",
             baseline=DpConfig(),
             parameter="truncation",
-            values=(200.0, 60.0, 10.0),
+            values=(200.0, 60.0),
             replicates=1,
             mcmc=McmcControl(n_samples=12, burn_in=0, thin=1, seed=1),
             d_components=3,
         )
-        with pytest.raises(ValueError, match=r"truncation=10.*replicate 1"):
+        with pytest.raises(ValueError, match=r"truncation=60.*replicate 1"):
             run_sweep(uniform_dataset(), spec)
 
     def test_light_dp_trend(self):
