@@ -34,7 +34,7 @@ from .errors import (
     GridMismatchError,
     InsufficientSamplesError,
     InsufficientValuesError,
-    InvalidPhiError,
+    InvalidSettingError,
     NonPositiveForLogError,
     ParseError,
     TruncationTooSmallError,
@@ -68,7 +68,7 @@ _ERROR_CODES = (
     (UnknownParameterError, "CONFIG_BAD_PARAM"),
     (UnknownModelError, "CONFIG_BAD_MODEL"),
     (TruncationTooSmallError, "SAMPLER_TRUNCATION"),
-    (InvalidPhiError, "CONFIG_BAD_VALUE"),
+    (InvalidSettingError, "CONFIG_BAD_VALUE"),
     (DegenerateSampleError, "MEASURE_DEGENERATE"),
     (InsufficientSamplesError, "MEASURE_TOO_FEW_DRAWS"),
     (InsufficientValuesError, "MEASURE_TOO_FEW_VALUES"),

@@ -19,6 +19,7 @@ __all__ = [
     "DegenerateSampleError",
     "EmptyDatasetError",
     "TruncationTooSmallError",
+    "InvalidSettingError",
     "InvalidPhiError",
     "UnknownModelError",
     "UnknownParameterError",
@@ -73,7 +74,11 @@ class TruncationTooSmallError(FrsenseError, ValueError):
     """Stick-breaking truncation left unassigned mass after absorption."""
 
 
-class InvalidPhiError(FrsenseError, ValueError):
+class InvalidSettingError(FrsenseError, ValueError):
+    """A model hyperparameter or chain control lies outside its domain."""
+
+
+class InvalidPhiError(InvalidSettingError):
     """The component-variance shape parameter must exceed 1."""
 
 

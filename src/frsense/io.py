@@ -78,18 +78,22 @@ def load_dataset(path: str, transform: str = "none") -> Dataset:
 
 
 def density_matrix_lines(densities) -> list:
-    """CSV text for a stack of densities: abscissae header, one row each."""
-    densities = list(densities)
-    if not densities:
-        raise ValueError("need at least one density to write")
-    grid = densities[0].grid
-    for p in densities[1:]:
-        if p.grid != grid:
+    """CSV text for a stack of densities: abscissae header, one row each.
+
+    ``densities`` is a DensityMatrix or an iterable of GridPdf on one grid.
+    """
+    if isinstance(densities, DensityMatrix):
+        grid, rows = densities.grid, densities.densities
+    else:
+        densities = list(densities)
+        grid = densities[0].grid if densities else None
+        if any(p.grid != grid for p in densities):
             raise ValueError("densities live on different grids")
-    lines = [",".join(_fmt(x) for x in grid.x)]
-    for p in densities:
-        lines.append(",".join(_fmt(v) for v in p.values))
-    return lines
+        rows = np.array([p.values for p in densities])
+    if len(rows) == 0:
+        raise ValueError("need at least one density to write")
+    row_format = ",".join([NUMBER_FORMAT] * grid.n_points)
+    return [row_format % tuple(values) for values in [grid.x.tolist(), *rows.tolist()]]
 
 
 def write_density_matrix(path: str, densities) -> None:

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from ..errors import EmptyDatasetError
+from ..errors import EmptyDatasetError, InvalidSettingError
 from ..grid import DensityMatrix, Grid
 
 __all__ = [
@@ -16,6 +17,7 @@ __all__ = [
     "McmcControl",
     "PosteriorSample",
     "derived_seed",
+    "check_settings",
     "make_rng",
     "sample_crp_partition",
     "crp_expected_clusters",
@@ -84,6 +86,17 @@ class Dataset:
         return r
 
 
+def check_settings(obj, finite=(), positive=()) -> None:
+    """Raise InvalidSettingError unless the named fields of ``obj`` are
+    finite numbers, and above zero where named in ``positive``."""
+    for name in (*finite, *positive):
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise InvalidSettingError(f"{name} must be finite, got {value!r}")
+        if name in positive and value <= 0.0:
+            raise InvalidSettingError(f"{name} must be positive, got {value!r}")
+
+
 @dataclass(frozen=True)
 class McmcControl:
     """Chain length bookkeeping shared by every sampler."""
@@ -95,13 +108,13 @@ class McmcControl:
 
     def __post_init__(self):
         if self.n_samples < 10:
-            raise ValueError(f"n_samples must be >= 10, got {self.n_samples}")
+            raise InvalidSettingError(f"n_samples must be >= 10, got {self.n_samples}")
         if self.burn_in < 0:
-            raise ValueError(f"burn_in must be >= 0, got {self.burn_in}")
+            raise InvalidSettingError(f"burn_in must be >= 0, got {self.burn_in}")
         if self.thin < 1:
-            raise ValueError(f"thin must be >= 1, got {self.thin}")
+            raise InvalidSettingError(f"thin must be >= 1, got {self.thin}")
         if not 0 <= int(self.seed) < 2**64:
-            raise ValueError("seed must fit in 64 unsigned bits")
+            raise InvalidSettingError("seed must fit in 64 unsigned bits")
 
     @property
     def n_sweeps(self) -> int:

@@ -17,12 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import TruncationTooSmallError
+from ..errors import InvalidSettingError, TruncationTooSmallError
 from ..grid import Grid, GridPdf, default_grid, normalize_pdf, normalize_rows
 from .common import (
     Dataset,
     McmcControl,
     PosteriorSample,
+    check_settings,
     make_rng,
     silverman_bandwidth,
 )
@@ -61,8 +62,7 @@ class BetaBase:
     b: float
 
     def __post_init__(self):
-        if self.a <= 0.0 or self.b <= 0.0:
-            raise ValueError(f"beta base needs positive shapes, got ({self.a}, {self.b})")
+        check_settings(self, positive=("a", "b"))
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.beta(self.a, self.b, size)
@@ -87,12 +87,13 @@ class DpConfig:
     bandwidth: float | None = None
 
     def __post_init__(self):
-        if self.alpha <= 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        check_settings(self, positive=("alpha",))
         if self.truncation < _MIN_TRUNCATION:
-            raise ValueError(f"truncation must be >= {_MIN_TRUNCATION}, got {self.truncation}")
-        if self.bandwidth is not None and self.bandwidth <= 0.0:
-            raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
+            raise InvalidSettingError(
+                f"truncation must be >= {_MIN_TRUNCATION}, got {self.truncation}"
+            )
+        if self.bandwidth is not None:
+            check_settings(self, positive=("bandwidth",))
 
 
 def centering_weight(alpha: float, n: int) -> float:

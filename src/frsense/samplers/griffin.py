@@ -32,14 +32,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_genlaguerre
 
-from ..errors import InvalidPhiError
+from ..errors import InvalidPhiError, InvalidSettingError
 from ..grid import Grid, default_grid, normalize_rows
 from .common import (
     Dataset,
     McmcControl,
     PosteriorSample,
+    check_settings,
     make_rng,
     sample_crp_partition,
 )
@@ -81,10 +81,8 @@ def sample_griffin_steel(eta: float, gamma: float, rng: np.random.Generator) -> 
     return gamma * t / (1.0 - t)
 
 
-def _positive(cfg, names):
-    for name in names:
-        if getattr(cfg, name) <= 0.0:
-            raise ValueError(f"{name} must be positive, got {getattr(cfg, name)}")
+#: Fields of both configs that must be positive; ``mu00`` need only be finite.
+_POSITIVE_FIELDS = ("a0", "a1", "eta", "gamma", "lambda0", "s0", "s1")
 
 
 @dataclass(frozen=True)
@@ -101,7 +99,7 @@ class CcvConfig:
     s1: float = 0.1
 
     def __post_init__(self):
-        _positive(self, ("a0", "a1", "eta", "gamma", "lambda0", "s0", "s1"))
+        check_settings(self, finite=("mu00",), positive=_POSITIVE_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -120,11 +118,11 @@ class DcvConfig:
     aux_m: int = 3
 
     def __post_init__(self):
-        _positive(self, ("a0", "a1", "eta", "gamma", "lambda0", "s0", "s1"))
+        check_settings(self, finite=("mu00", "phi"), positive=_POSITIVE_FIELDS)
         if self.phi <= 1.0:
             raise InvalidPhiError(f"phi must exceed 1, got {self.phi}")
         if self.aux_m < 1:
-            raise ValueError(f"aux_m must be >= 1, got {self.aux_m}")
+            raise InvalidSettingError(f"aux_m must be >= 1, got {self.aux_m}")
 
 
 def _norm_logpdf(x: float, mean: float, var: float) -> float:
@@ -348,6 +346,9 @@ class _DcvChain(_ChainBase):
     TRACE_NAMES = _ChainBase.TRACE_NAMES + ("var_dispersion",)
 
     def __init__(self, x, cfg: DcvConfig, rng):
+        # Imported here: scipy.special is slow to load and only dcv needs it.
+        from scipy.special import roots_genlaguerre
+
         super().__init__(x, cfg, rng)
         self.zetas = [1.0 / float(rng.gamma(cfg.phi, 1.0)) for _ in range(self.n_clusters)]
         nodes, qweights = roots_genlaguerre(_QUAD_NODES, cfg.phi - 1.0)

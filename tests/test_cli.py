@@ -4,12 +4,16 @@ import contextlib
 import dataclasses
 import io
 import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 from conftest import random_mixture_pdf
 
+import frsense
 from frsense import Grid, derived_seed, dp_posterior, fr_distance, load_config
 from frsense.cli import main
 from frsense.io import load_dataset, read_density_matrix, write_density_matrix
@@ -34,6 +38,38 @@ d_components = 4
 
 [mcmc]
 n_samples = 16
+burn_in = 0
+thin = 1
+seed = 5
+
+[geometry]
+n_points = 64
+"""
+
+
+#: A tiny dpgmm sweep whose numeric keys the mutation test overwrites.
+DPGMM_CONFIG = """\
+[dataset]
+path = obs.txt
+
+[model]
+kind = dpgmm
+
+[model.baseline]
+alpha = 1.0
+m = 0.5
+r = 0.25
+nu = 5.0
+s = 1.0
+
+[sweep]
+parameter = alpha
+values = 0.25, 1.0
+replicates = 1
+d_components = 4
+
+[mcmc]
+n_samples = 12
 burn_in = 0
 thin = 1
 seed = 5
@@ -172,6 +208,22 @@ class TestValidateConfigCommand:
         assert rc == 1, err
         assert err.startswith(code + ":")
 
+    @pytest.mark.parametrize(
+        "key", ["alpha", "m", "r", "nu", "s", "n_samples", "burn_in", "thin", "seed"]
+    )
+    def test_mutated_values_fail_alike_and_never_internally(self, workdir, key):
+        # validate-config must accept exactly what sweep accepts, and no bad
+        # value may surface as an internal error (exit 2).
+        for value in ("nan", "inf", "-inf", "1e308", "0", "-1"):
+            text = re.sub(rf"^{key} = .*$", f"{key} = {value}", DPGMM_CONFIG, flags=re.M)
+            open("mutated.ini", "w").write(text)
+            outcomes = []
+            for command in (["validate-config"], ["sweep", "--out", "res"]):
+                rc, _, err = invoke([*command, "--config", "mutated.ini"])
+                assert rc != 2, f"{command[0]} with {key} = {value}: {err}"
+                outcomes.append((rc, err.split(":")[0] if rc else None))
+            assert outcomes[0] == outcomes[1], f"{key} = {value}: {outcomes}"
+
 
 class TestGeodesicCommand:
     def setup_endpoints(self, rng, n_points=64):
@@ -294,3 +346,15 @@ class TestExitCodes:
         rc, _, err = invoke(["validate-config", "--config", "exp.ini"])
         assert rc == 2
         assert err.startswith("INTERNAL:")
+
+
+def test_cli_import_does_not_load_scipy_special():
+    # scipy.special is slow to import; only the dcv sampler needs it.
+    src = os.path.dirname(os.path.dirname(frsense.__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import sys, frsense.cli; print('scipy.special' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"

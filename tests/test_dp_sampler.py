@@ -15,7 +15,7 @@ from frsense import (
     normalize_pdf,
     smoothed_centering_measure,
 )
-from frsense.errors import TruncationTooSmallError
+from frsense.errors import InvalidSettingError, TruncationTooSmallError
 from frsense.samplers.dp import _draw_atoms_and_weights
 
 
@@ -39,6 +39,13 @@ class TestBaseMeasures:
             BetaBase(0.0, 1.0)
         with pytest.raises(ValueError):
             BetaBase(2.0, -1.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_beta_base_rejects_non_finite_shapes(self, value):
+        with pytest.raises(InvalidSettingError):
+            BetaBase(value, 1.0)
+        with pytest.raises(InvalidSettingError):
+            BetaBase(2.0, value)
 
     def test_beta_base_sampling_range(self, rng):
         draws = BetaBase(2.0, 5.0).sample(rng, 1000)
@@ -86,6 +93,12 @@ class TestDpConfig:
     def test_bandwidth_positive(self):
         with pytest.raises(ValueError):
             DpConfig(bandwidth=-0.1)
+
+    @pytest.mark.parametrize("name", ["alpha", "bandwidth"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_fields_rejected(self, name, value):
+        with pytest.raises(InvalidSettingError, match=f"{name} must be finite"):
+            DpConfig(**{name: value})
 
 
 class TestPosteriorDraws:

@@ -1,14 +1,27 @@
 """Collapsed Gibbs sampler for the conjugate Gaussian mixture."""
 
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from scipy import stats
 from scipy.integrate import quad
 
+from _dpgmm_reference import reference_posterior
+
 from frsense import Dataset, DpgmmConfig, McmcControl, dpgmm_posterior
+from frsense.errors import FrsenseError, InvalidSettingError
 from frsense.samplers import crp_expected_clusters, make_rng, sample_crp_partition
-from frsense.samplers.dpgmm import _GibbsState, _emit_row, _predictive_params, _t_pdf_rows
+from frsense.samplers.dpgmm import (
+    _cluster_stats,
+    _cluster_terms,
+    _emit_row,
+    _log_weights,
+    _predictive_params,
+    _t_logpdf,
+    _t_pdf_rows,
+)
 
 
 class TestCrpPrior:
@@ -62,8 +75,8 @@ class TestEmission:
         x = rng.uniform(0.1, 0.9, size=30)
         labels = rng.integers(0, 3, size=30)
         perm = np.array([2, 0, 1])
-        row_a = _emit_row(_GibbsState(x, labels, DpgmmConfig()), 1.0, grid)
-        row_b = _emit_row(_GibbsState(x, perm[labels], DpgmmConfig()), 1.0, grid)
+        row_a = _emit_row(DpgmmConfig(alpha=1.0), grid, *_cluster_stats(x, labels))
+        row_b = _emit_row(DpgmmConfig(alpha=1.0), grid, *_cluster_stats(x, perm[labels]))
         npt.assert_allclose(row_a, row_b, rtol=0, atol=1e-12)
 
     def test_prior_weight_grows_with_alpha(self, grid, rng):
@@ -71,8 +84,8 @@ class TestEmission:
         # predictive, lowering the peak over the data clump
         x = rng.normal(0.5, 0.02, size=50)
         labels = np.zeros(50, dtype=np.int64)
-        lo = _emit_row(_GibbsState(x, labels, DpgmmConfig()), 0.1, grid)
-        hi = _emit_row(_GibbsState(x, labels, DpgmmConfig()), 25.0, grid)
+        lo = _emit_row(DpgmmConfig(alpha=0.1), grid, *_cluster_stats(x, labels))
+        hi = _emit_row(DpgmmConfig(alpha=25.0), grid, *_cluster_stats(x, labels))
         assert hi.max() < lo.max()
 
 
@@ -114,8 +127,85 @@ class TestChainBehavior:
         assert tight.trace["n_clusters"].mean() > loose.trace["n_clusters"].mean() + 0.5
 
 
+def _bimodal(n: int) -> Dataset:
+    crng = np.random.default_rng(41)
+    half = n // 2
+    return Dataset.from_observations(
+        np.concatenate([crng.normal(-2.0, 0.7, half), crng.normal(2.5, 1.0, n - half)])
+    )
+
+
+class TestKernelMatchesReference:
+    """The cached kernel reproduces the straightforward loop bit for bit."""
+
+    CASES = {
+        "alpha-0.25": (60, {"alpha": 0.25, "m": 0.5, "s": 0.01}, (20, 10, 2)),
+        "alpha-16": (60, {"alpha": 16.0, "m": 0.5, "s": 0.01}, (20, 10, 2)),
+        "informative-base": (60, {"m": 0.5, "s": 0.01}, (20, 10, 2)),
+        "default-config": (60, {}, (20, 10, 2)),
+        "one-observation": (1, {}, (12, 5, 1)),
+        "no-burn-in-thinned": (40, {"alpha": 2.0}, (12, 0, 3)),
+    }
+
+    @pytest.mark.parametrize("seed", [3, 17, 2024])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_densities_and_trace_identical(self, case, seed):
+        n, kwargs, (n_samples, burn_in, thin) = self.CASES[case]
+        data = _bimodal(n)
+        config = DpgmmConfig(**kwargs)
+        ctl = McmcControl(n_samples=n_samples, burn_in=burn_in, thin=thin, seed=seed)
+        fast = dpgmm_posterior(data, config, ctl)
+        densities, k_trace, relabels = reference_posterior(data, config, ctl)
+        assert np.array_equal(fast.densities, densities)
+        assert np.array_equal(fast.trace["n_clusters"], k_trace)
+        if case == "alpha-16":
+            # The swap-with-last deletion and its relabelling were exercised.
+            assert relabels > 0
+
+    @pytest.mark.parametrize(
+        "kwargs", [{}, {"m": 0.5, "s": 0.01}, {"m": -3.0, "r": 2.5, "nu": 1.5, "s": 7.0}]
+    )
+    def test_cached_log_weights_match_predictive_params(self, kwargs, rng):
+        # Exact equality, so a reordered operation fails here even when it
+        # changes no pick of the chains above.
+        config = DpgmmConfig(**kwargs)
+        x = rng.uniform(0.05, 0.95, size=40)
+        terms = _cluster_terms(config, x.size)
+        for _ in range(200):
+            size = int(rng.integers(1, x.size + 1))
+            members = x[rng.choice(x.size, size=size, replace=False)].tolist()
+            (count,), (total,), (total_sq,) = _cluster_stats(members, [0] * size)
+            cached = terms(count, total, total_sq)
+            df, loc, log_norm, denom = params = _predictive_params(
+                config, count, total, total_sq
+            )
+            assert cached == (math.log(count), log_norm, 0.5 * (df + 1.0), loc, denom)
+            xi = float(rng.uniform(0.05, 0.95))
+            assert _log_weights(xi, [cached]) == [math.log(count) + _t_logpdf(xi, params)]
+
+
 class TestDpgmmConfig:
     def test_positive_fields_enforced(self):
         for kwargs in ({"alpha": 0.0}, {"r": -1.0}, {"nu": 0.0}, {"s": 0.0}):
             with pytest.raises(ValueError):
                 DpgmmConfig(**kwargs)
+
+    @pytest.mark.parametrize("name", ["alpha", "m", "r", "nu", "s"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_fields_rejected(self, name, value):
+        with pytest.raises(InvalidSettingError, match=f"{name} must be finite"):
+            DpgmmConfig(**{name: value})
+
+    @pytest.mark.parametrize("m", [1e308, -1e308, 2e154])
+    def test_m_whose_square_overflows_rejected(self, m):
+        with pytest.raises(InvalidSettingError, match="too far"):
+            DpgmmConfig(m=m)
+
+    def test_m_far_from_data_but_representable_accepted(self):
+        assert DpgmmConfig(m=1e150).m == 1e150
+
+    @pytest.mark.parametrize("kwargs", [{"r": 1e308}, {"nu": 1e308}, {"s": 1e308}])
+    def test_overflowing_prior_predictive_rejected(self, kwargs):
+        with pytest.raises(InvalidSettingError, match="prior predictive") as info:
+            DpgmmConfig(**kwargs)
+        assert isinstance(info.value, FrsenseError)

@@ -13,7 +13,7 @@ from frsense import (
     ccv_posterior,
     dcv_posterior,
 )
-from frsense.errors import InvalidPhiError
+from frsense.errors import InvalidPhiError, InvalidSettingError
 from frsense.samplers import make_rng
 from frsense.samplers.griffin import (
     _DcvChain,
@@ -79,6 +79,17 @@ class TestConfigs:
             CcvConfig(gamma=-2.0)
         with pytest.raises(ValueError):
             DcvConfig(s1=0.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "cls, name",
+        [(CcvConfig, name) for name in ("a0", "a1", "eta", "gamma", "mu00")]
+        + [(CcvConfig, name) for name in ("lambda0", "s0", "s1")]
+        + [(DcvConfig, name) for name in ("mu00", "s1", "phi")],
+    )
+    def test_non_finite_fields_rejected(self, cls, name, value):
+        with pytest.raises(InvalidSettingError, match=f"{name} must be finite"):
+            cls(**{name: value})
 
 
 class TestCcvChain:

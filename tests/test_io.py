@@ -1,11 +1,14 @@
 """Data files and result archives: round trips and failure line numbers."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from conftest import random_mixture_pdf
 
 from frsense import (
+    DensityMatrix,
     DpConfig,
     Grid,
     McmcControl,
@@ -21,7 +24,12 @@ from frsense.errors import (
     NonPositiveForLogError,
     ParseError,
 )
-from frsense.io import NUMBER_FORMAT, write_bands_csv, write_sweep_csv
+from frsense.io import (
+    NUMBER_FORMAT,
+    density_matrix_lines,
+    write_bands_csv,
+    write_sweep_csv,
+)
 
 
 def write_lines(tmp_path, lines, name="data.txt"):
@@ -181,6 +189,25 @@ class TestDensityMatrix:
     def test_writer_rejects_empty_stack(self, tmp_path):
         with pytest.raises(ValueError):
             write_density_matrix(str(tmp_path / "x.csv"), [])
+
+    def test_rows_format_as_number_by_number(self, rng):
+        # One format call per row must give exactly the per-number text.
+        g = Grid(16)
+        tiny = [0.0, 1e-300, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-12]
+        spike = np.array(tiny + [0.0, 15.0] + tiny[::-1] + [0.0, 0.0])
+        rows = [spike, np.ones(16), random_mixture_pdf(g, rng).values]
+        wild = [np.array(tiny + [1e300, 1.7976931348623157e308, 0.1 + 0.2, 1 / 3,
+                                 123456789.123456789, 6.02214076e23, 2.0**-1074, 7.0,
+                                 1e21, 1e-5])]
+
+        def reference(grid, values):
+            return [",".join(NUMBER_FORMAT % v for v in row) for row in [grid.x, *values]]
+
+        matrix = DensityMatrix(g, np.array(rows))
+        assert density_matrix_lines(matrix) == reference(g, rows)
+        assert density_matrix_lines(matrix[:]) == reference(g, rows)
+        views = [SimpleNamespace(grid=g, values=row) for row in wild]
+        assert density_matrix_lines(views) == reference(g, wild)
 
 
 def tiny_sweep_result(rng):

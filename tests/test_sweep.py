@@ -118,6 +118,21 @@ class TestSpecValidation:
         assert exc.value.code == "CONFIG_BAD_VALUE"
         assert "alpha=-1.0" in str(exc.value)
 
+    @pytest.mark.parametrize("parameter, base", [("m", 0.0), ("nu", 5.0), ("s", 1.0)])
+    def test_overflowing_value_rejected_before_sampling(self, parameter, base):
+        with pytest.raises(ConfigError) as exc:
+            SweepSpec(
+                model="dpgmm",
+                baseline=DpgmmConfig(),
+                parameter=parameter,
+                values=(base, 1e308),
+                replicates=1,
+                mcmc=McmcControl(n_samples=12, burn_in=0, thin=1, seed=1),
+                d_components=4,
+            )
+        assert exc.value.code == "CONFIG_BAD_VALUE"
+        assert f"{parameter}=1e+308" in str(exc.value)
+
     def test_baseline_lookup_and_config_for(self):
         spec = small_dp_spec()
         assert spec.baseline_value == 5.0
