@@ -3,6 +3,7 @@
 from .errors import *  # noqa: F401,F403
 from .grid import (  # noqa: F401
     DEFAULT_N_POINTS,
+    MIN_POINTS,
     DensityMatrix,
     Grid,
     GridPdf,
@@ -11,6 +12,7 @@ from .grid import (  # noqa: F401
     default_grid,
     from_srd,
     normalize_pdf,
+    normalize_rows,
     tangent_project,
     to_srd,
 )
@@ -32,10 +34,7 @@ from .measures import (  # noqa: F401
     SampleSummary,
     cumulative_spectrum,
     e_upper_bound,
-    measure_d,
-    measure_e,
     measure_triple,
-    measure_v,
     replicate_band,
     summarize_sample,
     triple_from_summaries,
@@ -57,11 +56,16 @@ from .samplers import (  # noqa: F401
     derived_seed,
     dp_posterior,
     dpgmm_posterior,
+    griffin_steel_pdf,
+    make_rng,
     sample_crp_partition,
+    sample_griffin_steel,
+    silverman_bandwidth,
     smoothed_centering_measure,
 )
 from .sweep import (  # noqa: F401
     BandTriple,
+    GRID_POINTS,
     MODEL_TAGS,
     SweepResult,
     SweepSpec,
@@ -82,7 +86,10 @@ from .config import (  # noqa: F401
 from .io import (  # noqa: F401
     load_dataset,
     read_density_matrix,
+    write_bands_csv,
     write_density_matrix,
+    write_manifest,
+    write_sweep_csv,
 )
 
 __version__ = "0.1.0"

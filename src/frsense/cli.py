@@ -41,8 +41,8 @@ from .errors import (
     UnknownModelError,
     UnknownParameterError,
 )
-from .geometry import geodesic_path, karcher_mean, karcher_variance, tangent_pca
-from .grid import Grid, from_srd
+from .geometry import _karcher_fit, geodesic_path, tangent_pca
+from .grid import Grid, Srd, from_srd
 from .io import (
     NUMBER_FORMAT,
     _write_lines,
@@ -113,11 +113,11 @@ def _steps_int(text: str) -> int:
     return value
 
 
-def _first_density(path: str):
+def _read_densities(path: str):
     rows = read_density_matrix(path)
     if not rows:
         raise ParseError(f"{path} has a header but no density rows", 2)
-    return rows[0]
+    return rows
 
 
 def _cmd_sweep(args) -> int:
@@ -202,8 +202,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_geodesic(args) -> int:
-    start = _first_density(args.from_path)
-    stop = _first_density(args.to_path)
+    start = _read_densities(args.from_path)[0]
+    stop = _read_densities(args.to_path)[0]
     path = geodesic_path(start, stop, args.steps)
     if args.out is not None:
         write_density_matrix(args.out, path)
@@ -215,12 +215,12 @@ def _cmd_geodesic(args) -> int:
 
 
 def _cmd_mean(args) -> int:
-    densities = _all_densities(args.densities)
-    mean, info = karcher_mean(densities, full_output=True)
-    variance = karcher_variance(densities, mean)
-    write_density_matrix(args.out, [from_srd(mean)])
+    densities = _read_densities(args.densities)
+    fit = _karcher_fit(densities)
+    write_density_matrix(args.out, [from_srd(Srd(fit.grid, fit.mean))])
     print(f"n = {len(densities)}")
-    print("karcher_variance = " + NUMBER_FORMAT % variance)
+    print("karcher_variance = " + NUMBER_FORMAT % fit.variance)
+    info = fit.info
     state = "converged" if info.converged else "did not converge"
     print(
         f"{state} after {info.n_iter} iteration(s), "
@@ -229,15 +229,8 @@ def _cmd_mean(args) -> int:
     return 0
 
 
-def _all_densities(path: str):
-    rows = read_density_matrix(path)
-    if not rows:
-        raise ParseError(f"{path} has a header but no density rows", 2)
-    return rows
-
-
 def _cmd_pca(args) -> int:
-    densities = _all_densities(args.densities)
+    densities = _read_densities(args.densities)
     pca = tangent_pca(densities)
     total = float(pca.eigenvalues.sum())
     n_rows = pca.eigenvalues.size

@@ -39,23 +39,13 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 from .grid import DEFAULT_N_POINTS, MIN_POINTS
-from .samplers import (
-    BetaBase,
-    CcvConfig,
-    DcvConfig,
-    DpConfig,
-    DpgmmConfig,
-    McmcControl,
-    UniformBase,
-)
-from .sweep import MODEL_TAGS, SweepSpec, get_config_value, sweep_grid_presets
+from .samplers import BetaBase, McmcControl, UniformBase
+from .sweep import _MODELS, MODEL_TAGS, SweepSpec, get_config_value, sweep_grid_presets
 
 __all__ = [
-    "AGGREGATES",
     "ExperimentConfig",
     "GeometryOptions",
     "OutputOptions",
-    "TRANSFORMS",
     "apply_preset",
     "dump_config",
     "load_config",
@@ -75,9 +65,6 @@ _KNOWN_SECTIONS = (
     "output",
     "run",
 )
-
-#: Config fields that must stay integers when read from text.
-_INT_FIELDS = {"truncation", "aux_m"}
 
 
 @dataclass(frozen=True)
@@ -251,12 +238,7 @@ def _build_g0(sections):
 
 
 def _build_baseline(kind: str, sections):
-    cls = {
-        "dp": DpConfig,
-        "dpgmm": DpgmmConfig,
-        "ccv": CcvConfig,
-        "dcv": DcvConfig,
-    }[kind]
+    cls = _MODELS[kind][0]
     block = _Block(
         "model.baseline", sections.get("model.baseline", {}), "CONFIG_BAD_PARAM"
     )
@@ -266,7 +248,8 @@ def _build_baseline(kind: str, sections):
             continue
         if f.name not in block.raw:
             continue
-        if f.name in _INT_FIELDS:
+        # A field whose default is an integer stays one when read from text.
+        if isinstance(f.default, int):
             kwargs[f.name] = block.take_int(f.name)
         else:
             kwargs[f.name] = block.take_float(f.name)

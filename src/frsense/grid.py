@@ -79,19 +79,14 @@ class Grid:
         w.flags.writeable = False
         return w
 
-    def integrate(self, values: np.ndarray) -> float:
-        """Trapezoidal integral of a grid function (or of each row of a stack)."""
-        return values @ self.weights
+    def integrate(self, values: np.ndarray):
+        """Trapezoidal integral over the last axis, of one row or of each row.
 
-    def integrate_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Trapezoidal integral of each row of a matrix.
-
-        Each row is reduced on its own, so its integral does not depend on
-        where it sits in the matrix; a BLAS matrix-vector product rounds
-        rows differently by position, which would let a draw's bits depend
-        on how many draws precede it.
+        Each row is reduced on its own, so a row gets the same bits alone as
+        anywhere in a matrix; a BLAS matrix-vector product rounds rows
+        differently by position.
         """
-        return np.einsum("ij,j->i", rows, self.weights)
+        return np.einsum("...j,j->...", values, self.weights)
 
     def inner(self, f: np.ndarray, g: np.ndarray) -> float:
         """L2 inner product <f, g> under the trapezoid rule."""
@@ -127,12 +122,12 @@ def _check_shape(grid: Grid, values: np.ndarray):
 def first_invalid_row(grid: Grid, rows: np.ndarray):
     """Index and error of the first row of ``rows`` that is no density on ``grid``.
 
-    The vectorized form of the GridPdf checks: a density row is nonnegative
-    and integrates to one within INTEGRAL_TOL; NaN fails both.  Returns None
-    when every row passes.
+    A density row is nonnegative and integrates to one within
+    INTEGRAL_TOL; NaN fails both.  Returns None when every row passes.
+    GridPdf and DensityMatrix both validate through this check.
     """
     negative = ~np.all(rows >= 0.0, axis=1)
-    totals = grid.integrate_rows(rows)
+    totals = grid.integrate(rows)
     bad = negative | ~(np.abs(totals - 1.0) <= INTEGRAL_TOL)
     if not bad.any():
         return None
@@ -140,6 +135,12 @@ def first_invalid_row(grid: Grid, rows: np.ndarray):
     if negative[i]:
         return i, NegativeValueError("density values must be >= 0")
     return i, ValueError(f"density integrates to {float(totals[i])!r}, not 1")
+
+
+def _check_densities(grid: Grid, rows: np.ndarray):
+    bad = first_invalid_row(grid, rows)
+    if bad is not None:
+        raise bad[1]
 
 
 def _check_rows_shape(grid: Grid, rows: np.ndarray):
@@ -165,11 +166,7 @@ class GridPdf:
     def __post_init__(self):
         object.__setattr__(self, "values", _freeze(self.values))
         _check_shape(self.grid, self.values)
-        if not np.all(self.values >= 0.0):
-            raise NegativeValueError("density values must be >= 0")
-        total = self.grid.integrate(self.values)
-        if not abs(total - 1.0) <= INTEGRAL_TOL:
-            raise ValueError(f"density integrates to {total!r}, not 1")
+        _check_densities(self.grid, self.values[None])
 
     @classmethod
     def _view(cls, grid: Grid, values: np.ndarray) -> "GridPdf":
@@ -200,9 +197,7 @@ class DensityMatrix:
     def __post_init__(self):
         rows = np.array(self.densities, dtype=float)
         _check_rows_shape(self.grid, rows)
-        bad = first_invalid_row(self.grid, rows)
-        if bad is not None:
-            raise bad[1]
+        _check_densities(self.grid, rows)
         rows.flags.writeable = False
         object.__setattr__(self, "densities", rows)
 
@@ -278,64 +273,52 @@ class TangentVector:
 def normalize_pdf(grid: Grid, raw) -> GridPdf:
     """Normalize a nonnegative grid function to a unit-integral density.
 
-    Parameters
-    ----------
-    grid : Grid
-    raw : array_like
-        Nonnegative values on ``grid``; need not integrate to 1.
+    The one-row case of ``normalize_rows``: the same bits and the same errors.
+    """
+    arr = np.asarray(raw, dtype=float)
+    _check_shape(grid, arr)
+    return GridPdf(grid, normalize_rows(grid, arr[None])[0])
+
+
+def normalize_rows(grid: Grid, raw) -> np.ndarray:
+    """Normalize every row of a nonnegative matrix to a unit-integral density.
+
+    Returns a new ``(n_rows, n_points)`` array.  A row's result does not
+    depend on the other rows.
 
     Raises
     ------
     NegativeValueError
         If any value is negative.
     AllZeroError
-        If the function integrates to zero, so no density exists.
-    """
-    arr = np.asarray(raw, dtype=float)
-    _check_shape(grid, arr)
-    if np.any(arr < 0.0):
-        raise NegativeValueError("cannot normalize a function with negative values")
-    total = grid.integrate(arr)
-    if total <= 0.0:
-        raise AllZeroError("cannot normalize the zero function")
-    return GridPdf(grid, arr / total)
-
-
-def normalize_rows(grid: Grid, raw) -> np.ndarray:
-    """``normalize_pdf`` applied to every row of a matrix at once.
-
-    Returns a new ``(n_rows, n_points)`` array; raises as ``normalize_pdf``
-    does if any row is negative somewhere or integrates to zero.  A row's
-    result does not depend on the other rows.
+        If a row integrates to zero, so no density exists.
     """
     arr = np.asarray(raw, dtype=float)
     _check_rows_shape(grid, arr)
     if np.any(arr < 0.0):
         raise NegativeValueError("cannot normalize a function with negative values")
-    totals = grid.integrate_rows(arr)
+    totals = grid.integrate(arr)
     if np.any(totals <= 0.0):
         raise AllZeroError("cannot normalize the zero function")
     return arr / totals[:, None]
 
 
 def srd_rows(grid: Grid, densities: np.ndarray) -> np.ndarray:
-    """Square-root transform of every row of a density matrix (see ``to_srd``)."""
-    root = np.sqrt(densities)
-    root /= np.sqrt(grid.integrate_rows(root**2))[:, None]
-    return root
-
-
-def to_srd(pdf: GridPdf) -> Srd:
-    """Square-root transform of a density, renormalized to the unit sphere.
+    """Square-root transform of every row of a density matrix.
 
     The pointwise square root of a unit-integral density already has unit
     squared integral in the continuum; the explicit renormalization here
     removes the residual quadrature error so downstream identities (log-map
     norms, geodesic lengths) hold to near machine precision.
     """
-    root = np.sqrt(pdf.values)
-    root = root / np.sqrt(pdf.grid.integrate(root**2))
-    return Srd(pdf.grid, root)
+    root = np.sqrt(densities)
+    root /= np.sqrt(grid.integrate(root**2))[:, None]
+    return root
+
+
+def to_srd(pdf: GridPdf) -> Srd:
+    """Square-root transform of one density: the one-row case of ``srd_rows``."""
+    return Srd(pdf.grid, srd_rows(pdf.grid, pdf.values[None])[0])
 
 
 def from_srd(psi: Srd) -> GridPdf:

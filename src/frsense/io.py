@@ -20,8 +20,6 @@ from .samplers import Dataset
 from .sweep import SweepResult
 
 __all__ = [
-    "NUMBER_FORMAT",
-    "density_matrix_lines",
     "load_dataset",
     "read_density_matrix",
     "write_bands_csv",

@@ -11,7 +11,9 @@ baseline sample of grid densities:
   cumulative eigenvalue vectors from tangent PCA, in
   [0, e_upper_bound(d)].
 
-All three vanish when the samples are identical.  Inputs can be
+All three vanish when the samples are identical.  ``measure_triple``
+computes them from two samples and ``triple_from_summaries`` from two
+SampleSummary objects; there is no other way to get them.  Inputs can be
 PosteriorSample or DensityMatrix objects, or plain sequences of GridPdf /
 Srd draws; each sample goes through one Karcher pass of the geometry core.
 """
@@ -28,7 +30,7 @@ from .errors import (
     InsufficientSamplesError,
     InsufficientValuesError,
 )
-from .geometry import KarcherInfo, _karcher_fit, _tangent_spectrum, fr_distance, karcher_mean
+from .geometry import KarcherInfo, _karcher_fit, _tangent_spectrum, fr_distance
 from .grid import Srd
 
 __all__ = [
@@ -38,10 +40,7 @@ __all__ = [
     "SampleSummary",
     "cumulative_spectrum",
     "e_upper_bound",
-    "measure_d",
-    "measure_e",
     "measure_triple",
-    "measure_v",
     "replicate_band",
     "summarize_sample",
     "triple_from_summaries",
@@ -134,36 +133,6 @@ def e_upper_bound(d: int) -> float:
         raise ValueError(f"d must be >= 2, got {d}")
     j = np.arange(1, d, dtype=float)
     return float(np.sqrt(np.sum((1.0 - j / d) ** 2)))
-
-
-def measure_d(base, pert) -> float:
-    """Shift: Fisher-Rao distance between the two intrinsic means."""
-    return fr_distance(karcher_mean(base), karcher_mean(pert))
-
-
-def _variance(sample) -> float:
-    fit = _karcher_fit(sample)
-    fit.warn_unconverged()
-    return fit.variance
-
-
-def measure_v(base, pert) -> float:
-    """Spread: log of the Karcher variance ratio, perturbed over baseline."""
-    var_b = _variance(base)
-    var_p = _variance(pert)
-    if var_b < VARIANCE_FLOOR or var_p < VARIANCE_FLOOR:
-        raise DegenerateSampleError(
-            f"Karcher variance below {VARIANCE_FLOOR:g} (base {var_b:g}, "
-            f"perturbed {var_p:g}); the log ratio is undefined"
-        )
-    return math.log(var_p) - math.log(var_b)
-
-
-def measure_e(base, pert, d: int = DEFAULT_N_COMPONENTS) -> float:
-    """Covariance shape: distance of the scaled cumulative spectra."""
-    omega_b = summarize_sample(base, d).spectrum.omega
-    omega_p = summarize_sample(pert, d).spectrum.omega
-    return float(np.linalg.norm(omega_b - omega_p))
 
 
 def _require_more_than(draws, d: int) -> None:

@@ -12,12 +12,10 @@ from ..errors import EmptyDatasetError, InvalidSettingError
 from ..grid import DensityMatrix, Grid
 
 __all__ = [
-    "MARGIN",
     "Dataset",
     "McmcControl",
     "PosteriorSample",
     "derived_seed",
-    "check_settings",
     "make_rng",
     "sample_crp_partition",
     "crp_expected_clusters",

@@ -75,14 +75,58 @@ def griffin_steel_pdf(alpha, eta: float, gamma: float):
     return np.exp(log_pdf)
 
 
+#: The Beta(eta, eta) draw behind alpha is kept this far inside (0, 1).
+_T_MARGIN = 1e-12
+
+
 def sample_griffin_steel(eta: float, gamma: float, rng: np.random.Generator) -> float:
     """Draw from the concentration prior via its Beta(eta, eta) representation."""
-    t = min(float(rng.beta(eta, eta)), 1.0 - 1e-12)
+    t = min(max(float(rng.beta(eta, eta)), _T_MARGIN), 1.0 - _T_MARGIN)
     return gamma * t / (1.0 - t)
+
+
+def _alpha_log_post(cfg, alpha: float, k: int, n: int) -> float:
+    """Log density of alpha given k clusters among n observations, up to a constant."""
+    return (
+        (cfg.eta - 1.0) * math.log(alpha)
+        - 2.0 * cfg.eta * math.log(alpha + cfg.gamma)
+        + k * math.log(alpha)
+        + math.lgamma(alpha)
+        - math.lgamma(alpha + n)
+    )
 
 
 #: Fields of both configs that must be positive; ``mu00`` need only be finite.
 _POSITIVE_FIELDS = ("a0", "a1", "eta", "gamma", "lambda0", "s0", "s1")
+
+
+def _check_start(cfg) -> None:
+    """Raise InvalidSettingError if the chain start leaves double precision.
+
+    Alpha starts at gamma t / (1 - t) for t in [_T_MARGIN, 1 - _T_MARGIN]
+    and needs a finite log posterior there.  The updates square the distance
+    of mu00 from the data in [0, 1] and divide it by 2 (1 - a), as small as
+    1 / A_GRID_SIZE; the first 1/sigma^2 draw has prior mean s0 / s1.
+    """
+    for t in (_T_MARGIN, 1.0 - _T_MARGIN):
+        alpha = cfg.gamma * t / (1.0 - t)
+        try:
+            finite = alpha > 0.0 and math.isfinite(_alpha_log_post(cfg, alpha, 1, 0))
+        except (OverflowError, ValueError):  # lgamma overflow, log of zero
+            finite = False
+        if not finite:
+            raise InvalidSettingError(
+                f"eta={cfg.eta!r}, gamma={cfg.gamma!r} give a concentration "
+                "prior outside double precision"
+            )
+    gap = max(-cfg.mu00, cfg.mu00 - 1.0, 0.0)
+    if not math.isfinite(gap * gap * A_GRID_SIZE):
+        raise InvalidSettingError(f"mu00 = {cfg.mu00!r} is too far from [0, 1]")
+    if not math.isfinite(cfg.s0 / cfg.s1):
+        raise InvalidSettingError(
+            f"s0={cfg.s0!r}, s1={cfg.s1!r} give a 1/sigma^2 prior mean "
+            "outside double precision"
+        )
 
 
 @dataclass(frozen=True)
@@ -100,6 +144,7 @@ class CcvConfig:
 
     def __post_init__(self):
         check_settings(self, finite=("mu00",), positive=_POSITIVE_FIELDS)
+        _check_start(self)
 
 
 @dataclass(frozen=True)
@@ -123,6 +168,11 @@ class DcvConfig:
             raise InvalidPhiError(f"phi must exceed 1, got {self.phi}")
         if self.aux_m < 1:
             raise InvalidSettingError(f"aux_m must be >= 1, got {self.aux_m}")
+        _check_start(self)
+        try:  # the new-cluster quadrature's weights total Gamma(phi)
+            math.gamma(self.phi)
+        except OverflowError:
+            raise InvalidSettingError(f"phi = {self.phi!r} overflows Gamma(phi)") from None
 
 
 def _norm_logpdf(x: float, mean: float, var: float) -> float:
@@ -221,22 +271,15 @@ class _ChainBase:
         self.a = float(_A_GRID[self.rng.choice(A_GRID_SIZE, p=probs)])
 
     def _update_alpha(self):
-        cfg = self.cfg
-        j = self.n_clusters
-        n = self.n
-
-        def logpost(al: float) -> float:
-            return (
-                (cfg.eta - 1.0) * math.log(al)
-                - 2.0 * cfg.eta * math.log(al + cfg.gamma)
-                + j * math.log(al)
-                + math.lgamma(al)
-                - math.lgamma(al + n)
-            )
-
+        cfg, k, n = self.cfg, self.n_clusters, self.n
         prop = self.alpha * math.exp(ALPHA_WALK_STEP * float(self.rng.standard_normal()))
         self.proposed += 1
-        log_ratio = logpost(prop) - logpost(self.alpha) + math.log(prop) - math.log(self.alpha)
+        log_ratio = (
+            _alpha_log_post(cfg, prop, k, n)
+            - _alpha_log_post(cfg, self.alpha, k, n)
+            + math.log(prop)
+            - math.log(self.alpha)
+        )
         if math.log(self.rng.random()) < log_ratio:
             self.alpha = prop
             self.accepted += 1

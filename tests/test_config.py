@@ -1,19 +1,29 @@
 """Experiment config files: INI parsing, presets and validation codes."""
 
+import dataclasses
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frsense import (
     BetaBase,
+    CcvConfig,
+    DcvConfig,
     DpConfig,
     DpgmmConfig,
     McmcControl,
+    SweepSpec,
+    UniformBase,
     apply_preset,
     dump_config,
     load_config,
     sweep_grid_presets,
 )
-from frsense.config import GeometryOptions, OutputOptions
+from frsense.config import ExperimentConfig, GeometryOptions, OutputOptions
 from frsense.errors import ConfigError
 from frsense.io import write_manifest
 
@@ -250,7 +260,88 @@ class TestPresetConfigs:
         assert swapped.spec.baseline == cfg.spec.baseline
 
 
+def baselines(cls):
+    """Valid configs of one model: every field drawn around its default."""
+
+    def values(f):
+        if f.name == "g0":
+            return st.just(UniformBase()) | st.builds(
+                BetaBase, st.floats(0.1, 10.0), st.floats(0.1, 10.0)
+            )
+        if f.name == "bandwidth":
+            return st.none() | st.floats(0.01, 0.5)
+        if isinstance(f.default, int):
+            return st.integers(f.default, 2 * f.default)
+        if f.default == 0.0:
+            return st.floats(-2.0, 2.0)
+        return st.floats(0.6, 2.0).map(lambda c: c * f.default)
+
+    return st.builds(cls, **{f.name: values(f) for f in dataclasses.fields(cls)})
+
+
+MODEL_CLASSES = {"dp": DpConfig, "dpgmm": DpgmmConfig, "ccv": CcvConfig, "dcv": DcvConfig}
+
+
+@st.composite
+def experiment_configs(draw, dataset_path):
+    model = draw(st.sampled_from(sorted(MODEL_CLASSES)))
+    cls = MODEL_CLASSES[model]
+    baseline = draw(baselines(cls))
+    parameter = draw(
+        st.sampled_from(
+            [f.name for f in dataclasses.fields(cls) if isinstance(f.default, float)]
+        )
+    )
+    base = getattr(baseline, parameter)
+    factors = draw(st.lists(st.floats(1.01, 1.5), max_size=4))
+    values = tuple(sorted({base, *(base * c for c in factors)}))
+    replicates = draw(st.integers(1, 5))
+    band_values = ()
+    if replicates > 1:
+        band_values = tuple(draw(st.lists(st.sampled_from(values), unique=True)))
+    d_components = draw(st.integers(2, 30))
+    mcmc = McmcControl(
+        n_samples=draw(st.integers(max(10, d_components + 1), 600)),
+        burn_in=draw(st.integers(0, 2000)),
+        thin=draw(st.integers(1, 10)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+    )
+    spec = SweepSpec(
+        model, baseline, parameter, values, replicates, band_values, mcmc, d_components
+    )
+    geometry = GeometryOptions(
+        n_points=draw(st.integers(16, 1024)),
+        karcher_eps1=draw(st.floats(1e-12, 1e-2)),
+        karcher_step=draw(st.floats(0.01, 1.0)),
+        karcher_max_iter=draw(st.integers(1, 500)),
+    )
+    output = OutputOptions(
+        directory=draw(st.from_regex(r"[A-Za-z0-9_./-]{1,20}", fullmatch=True)),
+        densities=draw(st.booleans()),
+    )
+    return ExperimentConfig(
+        dataset_path=dataset_path,
+        transform=draw(st.sampled_from(("none", "log"))),
+        spec=spec,
+        aggregate=draw(st.sampled_from(("first", "mean"))),
+        geometry=geometry,
+        output=output,
+    )
+
+
 class TestDumpRoundTrip:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_dump_load_round_trip_is_identity(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            dataset = os.path.join(tmp, "obs.txt")
+            with open(dataset, "w") as fh:
+                fh.write("0.5\n")
+            cfg = data.draw(experiment_configs(dataset))
+            path = os.path.join(tmp, "dump.ini")
+            write_manifest(path, cfg, {})
+            assert load_config(path) == cfg
+
     def test_manifest_reloads_identically(self, tmp_path):
         body = MINIMAL + """band_values = 1.0, 10.0
 replicates = 3

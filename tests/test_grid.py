@@ -19,7 +19,7 @@ from frsense import (
     tangent_project,
     to_srd,
 )
-from frsense.grid import normalize_rows
+from frsense.grid import INTEGRAL_TOL, first_invalid_row, normalize_rows, srd_rows
 
 from conftest import random_mixture_pdf
 
@@ -94,6 +94,42 @@ class TestNormalizeRows:
             normalize_rows(grid, raw)
         with pytest.raises(GridMismatchError):
             normalize_rows(grid, np.ones((3, grid.n_points - 1)))
+
+
+class TestOneRowIsTheMatrixCase:
+    """A single density takes the matrix path's arithmetic, bit for bit."""
+
+    @pytest.mark.parametrize("n_points", [16, 100, 512])
+    def test_normalize_and_srd_match_the_row_forms(self, rng, n_points):
+        grid = Grid(n_points)
+        raw = rng.uniform(0.0, 3.0, size=(300, n_points)) ** 3
+        rows = normalize_rows(grid, raw)
+        roots = srd_rows(grid, rows)
+        for i in range(raw.shape[0]):
+            pdf = normalize_pdf(grid, raw[i])
+            assert pdf.values.tobytes() == rows[i].tobytes()
+            assert to_srd(pdf).values.tobytes() == roots[i].tobytes()
+
+    def test_gridpdf_accepts_exactly_what_the_row_check_accepts(self, rng, grid):
+        # Scale unit rows so their integrals straddle the tolerance edge
+        # within a few ulps, where any change of summation order shows.
+        rows = normalize_rows(grid, rng.uniform(0.1, 2.0, size=(100, grid.n_points)))
+        edges = 1.0 + INTEGRAL_TOL + np.spacing(1.0) * np.arange(-4, 5)
+        edges = np.concatenate([edges, 2.0 - edges])
+        scaled = (rows[:, None, :] * edges[None, :, None]).reshape(-1, grid.n_points)
+        verdicts = {True: 0, False: 0}
+        for i, row in enumerate(scaled):
+            in_matrix = first_invalid_row(grid, scaled[i:])
+            accepted_in_matrix = in_matrix is None or in_matrix[0] > 0
+            assert (first_invalid_row(grid, row[None]) is None) == accepted_in_matrix
+            try:
+                GridPdf(grid, row)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == accepted_in_matrix, i
+            verdicts[accepted] += 1
+        assert verdicts[True] and verdicts[False]
 
 
 class TestDensityMatrix:

@@ -1,5 +1,6 @@
 """Sensitivity measures between baseline and perturbed density samples."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -14,15 +15,17 @@ from frsense import (
     cumulative_spectrum,
     e_upper_bound,
     exp_map,
-    measure_d,
-    measure_e,
+    fr_distance,
+    karcher_mean,
+    karcher_variance,
     measure_triple,
-    measure_v,
     normalize_pdf,
     replicate_band,
     summarize_sample,
+    tangent_pca,
     tangent_project,
     to_srd,
+    triple_from_summaries,
 )
 from frsense.errors import (
     DegenerateSampleError,
@@ -57,38 +60,47 @@ def geodesic_sample(base, dirs, coeff_rows):
     return out
 
 
+def d_shift(a, b):
+    return measure_triple(a, b, d=2).d_shift
+
+
+def v_spread(a, b):
+    return measure_triple(a, b, d=2).v_spread
+
+
 class TestShiftMeasure:
     def test_identical_samples_exactly_zero(self, grid, rng):
         base, dirs = orthonormal_directions(grid, 2)
         coeffs = 0.05 * rng.standard_normal((12, 2))
         draws = geodesic_sample(base, dirs, coeffs)
-        assert measure_d(draws, list(draws)) == 0.0
+        assert d_shift(draws, list(draws)) == 0.0
 
     def test_symmetric(self, grid, rng):
         base, dirs = orthonormal_directions(grid, 2)
         a = geodesic_sample(base, dirs, 0.05 * rng.standard_normal((10, 2)))
         b = geodesic_sample(base, dirs, 0.04 * rng.standard_normal((10, 2)) + 0.02)
-        assert abs(measure_d(a, b) - measure_d(b, a)) < 1e-10
+        assert abs(d_shift(a, b) - d_shift(b, a)) < 1e-10
 
     def test_singleton_samples_reduce_to_distance(self, grid):
-        flat = normalize_pdf(grid, np.ones(grid.n_points))
-        tilt = normalize_pdf(grid, 2.0 * grid.x)
-        assert measure_d([to_srd(flat)], [to_srd(tilt)]) == pytest.approx(
-            ORACLE_TILT, abs=1e-4
-        )
+        # The intrinsic mean of one draw is that draw, so D between two
+        # singleton samples is the distance between the draws.
+        flat = to_srd(normalize_pdf(grid, np.ones(grid.n_points)))
+        tilt = to_srd(normalize_pdf(grid, 2.0 * grid.x))
+        assert karcher_mean([flat]).allclose(flat)
+        assert fr_distance(flat, tilt) == pytest.approx(ORACLE_TILT, abs=1e-4)
 
 
 class TestSpreadMeasure:
     def test_identical_samples_exactly_zero(self, grid, rng):
         base, dirs = orthonormal_directions(grid, 3)
         draws = geodesic_sample(base, dirs, 0.06 * rng.standard_normal((15, 3)))
-        assert measure_v(draws, list(draws)) == 0.0
+        assert v_spread(draws, list(draws)) == 0.0
 
     def test_antisymmetric_exactly(self, grid, rng):
         base, dirs = orthonormal_directions(grid, 2)
         a = geodesic_sample(base, dirs, 0.05 * rng.standard_normal((10, 2)))
         b = geodesic_sample(base, dirs, 0.09 * rng.standard_normal((10, 2)))
-        assert measure_v(a, b) == -measure_v(b, a)
+        assert v_spread(a, b) == -v_spread(b, a)
 
     def test_tangent_scaling_by_three_gives_log_nine(self, grid):
         rng = np.random.default_rng(41)
@@ -97,12 +109,19 @@ class TestSpreadMeasure:
         coeffs -= coeffs.mean(axis=0)
         a = geodesic_sample(base, dirs, coeffs)
         b = geodesic_sample(base, dirs, 3.0 * coeffs)
-        assert measure_v(a, b) == pytest.approx(np.log(9.0), abs=0.05)
+        assert v_spread(a, b) == pytest.approx(np.log(9.0), abs=0.05)
 
-    def test_degenerate_sample_rejected(self, grid):
+    def test_degenerate_sample_rejected(self, grid, rng):
         flat = to_srd(normalize_pdf(grid, np.ones(grid.n_points)))
         with pytest.raises(DegenerateSampleError):
-            measure_v([flat, flat, flat], [flat, flat, flat])
+            measure_triple([flat, flat, flat], [flat, flat, flat], d=2)
+        # A zero variance alone makes the log ratio undefined.
+        base, dirs = orthonormal_directions(grid, 2)
+        draws = geodesic_sample(base, dirs, 0.05 * rng.standard_normal((8, 2)))
+        spread = summarize_sample(draws, d=2)
+        still = dataclasses.replace(spread, variance=0.0)
+        with pytest.raises(DegenerateSampleError, match="Karcher variance"):
+            triple_from_summaries(spread, still)
 
     def test_draw_order_is_irrelevant_exactly(self, grid, rng):
         base, dirs = orthonormal_directions(grid, 2)
@@ -110,14 +129,14 @@ class TestSpreadMeasure:
         b = geodesic_sample(base, dirs, 0.07 * rng.standard_normal((14, 2)))
         shuffled = list(a)
         rng.shuffle(shuffled)
-        assert measure_v(a, b) == measure_v(shuffled, b)
+        assert v_spread(a, b) == v_spread(shuffled, b)
 
 
 class TestCovarianceShapeMeasure:
     def test_identical_samples_exactly_zero(self, grid, rng):
         base, dirs = orthonormal_directions(grid, 4)
         draws = geodesic_sample(base, dirs, 0.05 * rng.standard_normal((25, 4)))
-        assert measure_e(draws, list(draws), d=4) == 0.0
+        assert measure_triple(draws, list(draws), d=4).e_covshape == 0.0
 
     def test_rank_one_against_flat_spectrum(self, grid):
         base, dirs = orthonormal_directions(grid, 4)
@@ -133,7 +152,9 @@ class TestCovarianceShapeMeasure:
                 spread_rows.append(row)
         spread = geodesic_sample(base, dirs, np.array(spread_rows))
         expect = np.sqrt(0.875)
-        assert measure_e(line, spread, d=4) == pytest.approx(expect, abs=0.02)
+        assert measure_triple(line, spread, d=4).e_covshape == pytest.approx(
+            expect, abs=0.02
+        )
         assert expect == pytest.approx(e_upper_bound(4), abs=1e-12)
 
     def test_never_exceeds_bound(self, grid, rng):
@@ -141,7 +162,7 @@ class TestCovarianceShapeMeasure:
         for _ in range(5):
             a = geodesic_sample(base, dirs, 0.05 * rng.standard_normal((9, 3)))
             b = geodesic_sample(base, dirs, 0.05 * rng.standard_normal((9, 3)))
-            assert measure_e(a, b, d=3) <= e_upper_bound(3) + 1e-12
+            assert measure_triple(a, b, d=3).e_covshape <= e_upper_bound(3) + 1e-12
 
     def test_rotation_of_tangent_configuration(self, grid):
         # an orthogonal mix of the tangent coordinates leaves the spectrum,
@@ -154,16 +175,17 @@ class TestCovarianceShapeMeasure:
         a = geodesic_sample(base, dirs, ca)
         b = geodesic_sample(base, dirs, cb)
         b_rot = geodesic_sample(base, dirs, cb @ rot.T)
-        assert abs(measure_e(a, b, d=4) - measure_e(a, b_rot, d=4)) < 1e-3
+        e = measure_triple(a, b, d=4).e_covshape
+        assert abs(e - measure_triple(a, b_rot, d=4).e_covshape) < 1e-3
 
     def test_insufficient_draws_rejected(self, grid, rng):
         base, dirs = orthonormal_directions(grid, 2)
         few = geodesic_sample(base, dirs, 0.05 * rng.standard_normal((4, 2)))
         many = geodesic_sample(base, dirs, 0.05 * rng.standard_normal((9, 2)))
         with pytest.raises(InsufficientSamplesError):
-            measure_e(few, many, d=4)
+            measure_triple(few, many, d=4)
         with pytest.raises(ValueError):
-            measure_e(many, many, d=1)
+            measure_triple(many, many, d=1)
 
 
 class TestUpperBound:
@@ -228,13 +250,24 @@ class TestMeasureTriple:
         assert trip.d_components == 3
 
     def test_agrees_with_individual_measures(self, grid, rng):
+        # Each field against its definition, built from the public geometry.
         base, dirs = orthonormal_directions(grid, 3)
         a = geodesic_sample(base, dirs, 0.05 * rng.standard_normal((12, 3)))
         b = geodesic_sample(base, dirs, 0.08 * rng.standard_normal((12, 3)))
         trip = measure_triple(a, b, d=3)
-        assert trip.d_shift == pytest.approx(measure_d(a, b), abs=1e-12)
-        assert trip.v_spread == pytest.approx(measure_v(a, b), abs=1e-12)
-        assert trip.e_covshape == pytest.approx(measure_e(a, b, d=3), abs=1e-12)
+        mean_a, mean_b = karcher_mean(a), karcher_mean(b)
+        log_ratio = np.log(karcher_variance(b, mean_b) / karcher_variance(a, mean_a))
+        omega_a, omega_b = (
+            cumulative_spectrum(tangent_pca(s).eigenvalues, d=3).omega for s in (a, b)
+        )
+        assert trip.d_shift == pytest.approx(fr_distance(mean_a, mean_b), abs=1e-12)
+        assert trip.v_spread == pytest.approx(log_ratio, abs=1e-12)
+        assert trip.e_covshape == pytest.approx(
+            np.linalg.norm(omega_a - omega_b), abs=1e-12
+        )
+        assert trip == triple_from_summaries(
+            summarize_sample(a, d=3), summarize_sample(b, d=3)
+        )
 
     def test_field_validation(self):
         with pytest.raises(ValueError):
