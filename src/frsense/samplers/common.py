@@ -194,6 +194,35 @@ def sample_crp_partition(alpha: float, n: int, rng: np.random.Generator) -> np.n
     return labels
 
 
+def _pick(logw: list, u: float, exp=math.exp, fsum=math.fsum) -> int:
+    """Index j drawn with probability proportional to exp(logw[j]).
+
+    ``u`` is one uniform on [0, 1); the draw inverts the cumulative weights.
+    """
+    mx = max(logw)
+    weights = [exp(lw - mx) for lw in logw]
+    u *= fsum(weights)
+    acc = 0.0
+    for j, w in enumerate(weights):
+        acc += w
+        if u < acc:
+            return j
+    return len(weights) - 1
+
+
+def _cluster_stats(x, labels) -> tuple:
+    """Per-cluster (counts, sums, sums of squares), accumulated in index order."""
+    k = int(max(labels)) + 1
+    counts = [0] * k
+    sums = [0.0] * k
+    sqs = [0.0] * k
+    for xi, li in zip(x, labels):
+        counts[li] += 1
+        sums[li] += xi
+        sqs[li] += xi * xi
+    return counts, sums, sqs
+
+
 def crp_expected_clusters(alpha: float, n: int) -> float:
     """Expected number of occupied clusters: sum of alpha / (alpha + i - 1)."""
     i = np.arange(1, n + 1, dtype=float)

@@ -13,6 +13,7 @@ Gaussian kernel into a density on the grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,6 +95,12 @@ class DpConfig:
             )
         if self.bandwidth is not None:
             check_settings(self, positive=("bandwidth",))
+            # Atoms and grid points lie in [0, 1]; past about 9.5e7 the kernel
+            # is exactly 1 there and every draw smooths to one flat density.
+            if math.exp(-0.5 / self.bandwidth / self.bandwidth) == 1.0:
+                raise InvalidSettingError(
+                    f"bandwidth = {self.bandwidth!r} makes the kernel constant on [0, 1]"
+                )
 
 
 def centering_weight(alpha: float, n: int) -> float:
@@ -178,10 +185,9 @@ def dp_posterior(
 ) -> PosteriorSample:
     """Sample the conjugate DP posterior as smoothed densities on the grid.
 
-    Draws are independent given the data, so burn-in and thinning are honored
-    purely by advancing the stream (cheap draws are made and discarded), which
-    keeps results reproducible across control settings that retain the same
-    draw positions.
+    Draws are independent given the data, so the run makes exactly
+    ``ctl.n_samples`` of them; ``ctl.burn_in`` and ``ctl.thin`` do not
+    apply and do not change the output.
     """
     grid = grid or default_grid()
     rng = make_rng(ctl.seed)
@@ -192,15 +198,9 @@ def dp_posterior(
     rows = np.empty((ctl.n_samples, grid.n_points))
     remainders = np.empty(ctl.n_samples)
     kernel = np.empty((grid.n_points, config.truncation))
-    kept = 0
-    for sweep in range(ctl.n_sweeps):
-        atoms, weights, remainder = _draw_atoms_and_weights(rng, config, x, w_g0)
-        if sweep >= ctl.burn_in and (sweep - ctl.burn_in) % ctl.thin == 0:
-            rows[kept] = _smooth(grid, atoms, weights, bw, kernel)
-            remainders[kept] = remainder
-            kept += 1
-            if kept == ctl.n_samples:
-                break
+    for i in range(ctl.n_samples):
+        atoms, weights, remainders[i] = _draw_atoms_and_weights(rng, config, x, w_g0)
+        rows[i] = _smooth(grid, atoms, weights, bw, kernel)
     return PosteriorSample(
         model="dp",
         grid=grid,

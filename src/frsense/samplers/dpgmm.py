@@ -26,6 +26,8 @@ from .common import (
     Dataset,
     McmcControl,
     PosteriorSample,
+    _cluster_stats,
+    _pick,
     check_settings,
     make_rng,
     sample_crp_partition,
@@ -102,19 +104,6 @@ def _t_pdf_rows(x: np.ndarray, params) -> np.ndarray:
     return np.exp(log_norm - 0.5 * (df + 1.0) * np.log1p((x - loc) ** 2 / denom))
 
 
-def _cluster_stats(x, labels) -> tuple:
-    """Per-cluster (counts, sums, sums of squares), accumulated in index order."""
-    k = int(max(labels)) + 1
-    counts = [0] * k
-    sums = [0.0] * k
-    sqs = [0.0] * k
-    for xi, li in zip(x, labels):
-        counts[li] += 1
-        sums[li] += xi
-        sqs[li] += xi * xi
-    return counts, sums, sqs
-
-
 def _emit_row(cfg: DpgmmConfig, grid: Grid, counts, sums, sqs) -> np.ndarray:
     """Conditional predictive density of one state, unnormalized on the grid."""
     alpha = cfg.alpha
@@ -178,7 +167,6 @@ def _gibbs_chain(
     caching.  The uniforms come as one block per sweep, which numpy draws
     exactly as the same number of scalar ``rng.random()`` calls.
     """
-    exp, fsum = math.exp, math.fsum
     n = x.size
     xs = x.tolist()
     labels = labels.tolist()
@@ -213,16 +201,7 @@ def _gibbs_chain(
 
             logw = _log_weights(xi, terms)
             logw.append(new_cluster[i])
-            mx = max(logw)
-            weights = [exp(lw - mx) for lw in logw]
-            u = uniforms[i] * fsum(weights)
-            pick = len(terms)
-            acc = 0.0
-            for j, w in enumerate(weights):
-                acc += w
-                if u < acc:
-                    pick = j
-                    break
+            pick = _pick(logw, uniforms[i])
 
             labels[i] = pick
             if pick == len(terms):

@@ -39,6 +39,8 @@ from .common import (
     Dataset,
     McmcControl,
     PosteriorSample,
+    _cluster_stats,
+    _pick,
     check_settings,
     make_rng,
     sample_crp_partition,
@@ -62,6 +64,7 @@ A_GRID_SIZE = 200
 _A_GRID = (np.arange(A_GRID_SIZE) + 0.5) / A_GRID_SIZE
 _LOG_A = np.log(_A_GRID)
 _LOG_1MA = np.log1p(-_A_GRID)
+_LOG_CELL_MIN = float(min(_LOG_A.min(), _LOG_1MA.min()))
 
 _QUAD_NODES = 24
 
@@ -104,9 +107,11 @@ def _check_start(cfg) -> None:
     """Raise InvalidSettingError if the chain start leaves double precision.
 
     Alpha starts at gamma t / (1 - t) for t in [_T_MARGIN, 1 - _T_MARGIN]
-    and needs a finite log posterior there.  The updates square the distance
-    of mu00 from the data in [0, 1] and divide it by 2 (1 - a), as small as
-    1 / A_GRID_SIZE; the first 1/sigma^2 draw has prior mean s0 / s1.
+    and needs a finite log posterior there.  The griddy step on ``a`` adds
+    log a and log(1 - a), each as low as _LOG_CELL_MIN, scaled by a0 - 1 and
+    a1 - 1.  The updates square the distance of mu00 from the data in
+    [0, 1] and divide it by 2 (1 - a), as small as 1 / A_GRID_SIZE; the
+    first 1/sigma^2 draw has prior mean s0 / s1.
     """
     for t in (_T_MARGIN, 1.0 - _T_MARGIN):
         alpha = cfg.gamma * t / (1.0 - t)
@@ -119,6 +124,10 @@ def _check_start(cfg) -> None:
                 f"eta={cfg.eta!r}, gamma={cfg.gamma!r} give a concentration "
                 "prior outside double precision"
             )
+    if not math.isfinite((cfg.a0 + cfg.a1 - 2.0) * _LOG_CELL_MIN):
+        raise InvalidSettingError(
+            f"a0={cfg.a0!r}, a1={cfg.a1!r} overflow the griddy update of a"
+        )
     gap = max(-cfg.mu00, cfg.mu00 - 1.0, 0.0)
     if not math.isfinite(gap * gap * A_GRID_SIZE):
         raise InvalidSettingError(f"mu00 = {cfg.mu00!r} is too far from [0, 1]")
@@ -183,20 +192,13 @@ def _gauss_row(x: np.ndarray, mean: float, var: float) -> np.ndarray:
     return np.exp(-0.5 * (x - mean) ** 2 / var) / math.sqrt(2.0 * math.pi * var)
 
 
-def _pick(logw: list, rng: np.random.Generator) -> int:
-    mx = max(logw)
-    weights = [math.exp(lw - mx) for lw in logw]
-    u = rng.random() * math.fsum(weights)
-    acc = 0.0
-    for j, w in enumerate(weights):
-        acc += w
-        if u < acc:
-            return j
-    return len(weights) - 1
-
-
 class _ChainBase:
-    """State and hyperparameter updates shared by both model variants."""
+    """State and updates shared by both model variants.
+
+    A subclass supplies its assignment step, its sweep, each occupied
+    cluster's component variance (``_comp_vars``) and the unweighted
+    new-cluster density of an emitted row (``_new_cluster_row``).
+    """
 
     def __init__(self, x: np.ndarray, cfg, rng: np.random.Generator):
         self.x = x
@@ -209,15 +211,10 @@ class _ChainBase:
         self.tau = 1.0 / max(var, 1e-8)
         self.mu0 = float(np.mean(x))
         self.labels = sample_crp_partition(self.alpha, self.n, rng)
-        k = int(self.labels.max()) + 1
-        self.counts = [0] * k
-        self.sums = [0.0] * k
-        self.sqs = [0.0] * k
-        for xi, li in zip(x, self.labels):
-            self.counts[li] += 1
-            self.sums[li] += float(xi)
-            self.sqs[li] += float(xi) * float(xi)
-        self.mus = [self.mu0] * k
+        self.counts, self.sums, self.sqs = _cluster_stats(x.tolist(), self.labels.tolist())
+        self.mus = [self.mu0] * len(self.counts)
+        #: Lists indexed by cluster, kept aligned; a subclass appends its own.
+        self.per_cluster = [self.counts, self.sums, self.sqs, self.mus]
         self.accepted = 0
         self.proposed = 0
 
@@ -284,26 +281,19 @@ class _ChainBase:
             self.alpha = prop
             self.accepted += 1
 
+    def _open_cluster(self, *params):
+        """Append an empty cluster with parameters (mu, then any of the subclass's)."""
+        for values, value in zip(self.per_cluster, (0, 0.0, 0.0, *params)):
+            values.append(value)
+
     def _delete_cluster(self, j: int):
-        last = len(self.counts) - 1
+        """Move the last cluster into slot j and drop the last slot."""
+        last = self.n_clusters - 1
+        for values in self.per_cluster:
+            values[j] = values[last]
+            values.pop()
         if j != last:
-            self.counts[j] = self.counts[last]
-            self.sums[j] = self.sums[last]
-            self.sqs[j] = self.sqs[last]
-            self.mus[j] = self.mus[last]
-            self._move_extras(j, last)
             self.labels[self.labels == last] = j
-        self.counts.pop()
-        self.sums.pop()
-        self.sqs.pop()
-        self.mus.pop()
-        self._pop_extras()
-
-    def _move_extras(self, j: int, last: int):
-        pass
-
-    def _pop_extras(self):
-        pass
 
     def _remove_obs(self, i: int) -> None:
         j = self.labels[i]
@@ -321,6 +311,21 @@ class _ChainBase:
         self.sums[j] += xi
         self.sqs[j] += xi * xi
 
+    def _update_means(self):
+        prior_var = (1.0 - self.a) * self.sigma2
+        for j, comp_var in enumerate(self._comp_vars()):
+            prec = 1.0 / prior_var + self.counts[j] / comp_var
+            mean = (self.mu0 / prior_var + self.sums[j] / comp_var) / prec
+            self.mus[j] = mean + math.sqrt(1.0 / prec) * float(self.rng.standard_normal())
+
+    def emit_row(self, grid: Grid) -> np.ndarray:
+        """The state's predictive density on the grid, unnormalized."""
+        total = self.n + self.alpha
+        row = (self.alpha / total) * self._new_cluster_row(grid)
+        for count, mu, var in zip(self.counts, self.mus, self._comp_vars()):
+            row += (count / total) * _gauss_row(grid.x, mu, var)
+        return row
+
     TRACE_NAMES = ("n_clusters", "alpha", "a", "sigma2", "mu0", "max_mean_dev")
 
     def trace_row(self) -> tuple:
@@ -333,13 +338,16 @@ class _CcvChain(_ChainBase):
         self._assign()
         self._update_means()
         self._update_mu0()
-        within = self._within_total()
+        within = math.fsum(self._within_ss(j) for j in range(self.n_clusters))
         self._update_tau(within / (2.0 * self.a))
         self._update_a(within)
         self._update_alpha()
 
-    def _within_total(self) -> float:
-        return math.fsum(self._within_ss(j) for j in range(self.n_clusters))
+    def _comp_vars(self) -> list:
+        return [self.a * self.sigma2] * self.n_clusters
+
+    def _new_cluster_row(self, grid: Grid) -> np.ndarray:
+        return _gauss_row(grid.x, self.mu0, self.sigma2)
 
     def _assign(self):
         sigma2 = self.sigma2
@@ -358,31 +366,10 @@ class _CcvChain(_ChainBase):
                     xi, mean, 1.0 / prec + comp_var
                 )
             logw[k] = math.log(self.alpha) + _norm_logpdf(xi, self.mu0, sigma2)
-            pick = _pick(logw, rng)
+            pick = _pick(logw, rng.random())
             if pick == k:
-                self.counts.append(0)
-                self.sums.append(0.0)
-                self.sqs.append(0.0)
-                self.mus.append(self.mu0)
+                self._open_cluster(self.mu0)
             self._add_obs(i, pick)
-
-    def _update_means(self):
-        sigma2 = self.sigma2
-        prior_var = (1.0 - self.a) * sigma2
-        comp_var = self.a * sigma2
-        for j in range(self.n_clusters):
-            prec = 1.0 / prior_var + self.counts[j] / comp_var
-            mean = (self.mu0 / prior_var + self.sums[j] / comp_var) / prec
-            self.mus[j] = mean + math.sqrt(1.0 / prec) * float(self.rng.standard_normal())
-
-    def emit_row(self, grid: Grid) -> np.ndarray:
-        sigma2 = self.sigma2
-        comp_var = self.a * sigma2
-        total = self.n + self.alpha
-        row = (self.alpha / total) * _gauss_row(grid.x, self.mu0, sigma2)
-        for j in range(self.n_clusters):
-            row += (self.counts[j] / total) * _gauss_row(grid.x, self.mus[j], comp_var)
-        return row
 
 
 class _DcvChain(_ChainBase):
@@ -394,15 +381,10 @@ class _DcvChain(_ChainBase):
 
         super().__init__(x, cfg, rng)
         self.zetas = [1.0 / float(rng.gamma(cfg.phi, 1.0)) for _ in range(self.n_clusters)]
+        self.per_cluster.append(self.zetas)
         nodes, qweights = roots_genlaguerre(_QUAD_NODES, cfg.phi - 1.0)
         self._quad_nodes = nodes
         self._quad_weights = qweights / qweights.sum()
-
-    def _move_extras(self, j: int, last: int):
-        self.zetas[j] = self.zetas[last]
-
-    def _pop_extras(self):
-        self.zetas.pop()
 
     def sweep(self):
         self._assign()
@@ -454,27 +436,15 @@ class _DcvChain(_ChainBase):
                 )
             for c, (mu_c, zeta_c) in enumerate(aux):
                 logw[k + c] = log_aux_rate + _norm_logpdf(xi, mu_c, coef * zeta_c)
-            pick = _pick(logw, rng)
+            pick = _pick(logw, rng.random())
             if pick >= k:
-                mu_c, zeta_c = aux[pick - k]
-                self.counts.append(0)
-                self.sums.append(0.0)
-                self.sqs.append(0.0)
-                self.mus.append(mu_c)
-                self.zetas.append(zeta_c)
+                self._open_cluster(*aux[pick - k])
                 pick = k
             self._add_obs(i, pick)
 
-    def _update_means(self):
-        cfg = self.cfg
-        sigma2 = self.sigma2
-        prior_var = (1.0 - self.a) * sigma2
-        coef = self.a * (cfg.phi - 1.0) * sigma2
-        for j in range(self.n_clusters):
-            comp_var = coef * self.zetas[j]
-            prec = 1.0 / prior_var + self.counts[j] / comp_var
-            mean = (self.mu0 / prior_var + self.sums[j] / comp_var) / prec
-            self.mus[j] = mean + math.sqrt(1.0 / prec) * float(self.rng.standard_normal())
+    def _comp_vars(self) -> list:
+        coef = self.a * (self.cfg.phi - 1.0) * self.sigma2
+        return [coef * zeta for zeta in self.zetas]
 
     def _update_zetas(self):
         cfg = self.cfg
@@ -494,24 +464,16 @@ class _DcvChain(_ChainBase):
             disp = 0.0
         return super().trace_row() + (disp,)
 
-    def emit_row(self, grid: Grid) -> np.ndarray:
-        cfg = self.cfg
+    def _new_cluster_row(self, grid: Grid) -> np.ndarray:
+        # Integrate the component normal over the variance inflation's
+        # Gamma(phi, 1) inverse with generalized Gauss-Laguerre.
         sigma2 = self.sigma2
         prior_var = (1.0 - self.a) * sigma2
-        coef = self.a * (cfg.phi - 1.0) * sigma2
-        total = self.n + self.alpha
-
-        # New-cluster term: integrate the component normal over the variance
-        # inflation's Gamma(phi, 1) inverse with generalized Gauss-Laguerre.
+        coef = self.a * (self.cfg.phi - 1.0) * sigma2
         pp = np.zeros(grid.n_points)
         for g, w in zip(self._quad_nodes, self._quad_weights):
             pp += w * _gauss_row(grid.x, self.mu0, prior_var + coef / g)
-        row = (self.alpha / total) * pp
-        for j in range(self.n_clusters):
-            row += (self.counts[j] / total) * _gauss_row(
-                grid.x, self.mus[j], coef * self.zetas[j]
-            )
-        return row
+        return pp
 
 
 def _run_chain(chain, model: str, ctl: McmcControl, grid: Grid, cfg) -> PosteriorSample:

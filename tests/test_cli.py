@@ -86,6 +86,13 @@ seed = 5
 n_points = 64
 """
 
+#: DPGMM_CONFIG as a dp sweep with every baseline key set and a Beta g0.
+DP_CONFIG = DPGMM_CONFIG.replace("kind = dpgmm", "kind = dp").replace(
+    "alpha = 1.0\nm = 0.5\nr = 0.25\nnu = 5.0\ns = 1.0\n",
+    "alpha = 1.0\ntruncation = 60\nbandwidth = 0.05\n\n"
+    "[model.baseline.g0]\nkind = beta\na = 2.0\nb = 3.0\n",
+)
+
 #: Baseline keys shared by the ccv and dcv models.
 GRIFFIN_BASELINE = """\
 a0 = 1.0
@@ -120,6 +127,8 @@ UNFORESEEABLE = {
 MUTATED_KEYS = [
     *(pytest.param("dpgmm", key, id=key) for key in (
         "alpha", "m", "r", "nu", "s", "n_samples", "burn_in", "thin", "seed")),
+    *(pytest.param("dp", key, id=f"dp-{key}") for key in (
+        "alpha", "truncation", "bandwidth", "a", "b")),
     *(pytest.param(model, f.name, id=f"{model}-{f.name}")
       for model, cls in (("ccv", CcvConfig), ("dcv", DcvConfig))
       for f in dataclasses.fields(cls)),
@@ -259,7 +268,7 @@ class TestValidateConfigCommand:
     def test_mutated_values_fail_alike_and_never_internally(self, workdir, model, key):
         # validate-config must accept exactly what sweep accepts, and no bad
         # value may surface as an internal error (exit 2).
-        config = DPGMM_CONFIG if model == "dpgmm" else griffin_config(model)
+        config = {"dpgmm": DPGMM_CONFIG, "dp": DP_CONFIG}.get(model) or griffin_config(model)
         assert re.search(rf"^{key} = ", config, flags=re.M)
         for value in ("nan", "inf", "-inf", "1e308", "0", "-1"):
             text = re.sub(rf"^{key} = .*$", f"{key} = {value}", config, flags=re.M)

@@ -3,20 +3,25 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy import stats
 
 from frsense import (
     BetaBase,
     Dataset,
     DpConfig,
+    Grid,
+    GridPdf,
     McmcControl,
     centering_weight,
     dp_posterior,
     fr_distance,
+    make_rng,
     normalize_pdf,
+    normalize_rows,
     smoothed_centering_measure,
 )
 from frsense.errors import InvalidSettingError, TruncationTooSmallError
-from frsense.samplers.dp import _draw_atoms_and_weights
+from frsense.samplers.dp import _draw_atoms_and_weights, _smooth
 
 
 class TestCenteringWeight:
@@ -100,6 +105,15 @@ class TestDpConfig:
         with pytest.raises(InvalidSettingError, match=f"{name} must be finite"):
             DpConfig(**{name: value})
 
+    @pytest.mark.parametrize("bandwidth", [1e8, 1e50, 1e308])
+    def test_bandwidth_flattening_the_kernel_rejected(self, bandwidth):
+        # exp(-0.5 / bw^2) == 1 on [0, 1]: every draw would be the same flat density
+        with pytest.raises(InvalidSettingError, match="constant on"):
+            DpConfig(bandwidth=bandwidth)
+
+    def test_largest_useful_bandwidths_accepted(self):
+        assert DpConfig(bandwidth=9e7).bandwidth == 9e7
+
 
 class TestPosteriorDraws:
     def test_every_pdf_normalized(self):
@@ -175,10 +189,70 @@ class TestDeterminism:
         b = dp_posterior(data, cfg, McmcControl(n_samples=15, burn_in=0, thin=1, seed=2))
         assert not np.array_equal(a.densities, b.densities)
 
-    def test_burn_in_advances_the_stream(self):
-        # draws are independent, so burn-in just skips the first positions
+    def test_burn_in_and_thin_do_not_change_the_draws(self):
+        # draws are independent, so a run makes exactly n_samples of them
         data = Dataset.from_observations(np.linspace(0.0, 1.0, 25))
         cfg = DpConfig()
-        a = dp_posterior(data, cfg, McmcControl(n_samples=12, burn_in=0, thin=1, seed=9))
-        b = dp_posterior(data, cfg, McmcControl(n_samples=10, burn_in=2, thin=1, seed=9))
-        npt.assert_array_equal(a.densities[2:], b.densities)
+        ref = dp_posterior(data, cfg, McmcControl(n_samples=12, burn_in=0, thin=1, seed=9))
+        for burn_in, thin in ((2, 1), (0, 3), (50, 7)):
+            ctl = McmcControl(n_samples=12, burn_in=burn_in, thin=thin, seed=9)
+            other = dp_posterior(data, cfg, ctl)
+            npt.assert_array_equal(other.densities, ref.densities)
+            npt.assert_array_equal(
+                other.trace["absorbed_remainder"], ref.trace["absorbed_remainder"]
+            )
+
+
+def skipping_draws(data, cfg, ctl, grid):
+    """The rows and remainders of a dp run that, like earlier versions of
+    ``dp_posterior``, makes a draw for every chain sweep (burn-in and
+    thinning included) and keeps every ``thin``-th one after ``burn_in``."""
+    rng = make_rng(ctl.seed)
+    w_g0 = centering_weight(cfg.alpha, data.n)
+    rows, remainders = [], []
+    for sweep in range(ctl.n_sweeps):
+        atoms, weights, remainder = _draw_atoms_and_weights(rng, cfg, data.rescaled, w_g0)
+        if sweep >= ctl.burn_in and (sweep - ctl.burn_in) % ctl.thin == 0:
+            rows.append(_smooth(grid, atoms, weights, cfg.bandwidth))
+            remainders.append(remainder)
+    return normalize_rows(grid, np.array(rows)), np.array(remainders)
+
+
+class TestSameLawAsSkippingDraws:
+    """The kept draws follow the law of the draws a skipping run kept."""
+
+    GRID = Grid(128)
+    CFG = DpConfig(alpha=5.0, truncation=60, bandwidth=0.05)
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        crng = np.random.default_rng(41)
+        return Dataset.from_observations(
+            np.concatenate([crng.normal(-2.0, 0.7, 50), crng.normal(2.5, 1.0, 50)])
+        )
+
+    def test_rebuild_is_the_sampler_at_burn_in_zero(self, data):
+        ctl = McmcControl(n_samples=20, burn_in=0, thin=1, seed=4)
+        rows, remainders = skipping_draws(data, self.CFG, ctl, self.GRID)
+        ps = dp_posterior(data, self.CFG, ctl, grid=self.GRID)
+        npt.assert_array_equal(ps.densities, rows)
+        npt.assert_array_equal(ps.trace["absorbed_remainder"], remainders)
+
+    def test_two_sample_ks(self, data):
+        # Same seed; the skipping run's kept positions (400, 402, ...) lie
+        # past the 400 draws the sampler keeps, so the samples are independent.
+        n = 400
+        ps = dp_posterior(
+            data, self.CFG, McmcControl(n_samples=n, burn_in=0, thin=1, seed=12), grid=self.GRID
+        )
+        old_rows, old_remainders = skipping_draws(
+            data, self.CFG, McmcControl(n_samples=n, burn_in=n, thin=2, seed=12), self.GRID
+        )
+        center = smoothed_centering_measure(data, self.CFG, self.GRID)
+
+        def dist(rows):
+            return [fr_distance(GridPdf(self.GRID, row), center) for row in rows]
+
+        p_rem = stats.ks_2samp(ps.trace["absorbed_remainder"], old_remainders).pvalue
+        p_dist = stats.ks_2samp(dist(ps.densities), dist(old_rows)).pvalue
+        assert p_rem > 0.01 and p_dist > 0.01, (p_rem, p_dist)

@@ -13,8 +13,8 @@ from _dpgmm_reference import reference_posterior
 from frsense import Dataset, DpgmmConfig, McmcControl, dpgmm_posterior
 from frsense.errors import FrsenseError, InvalidSettingError
 from frsense.samplers import crp_expected_clusters, make_rng, sample_crp_partition
+from frsense.samplers.common import _cluster_stats, _pick
 from frsense.samplers.dpgmm import (
-    _cluster_stats,
     _cluster_terms,
     _emit_row,
     _log_weights,
@@ -22,6 +22,17 @@ from frsense.samplers.dpgmm import (
     _t_logpdf,
     _t_pdf_rows,
 )
+
+
+class TestPick:
+    def test_inverts_the_cumulative_weights(self):
+        logw = [math.log(1.0), math.log(2.0), math.log(1.0)]
+        picks = [_pick(logw, u) for u in (0.0, 0.24, 0.26, 0.74, 0.76, np.nextafter(1.0, 0.0))]
+        assert picks == [0, 0, 1, 1, 2, 2]
+
+    def test_shift_invariant_in_log_weights(self):
+        for u in np.linspace(0.0, 0.99, 12):
+            assert _pick([-800.0, -799.0, -801.0], u) == _pick([0.0, 1.0, -1.0], u)
 
 
 class TestCrpPrior:

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from frsense import (
     AntipodalOrBoundaryError,
@@ -20,6 +22,24 @@ from frsense import (
 from conftest import mixture_density, random_mixture_pdf, random_srd
 
 ROUND_TRIP_TOL = 1e-8
+
+SEEDS = st.integers(0, 2**32 - 1)
+N_POINTS = st.integers(16, 1024)
+PROPERTY = settings(max_examples=100, deadline=None)
+
+
+def random_pdfs(seed, n_points, k=2):
+    """``k`` random mixture densities on a grid of ``n_points``."""
+    rng = np.random.default_rng(seed)
+    grid = Grid(n_points)
+    return [random_mixture_pdf(grid, rng) for _ in range(k)]
+
+
+def inside_the_log_domain(psi1, psi2):
+    """The pair's distance, assuming it is clear of the antipodal boundary."""
+    d = fr_distance(psi1, psi2)
+    assume(d < np.pi / 2 - 0.01)
+    return d
 
 
 def uniform_pdf(grid):
@@ -49,20 +69,19 @@ class TestFrDistance:
         p = random_mixture_pdf(grid, rng)
         assert fr_distance(p, p) == 0.0
 
-    def test_symmetry(self, grid, rng):
-        for _ in range(20):
-            p, q = random_mixture_pdf(grid, rng), random_mixture_pdf(grid, rng)
-            assert abs(fr_distance(p, q) - fr_distance(q, p)) <= 1e-12
+    @PROPERTY
+    @given(seed=SEEDS, n_points=N_POINTS)
+    def test_symmetric_within_quarter_circle(self, seed, n_points):
+        p, q = random_pdfs(seed, n_points)
+        d = fr_distance(p, q)
+        assert abs(d - fr_distance(q, p)) <= 1e-12
+        assert 0.0 <= d <= np.pi / 2.0
 
-    def test_triangle_inequality(self, grid, rng):
-        for _ in range(20):
-            p, q, r = (random_mixture_pdf(grid, rng) for _ in range(3))
-            assert fr_distance(p, r) <= fr_distance(p, q) + fr_distance(q, r) + 1e-9
-
-    def test_range_is_quarter_circle(self, grid, rng):
-        for _ in range(20):
-            d = fr_distance(random_mixture_pdf(grid, rng), random_mixture_pdf(grid, rng))
-            assert 0.0 <= d <= np.pi / 2.0
+    @PROPERTY
+    @given(seed=SEEDS, n_points=N_POINTS)
+    def test_triangle_inequality(self, seed, n_points):
+        p, q, r = random_pdfs(seed, n_points, k=3)
+        assert fr_distance(p, r) <= fr_distance(p, q) + fr_distance(q, r) + 1e-9
 
     def test_grid_mismatch_rejected(self):
         p = uniform_pdf(Grid(512))
@@ -84,27 +103,27 @@ class TestFrDistance:
 
 
 class TestExpLogMaps:
-    def test_log_then_exp_recovers_target(self, grid, rng):
-        for _ in range(25):
-            psi1, psi2 = random_srd(grid, rng), random_srd(grid, rng)
-            if fr_distance(psi1, psi2) >= np.pi / 2 - 0.01:
-                continue
-            v = inv_exp_map(psi1, psi2)
-            back = exp_map(psi1, v)
-            assert np.max(np.abs(back.values - psi2.values)) < ROUND_TRIP_TOL
+    @PROPERTY
+    @given(seed=SEEDS, n_points=N_POINTS)
+    def test_log_then_exp_recovers_target(self, seed, n_points):
+        psi1, psi2 = map(to_srd, random_pdfs(seed, n_points))
+        inside_the_log_domain(psi1, psi2)
+        back = exp_map(psi1, inv_exp_map(psi1, psi2))
+        assert np.max(np.abs(back.values - psi2.values)) < ROUND_TRIP_TOL
 
-    def test_log_norm_equals_distance(self, grid, rng):
-        for _ in range(25):
-            psi1, psi2 = random_srd(grid, rng), random_srd(grid, rng)
-            d = fr_distance(psi1, psi2)
-            if d >= np.pi / 2 - 0.01:
-                continue
-            assert inv_exp_map(psi1, psi2).norm == pytest.approx(d, abs=1e-8)
+    @PROPERTY
+    @given(seed=SEEDS, n_points=N_POINTS)
+    def test_log_norm_equals_distance(self, seed, n_points):
+        psi1, psi2 = map(to_srd, random_pdfs(seed, n_points))
+        d = inside_the_log_domain(psi1, psi2)
+        assert inv_exp_map(psi1, psi2).norm == pytest.approx(d, abs=1e-8)
 
-    def test_log_is_tangent_at_base(self, grid, rng):
-        psi1, psi2 = random_srd(grid, rng), random_srd(grid, rng)
+    @PROPERTY
+    @given(seed=SEEDS, n_points=N_POINTS)
+    def test_log_is_tangent_at_base(self, seed, n_points):
+        psi1, psi2 = map(to_srd, random_pdfs(seed, n_points))
         v = inv_exp_map(psi1, psi2)
-        assert abs(grid.inner(v.values, psi1.values)) < 1e-10
+        assert abs(psi1.grid.inner(v.values, psi1.values)) < 1e-10
 
     def test_exp_of_zero_vector_is_base(self, grid, rng):
         psi = random_srd(grid, rng)
@@ -135,19 +154,17 @@ class TestExpLogMaps:
 
 
 class TestGeodesicPath:
-    def test_endpoints_reproduced(self, grid, rng):
-        p, q = random_mixture_pdf(grid, rng), random_mixture_pdf(grid, rng)
-        path = geodesic_path(p, q, 5)
+    @PROPERTY
+    @given(seed=SEEDS, n_points=N_POINTS, n_steps=st.integers(2, 12))
+    def test_constant_speed_between_reproduced_endpoints(self, seed, n_points, n_steps):
+        p, q = random_pdfs(seed, n_points)
+        total = inside_the_log_domain(p, q)
+        path = geodesic_path(p, q, n_steps)
+        assert len(path) == n_steps
         assert np.max(np.abs(path[0].values - p.values)) < ROUND_TRIP_TOL
         assert np.max(np.abs(path[-1].values - q.values)) < ROUND_TRIP_TOL
-
-    def test_seven_points_equally_spaced(self, grid, rng):
-        p, q = random_mixture_pdf(grid, rng), random_mixture_pdf(grid, rng)
-        total = fr_distance(p, q)
-        path = geodesic_path(p, q, 7)
-        assert len(path) == 7
         for a, b in zip(path[:-1], path[1:]):
-            assert fr_distance(a, b) == pytest.approx(total / 6.0, abs=1e-8)
+            assert fr_distance(a, b) == pytest.approx(total / (n_steps - 1), abs=1e-8)
 
     def test_too_few_steps_rejected(self, grid, rng):
         p, q = random_mixture_pdf(grid, rng), random_mixture_pdf(grid, rng)

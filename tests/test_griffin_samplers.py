@@ -16,6 +16,7 @@ from frsense import (
 from frsense.errors import InvalidPhiError, InvalidSettingError
 from frsense.samplers import make_rng
 from frsense.samplers.griffin import (
+    A_GRID_SIZE,
     _DcvChain,
     griffin_steel_pdf,
     sample_griffin_steel,
@@ -90,6 +91,22 @@ class TestConfigs:
     def test_non_finite_fields_rejected(self, cls, name, value):
         with pytest.raises(InvalidSettingError, match=f"{name} must be finite"):
             cls(**{name: value})
+
+    @pytest.mark.parametrize("cls", [CcvConfig, DcvConfig])
+    @pytest.mark.parametrize("shapes", [{"a0": 1e308}, {"a1": 1e308}, {"a0": 3e307, "a1": 3e307}])
+    def test_beta_shapes_overflowing_the_a_update_rejected(self, cls, shapes):
+        # (a - 1) log(cell) overflowed to -inf in the griddy step on a
+        with pytest.raises(InvalidSettingError, match="griddy update of a"):
+            cls(**shapes)
+
+    def test_largest_accepted_beta_shape_runs_without_overflow(self):
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            ps = ccv_posterior(
+                bimodal_dataset(), CcvConfig(a1=2.9e307),
+                McmcControl(n_samples=10, burn_in=0, thin=1, seed=2),
+            )
+        # the Beta(1, 2.9e307) prior pins a to the lowest grid cell
+        assert np.all(ps.trace["a"] == 0.5 / A_GRID_SIZE)
 
 
 class TestCcvChain:

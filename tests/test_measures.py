@@ -6,9 +6,12 @@ import warnings
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from frsense import (
     CumulativeSpectrum,
+    Grid,
     MeasureTriple,
     Srd,
     TangentVector,
@@ -60,6 +63,23 @@ def geodesic_sample(base, dirs, coeff_rows):
     return out
 
 
+SEEDS = st.integers(0, 2**32 - 1)
+N_POINTS = st.integers(16, 1024)
+
+#: Nonnegative eigenvalues, zeros included, that cumulative_spectrum accepts.
+SPECTRA = st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)), min_size=2, max_size=30)
+
+
+def _spread_summary():
+    base, dirs = orthonormal_directions(Grid(64), 3)
+    coeffs = 0.05 * np.random.default_rng(3).standard_normal((12, 3))
+    return summarize_sample(geodesic_sample(base, dirs, coeffs), d=2)
+
+
+#: One sample's summary, whose spectrum the E properties replace.
+SUMMARY = _spread_summary()
+
+
 def d_shift(a, b):
     return measure_triple(a, b, d=2).d_shift
 
@@ -96,10 +116,15 @@ class TestSpreadMeasure:
         draws = geodesic_sample(base, dirs, 0.06 * rng.standard_normal((15, 3)))
         assert v_spread(draws, list(draws)) == 0.0
 
-    def test_antisymmetric_exactly(self, grid, rng):
-        base, dirs = orthonormal_directions(grid, 2)
-        a = geodesic_sample(base, dirs, 0.05 * rng.standard_normal((10, 2)))
-        b = geodesic_sample(base, dirs, 0.09 * rng.standard_normal((10, 2)))
+    @settings(max_examples=30, deadline=None)
+    @given(seed=SEEDS, n_points=N_POINTS)
+    def test_antisymmetric_exactly(self, seed, n_points):
+        rng = np.random.default_rng(seed)
+        base, dirs = orthonormal_directions(Grid(n_points), 2)
+        a, b = (
+            geodesic_sample(base, dirs, rng.uniform(0.01, 0.1) * rng.standard_normal((10, 2)))
+            for _ in range(2)
+        )
         assert v_spread(a, b) == -v_spread(b, a)
 
     def test_tangent_scaling_by_three_gives_log_nine(self, grid):
@@ -157,12 +182,20 @@ class TestCovarianceShapeMeasure:
         )
         assert expect == pytest.approx(e_upper_bound(4), abs=1e-12)
 
-    def test_never_exceeds_bound(self, grid, rng):
-        base, dirs = orthonormal_directions(grid, 3)
-        for _ in range(5):
-            a = geodesic_sample(base, dirs, 0.05 * rng.standard_normal((9, 3)))
-            b = geodesic_sample(base, dirs, 0.05 * rng.standard_normal((9, 3)))
-            assert measure_triple(a, b, d=3).e_covshape <= e_upper_bound(3) + 1e-12
+    @settings(max_examples=100, deadline=None)
+    @given(ev_a=SPECTRA, ev_b=SPECTRA)
+    def test_never_exceeds_bound(self, ev_a, ev_b):
+        # Any two descending spectra, rank one against flat included, on the
+        # summaries of one sample: E is symmetric and within the bound.
+        d = min(len(ev_a), len(ev_b))
+        tops = [sorted(ev, reverse=True)[:d] for ev in (ev_a, ev_b)]
+        assume(all(sum(top) > 1e-6 for top in tops))
+        a, b = (
+            dataclasses.replace(SUMMARY, spectrum=cumulative_spectrum(top, d)) for top in tops
+        )
+        e = triple_from_summaries(a, b).e_covshape
+        assert e == triple_from_summaries(b, a).e_covshape
+        assert 0.0 <= e <= e_upper_bound(d) + 1e-12
 
     def test_rotation_of_tangent_configuration(self, grid):
         # an orthogonal mix of the tangent coordinates leaves the spectrum,
