@@ -193,10 +193,15 @@ def _cmd_validate(args) -> int:
     )
     bands = ", ".join("%g" % v for v in spec.band_values)
     print(f"bands at: {bands if bands else 'none'}")
-    print(
-        f"mcmc: keep {spec.mcmc.n_samples}, burn-in {spec.mcmc.burn_in}, "
-        f"thin {spec.mcmc.thin}, seed {spec.mcmc.seed}"
-    )
+    mcmc = spec.mcmc
+    if spec.model == "dp":
+        # dp draws are iid stick-breaking realizations: no burn-in, no thinning.
+        print(f"mcmc: keep {mcmc.n_samples} iid draws, seed {mcmc.seed}")
+    else:
+        print(
+            f"mcmc: keep {mcmc.n_samples}, burn-in {mcmc.burn_in}, "
+            f"thin {mcmc.thin}, seed {mcmc.seed}"
+        )
     print(f"sampler runs: {spec.replicates * (len(spec.values) + 1)}")
     return 0
 
@@ -273,7 +278,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, metavar="INI")
     p.add_argument("--out", metavar="DIR", help="output directory (default: from the config)")
     p.add_argument("--seed", type=int, help="override the chain base seed")
-    p.add_argument("--threads", type=_positive_int, default=1, metavar="N")
+    p.add_argument(
+        "--threads", type=_positive_int, default=1, metavar="N",
+        help="worker processes for the sweep's tasks (default: 1, no pool)",
+    )
     p.add_argument("--preset", metavar="NAME", help="swap in a preset value ladder")
     p.set_defaults(handler=_cmd_sweep)
 

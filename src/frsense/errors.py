@@ -105,13 +105,26 @@ class ConfigError(FrsenseError, ValueError):
         super().__init__(message)
         self.code = code
 
+    def __reduce__(self):
+        # pickle's default rebuilds an exception as cls(*args), which does not
+        # fit this signature; a sweep's worker processes send errors back
+        # pickled.  args[0] is the message, with any annotation added to it.
+        return type(self), (self.code, self.args[0]), self.__dict__
+
 
 class ParseError(FrsenseError, ValueError):
     """A data file failed to parse; carries the 1-based line number."""
 
     def __init__(self, message: str, line_number: int):
         super().__init__(f"line {line_number}: {message}")
+        self.message = message
         self.line_number = line_number
+
+    def __reduce__(self):
+        # As ConfigError; the state also restores args, which already carry
+        # the line prefix and any annotation.
+        state = {**self.__dict__, "args": self.args}
+        return type(self), (self.message, self.line_number), state
 
 
 class NonPositiveForLogError(FrsenseError, ValueError):

@@ -50,8 +50,22 @@ ORTHO_TOL = 1e-6
 MIN_POINTS = 16
 
 
+class _ReadOnlyArrays:
+    """Keeps a frozen object's array attributes read-only through pickle.
+
+    numpy unpickles every array writeable; sweep tasks in worker processes
+    hand their samples and summaries back pickled.
+    """
+
+    def __setstate__(self, state: dict):
+        for value in state.values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+        self.__dict__.update(state)
+
+
 @dataclass(frozen=True)
-class Grid:
+class Grid(_ReadOnlyArrays):
     """Uniform grid on [0, 1] with trapezoidal quadrature weights."""
 
     n_points: int = DEFAULT_N_POINTS
@@ -157,7 +171,7 @@ def check_same_grid(a, b):
 
 
 @dataclass(frozen=True, eq=False)
-class GridPdf:
+class GridPdf(_ReadOnlyArrays):
     """Probability density on a grid: nonnegative, unit trapezoidal integral."""
 
     grid: Grid
@@ -182,7 +196,7 @@ class GridPdf:
 
 
 @dataclass(frozen=True, eq=False)
-class DensityMatrix:
+class DensityMatrix(_ReadOnlyArrays):
     """Densities on one grid, held as one read-only ``(n_rows, n_points)`` matrix.
 
     Every row is validated as a GridPdf would be, in one vectorized pass.
@@ -214,7 +228,7 @@ class DensityMatrix:
 
 
 @dataclass(frozen=True, eq=False)
-class Srd:
+class Srd(_ReadOnlyArrays):
     """Square-root density: nonnegative grid function with unit squared integral.
 
     Points of this type sit on the positive orthant of the sphere
@@ -245,7 +259,7 @@ class Srd:
 
 
 @dataclass(frozen=True, eq=False)
-class TangentVector:
+class TangentVector(_ReadOnlyArrays):
     """Element of the tangent space at ``base``: orthogonal to it in L2."""
 
     base: Srd

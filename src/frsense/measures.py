@@ -31,7 +31,7 @@ from .errors import (
     InsufficientValuesError,
 )
 from .geometry import KarcherInfo, _karcher_fit, _tangent_spectrum, fr_distance
-from .grid import Srd
+from .grid import Srd, _ReadOnlyArrays
 
 __all__ = [
     "DEFAULT_N_COMPONENTS",
@@ -78,7 +78,7 @@ class MeasureTriple:
 
 
 @dataclass(frozen=True, eq=False)
-class CumulativeSpectrum:
+class CumulativeSpectrum(_ReadOnlyArrays):
     """Cumulative eigenvalue fractions omega_1 <= ... <= omega_d = 1."""
 
     omega: np.ndarray = field(repr=False)

@@ -9,7 +9,7 @@ from functools import cached_property
 import numpy as np
 
 from ..errors import EmptyDatasetError, InvalidSettingError
-from ..grid import DensityMatrix, Grid
+from ..grid import DensityMatrix, Grid, _ReadOnlyArrays
 
 __all__ = [
     "Dataset",
@@ -27,7 +27,7 @@ MARGIN = 0.05
 
 
 @dataclass(frozen=True)
-class Dataset:
+class Dataset(_ReadOnlyArrays):
     """Observations in original units plus the affine map into [0, 1].
 
     ``(x - shift) / scale`` sends the observed range onto

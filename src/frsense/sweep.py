@@ -16,10 +16,10 @@ already computed for earlier replicates.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import time
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -297,6 +297,38 @@ def _annotate(exc: Exception, where: str) -> None:
         exc.args = exc.args + (where,)
 
 
+def _run_task(
+    data: Dataset, spec: SweepSpec, grid, karcher: dict, job: tuple
+) -> tuple[SampleSummary, PosteriorSample | None]:
+    """One sweep task: run the sampler for `job` and summarize its sample.
+
+    `job` is (replicate, value index), with index None for the replicate's
+    baseline run.  Only job (1, None) hands back its sample, the one
+    `densities.csv` holds.  A failure keeps its type and gains the task's
+    grid position in its message.
+    """
+    r, idx = job
+    if idx is None:
+        label = "the baseline"
+    else:
+        label = f"{spec.parameter}={spec.values[idx]:g}"
+    try:
+        if idx is None:
+            config = spec.baseline
+            ctl = dataclasses.replace(spec.mcmc, seed=derived_seed(spec.mcmc.seed, r))
+        else:
+            config = spec.config_for(spec.values[idx])
+            ctl = dataclasses.replace(
+                spec.mcmc, seed=derived_seed(spec.mcmc.seed, r, idx)
+            )
+        sample = _MODELS[spec.model][1](data, config, ctl, grid=grid)
+        summary = summarize_sample(sample, spec.d_components, **karcher)
+    except Exception as exc:
+        _annotate(exc, f"sweep task failed at {label}, replicate {r}")
+        raise
+    return summary, (sample if job == (1, None) else None)
+
+
 def run_sweep(
     data: Dataset,
     spec: SweepSpec,
@@ -310,17 +342,21 @@ def run_sweep(
 ) -> SweepResult:
     """Run all (value, replicate) tasks and assemble curves and bands.
 
-    The task matrix is embarrassingly parallel; with n_workers > 1 it runs
-    on a thread pool and results are assembled in grid order regardless of
-    completion order.  Output is a pure function of (data, spec, aggregate)
-    and the geometry settings; the worker count never changes it.
+    The task matrix is embarrassingly parallel.  With n_workers > 1 it runs
+    on a pool of min(n_workers, number of tasks) worker processes, forked
+    where the platform offers fork; errors come back with their type and
+    message.  A fork copies only the calling thread, so a multi-worker
+    call should come from a process that runs no other threads.  With
+    n_workers == 1 every task runs in this process.  Results are assembled
+    in grid order regardless of completion order, so output is a pure
+    function of (data, spec, aggregate) and the geometry settings; the
+    worker count never changes it.
     """
     if aggregate not in ("first", "mean"):
         raise ValueError(f"aggregate must be 'first' or 'mean', got {aggregate!r}")
     if n_workers < 1:
         raise ValueError(f"n_workers must be >= 1, got {n_workers}")
     start = time.perf_counter()
-    sampler = _MODELS[spec.model][1]
     base_seed = spec.mcmc.seed
 
     jobs = []
@@ -329,41 +365,24 @@ def run_sweep(
         for idx in range(len(spec.values)):
             jobs.append((r, idx))
 
-    def run_one(job) -> tuple[SampleSummary, PosteriorSample | None]:
-        r, idx = job
-        if idx is None:
-            label = "the baseline"
-        else:
-            label = f"{spec.parameter}={spec.values[idx]:g}"
-        try:
-            if idx is None:
-                config = spec.baseline
-                ctl = dataclasses.replace(
-                    spec.mcmc, seed=derived_seed(base_seed, r)
-                )
-            else:
-                config = spec.config_for(spec.values[idx])
-                ctl = dataclasses.replace(
-                    spec.mcmc, seed=derived_seed(base_seed, r, idx)
-                )
-            sample = sampler(data, config, ctl, grid=grid)
-            summary = summarize_sample(
-                sample,
-                spec.d_components,
-                eps1=karcher_eps1,
-                eps2=karcher_step,
-                max_iter=karcher_max_iter,
-            )
-        except Exception as exc:
-            _annotate(exc, f"sweep task failed at {label}, replicate {r}")
-            raise
-        return summary, (sample if job == (1, None) else None)
-
+    karcher = dict(eps1=karcher_eps1, eps2=karcher_step, max_iter=karcher_max_iter)
+    task = functools.partial(_run_task, data, spec, grid, karcher)
     if n_workers == 1:
-        outcomes = {job: run_one(job) for job in jobs}
+        outcomes = dict(zip(jobs, map(task, jobs)))
     else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            outcomes = dict(zip(jobs, pool.map(run_one, jobs)))
+        # Imported here, so that importing the package does not load them.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # Forked workers share the imported package instead of importing it
+        # again.  A fork pool starts all its workers at once, so it gets no
+        # more of them than there are tasks.
+        fork = "fork" in multiprocessing.get_all_start_methods()
+        context = multiprocessing.get_context("fork" if fork else None)
+        with ProcessPoolExecutor(
+            max_workers=min(n_workers, len(jobs)), mp_context=context
+        ) as pool:
+            outcomes = dict(zip(jobs, pool.map(task, jobs)))
     summaries = {job: summary for job, (summary, _) in outcomes.items()}
 
     per_replicate = []

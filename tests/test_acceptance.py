@@ -66,7 +66,7 @@ def dp_trend():
         mcmc=McmcControl(n_samples=200, burn_in=0, thin=1, seed=424242),
     )
     start = time.perf_counter()
-    result = run_sweep(data, spec, aggregate="mean")
+    result = run_sweep(data, spec, aggregate="mean", n_workers=2)
     return result, time.perf_counter() - start
 
 
@@ -90,7 +90,9 @@ def dpgmm_trend():
         mcmc=McmcControl(n_samples=200, burn_in=300, thin=2, seed=31415),
     )
     start = time.perf_counter()
-    result = run_sweep(Dataset.from_observations(observations), spec, aggregate="mean")
+    result = run_sweep(
+        Dataset.from_observations(observations), spec, aggregate="mean", n_workers=2
+    )
     return result, time.perf_counter() - start
 
 

@@ -16,7 +16,10 @@ from conftest import random_mixture_pdf
 import frsense
 from frsense import (
     CcvConfig,
+    ConfigError,
     DcvConfig,
+    DegenerateSampleError,
+    DpConfig,
     Grid,
     derived_seed,
     dp_posterior,
@@ -201,6 +204,32 @@ class TestSweepCommand:
         assert rc == 0
         assert open("r1/sweep.csv", "rb").read() == open("r5/sweep.csv", "rb").read()
 
+    @pytest.mark.parametrize(
+        "make_error, code",
+        [
+            (lambda: ConfigError("CONFIG_BAD_VALUE", "no such chain"), "CONFIG_BAD_VALUE"),
+            (lambda: DegenerateSampleError("all draws are equal"), "MEASURE_DEGENERATE"),
+        ],
+        ids=["config", "degenerate"],
+    )
+    def test_task_error_exits_alike_at_any_thread_count(
+        self, workdir, monkeypatch, make_error, code
+    ):
+        dp_sampler = frsense.sweep._MODELS["dp"][1]
+
+        def failing(data, config, ctl, grid=None):
+            if config.alpha == 8.0:
+                raise make_error()
+            return dp_sampler(data, config, ctl, grid=grid)
+
+        monkeypatch.setitem(frsense.sweep._MODELS, "dp", (DpConfig, failing))
+        one = invoke(["sweep", "--config", "exp.ini", "--out", "r1", "--threads", "1"])
+        two = invoke(["sweep", "--config", "exp.ini", "--out", "r2", "--threads", "2"])
+        assert one[0] == two[0] == 1
+        assert one[2] == two[2] == (
+            f"{code}: {make_error()} [sweep task failed at alpha=8, replicate 1]\n"
+        )
+
     def test_densities_flag_adds_density_matrix(self, workdir):
         with open("exp.ini", "a") as fh:
             fh.write("\n[output]\ndensities = true\n")
@@ -228,6 +257,16 @@ class TestValidateConfigCommand:
         assert "model: dp" in out
         assert "n=30" in out
         assert "sampler runs: 8" in out
+        # dp draws are iid: burn-in and thinning do not apply
+        assert "mcmc: keep 16 iid draws, seed 5\n" in out
+        assert "burn-in" not in out
+
+    def test_plan_names_burn_in_and_thinning_for_chains(self, workdir):
+        open("gm.ini", "w").write(DPGMM_CONFIG)
+        rc, out, err = invoke(["validate-config", "--config", "gm.ini"])
+        assert rc == 0, err
+        assert "mcmc: keep 12, burn-in 0, thin 1, seed 5\n" in out
+        assert "sampler runs: 3" in out
 
     def test_unknown_parameter_exit_code(self, workdir):
         bad = CONFIG.replace("parameter = alpha", "parameter = alhpa")

@@ -1,11 +1,19 @@
 """Sweep harness tests: SweepSpec validation, determinism, bands, presets."""
 
+import concurrent.futures
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 import frsense.sweep
-from frsense.errors import ConfigError, UnknownModelError, UnknownParameterError
+from frsense.errors import (
+    ConfigError,
+    DegenerateSampleError,
+    FrsenseError,
+    UnknownModelError,
+    UnknownParameterError,
+)
 from frsense.samplers import (
     BetaBase,
     CcvConfig,
@@ -43,6 +51,69 @@ def small_dp_spec(**overrides):
     )
     kw.update(overrides)
     return SweepSpec(**kw)
+
+
+def small_dcv_spec():
+    return SweepSpec(
+        model="dcv",
+        baseline=DcvConfig(phi=3.0),
+        parameter="phi",
+        values=(2.0, 3.0),
+        replicates=2,
+        band_values=(3.0,),
+        mcmc=McmcControl(n_samples=12, burn_in=4, thin=1, seed=7),
+        d_components=3,
+    )
+
+
+def sweep_and_summaries(monkeypatch, data, spec, n_workers):
+    """run_sweep plus every (baseline, perturbed) summary pair it compared.
+
+    The pairs are recorded in this process, where run_sweep assembles the
+    triples, whatever process summarized them.
+    """
+    pairs = []
+    compare = frsense.sweep.triple_from_summaries
+
+    def recording(base, other):
+        pairs.append((base, other))
+        return compare(base, other)
+
+    monkeypatch.setattr(frsense.sweep, "triple_from_summaries", recording)
+    result = run_sweep(data, spec, n_workers=n_workers)
+    monkeypatch.setattr(frsense.sweep, "triple_from_summaries", compare)
+    return result, pairs
+
+
+def summary_key(summary):
+    return (
+        summary.mean.values.tobytes(),
+        summary.variance,
+        summary.spectrum.omega.tobytes(),
+        summary.n_draws,
+        summary.karcher,
+    )
+
+
+def assert_worker_count_changes_nothing(monkeypatch, data, spec):
+    seq, seq_pairs = sweep_and_summaries(monkeypatch, data, spec, 1)
+    par, par_pairs = sweep_and_summaries(monkeypatch, data, spec, 2)
+    assert [t.astuple() for t in seq.triples] == [t.astuple() for t in par.triples]
+    assert [[t.astuple() for t in row] for row in seq.replicate_triples] == [
+        [t.astuple() for t in row] for row in par.replicate_triples
+    ]
+    assert seq.bands == par.bands
+    assert len(seq_pairs) == len(par_pairs) == spec.replicates * len(spec.values)
+    for (base_s, other_s), (base_p, other_p) in zip(seq_pairs, par_pairs):
+        assert summary_key(base_s) == summary_key(base_p)
+        assert summary_key(other_s) == summary_key(other_p)
+    assert (
+        seq.baseline_sample.densities.tobytes()
+        == par.baseline_sample.densities.tobytes()
+    )
+    # arrays stay read-only on their way back from a worker process
+    assert not par.baseline_sample.densities.flags.writeable
+    assert not par_pairs[0][0].mean.values.flags.writeable
 
 
 class TestParameterAccess:
@@ -167,13 +238,64 @@ class TestRunSweep:
         assert a.bands[5.0] == b.bands[5.0]
         assert a.base_seed == 11
 
-    def test_worker_count_does_not_change_results(self):
-        data = uniform_dataset()
-        spec = small_dp_spec()
-        seq = run_sweep(data, spec)
-        par = run_sweep(data, spec, n_workers=3)
-        for ta, tb in zip(seq.triples, par.triples):
-            assert ta.astuple() == tb.astuple()
+    def test_worker_count_does_not_change_results(self, monkeypatch):
+        spec = small_dp_spec(band_values=(0.5, 5.0))
+        assert_worker_count_changes_nothing(monkeypatch, uniform_dataset(), spec)
+
+    def test_worker_count_does_not_change_dcv_results(self, monkeypatch):
+        data = Dataset.from_observations(
+            np.random.default_rng(5).normal([-2.0, 2.0], 0.5, (15, 2)).ravel()
+        )
+        assert_worker_count_changes_nothing(monkeypatch, data, small_dcv_spec())
+
+    def test_pool_never_outnumbers_tasks(self, monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers, mp_context=None):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        # run_sweep imports the executor class only when it needs a pool
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        spec = small_dp_spec(replicates=1)
+        run_sweep(uniform_dataset(), spec, n_workers=10_000)
+        assert sizes == [1 + len(spec.values)] == [4]
+
+    @pytest.mark.parametrize(
+        "make_error",
+        [
+            lambda: ConfigError("CONFIG_BAD_VALUE", "no such chain"),
+            lambda: DegenerateSampleError("all draws are equal"),
+        ],
+        ids=["config", "degenerate"],
+    )
+    def test_task_error_is_the_same_at_any_worker_count(self, monkeypatch, make_error):
+        dp_sampler = frsense.sweep._MODELS["dp"][1]
+
+        def failing(data, config, ctl, grid=None):
+            if config.alpha == 12.0:
+                raise make_error()
+            return dp_sampler(data, config, ctl, grid=grid)
+
+        monkeypatch.setitem(frsense.sweep._MODELS, "dp", (DpConfig, failing))
+        outcomes = []
+        for n_workers in (1, 2):
+            with pytest.raises(FrsenseError) as info:
+                run_sweep(uniform_dataset(), small_dp_spec(), n_workers=n_workers)
+            exc = info.value
+            outcomes.append((type(exc), getattr(exc, "code", None), str(exc)))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] is type(make_error())
+        assert outcomes[0][2].endswith("[sweep task failed at alpha=12, replicate 1]")
 
     def test_added_replicates_keep_old_ones(self):
         data = uniform_dataset()
