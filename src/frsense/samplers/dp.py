@@ -108,15 +108,18 @@ def centering_weight(alpha: float, n: int) -> float:
     return alpha / (alpha + n)
 
 
-def _draw_atoms_and_weights(rng, config: DpConfig, x_data: np.ndarray, w_g0: float):
+def _draw_atoms_and_weights(rng, config: DpConfig, n: int, w_g0: float):
     """One truncated stick-breaking realization of the posterior DP.
 
-    Returns atom locations and stick weights.  The final weight absorbs all
-    remaining stick mass, so the weights sum to one exactly; the conservation
-    guard catches the (pathological) case where they do not.
+    Returns the stick weights, the absorbed remainder, and for each of the
+    ``truncation`` atoms whether it comes from G0, its G0 draw and its data
+    index; atom ``j`` is ``g0_atoms[j]`` where ``from_g0[j]`` and data point
+    ``data_idx[j]`` elsewhere.  The final weight absorbs all remaining stick
+    mass, so the weights sum to one exactly; the conservation guard catches
+    the (pathological) case where they do not.
     """
     k = config.truncation
-    sticks = rng.beta(1.0, config.alpha + x_data.size, size=k - 1)
+    sticks = rng.beta(1.0, config.alpha + n, size=k - 1)
     weights = np.empty(k)
     weights[:-1] = sticks * np.cumprod(np.concatenate(([1.0], 1.0 - sticks[:-1])))
     remainder = 1.0 - float(weights[:-1].sum())
@@ -128,25 +131,23 @@ def _draw_atoms_and_weights(rng, config: DpConfig, x_data: np.ndarray, w_g0: flo
 
     from_g0 = rng.random(k) < w_g0
     g0_atoms = config.g0.sample(rng, k)
-    data_atoms = x_data[rng.integers(0, x_data.size, size=k)]
-    atoms = np.where(from_g0, g0_atoms, data_atoms)
-    return atoms, weights, remainder
+    data_idx = rng.integers(0, n, size=k)
+    return weights, remainder, from_g0, g0_atoms, data_idx
 
 
-def _smooth(grid: Grid, atoms: np.ndarray, weights: np.ndarray, bw: float, out=None) -> np.ndarray:
-    """Gaussian-kernel mixture of the atoms, evaluated on the grid.
-
-    ``out`` is an optional ``(n_points, n_atoms)`` scratch buffer for the
-    kernel matrix.  ``dp_posterior`` reuses one across draws: a fresh matrix
-    per draw is large enough to be mapped anew each time, and its page
-    faults cost more than the arithmetic.
-    """
-    z = np.subtract.outer(grid.x, atoms, out=out)
+def _kernel(grid: Grid, atoms: np.ndarray, bw: float) -> np.ndarray:
+    """The ``(n_points, n_atoms)`` Gaussian kernel exp(-((x - atom) / bw)^2 / 2)."""
+    z = np.subtract.outer(grid.x, atoms)
     z /= bw
     np.square(z, out=z)
     z *= -0.5
     np.exp(z, out=z)
-    return z @ weights
+    return z
+
+
+def _smooth(grid: Grid, atoms: np.ndarray, weights: np.ndarray, bw: float) -> np.ndarray:
+    """Gaussian-kernel mixture of the atoms, evaluated on the grid."""
+    return _kernel(grid, atoms, bw) @ weights
 
 
 def smoothed_centering_measure(
@@ -159,7 +160,8 @@ def smoothed_centering_measure(
     This is the expectation of a posterior draw (before edge renormalization),
     so it serves as a deterministic reference for the Monte Carlo mean of
     ``dp_posterior`` output.  The base-measure part is convolved on a fine
-    internal quadrature; the empirical part reuses the draw smoother.
+    internal quadrature; the empirical part uses the kernel table of the data
+    that ``dp_posterior`` emits its data atoms with.
     """
     grid = grid or default_grid()
     x = data.rescaled
@@ -173,7 +175,7 @@ def smoothed_centering_measure(
     fine = np.linspace(0.0, 1.0, 4096)
     z = (grid.x[:, None] - fine[None, :]) / bw
     conv = np.trapezoid(np.exp(-0.5 * z * z) * config.g0.density(fine)[None, :], fine, axis=1)
-    emp = _smooth(grid, x, np.full(x.size, 1.0 / x.size), bw)
+    emp = _kernel(grid, x, bw) @ np.full(x.size, 1.0 / x.size)
     return normalize_pdf(grid, w_g0 * conv + (1.0 - w_g0) * emp)
 
 
@@ -195,12 +197,21 @@ def dp_posterior(
     w_g0 = centering_weight(config.alpha, data.n)
     bw = config.bandwidth if config.bandwidth is not None else silverman_bandwidth(x, grid)
 
+    # A share n / (alpha + n) of the atoms are copies of data points: their
+    # kernels are columns of one table, weighted by each point's summed sticks.
+    table = _kernel(grid, x, bw)
     rows = np.empty((ctl.n_samples, grid.n_points))
     remainders = np.empty(ctl.n_samples)
-    kernel = np.empty((grid.n_points, config.truncation))
     for i in range(ctl.n_samples):
-        atoms, weights, remainders[i] = _draw_atoms_and_weights(rng, config, x, w_g0)
-        rows[i] = _smooth(grid, atoms, weights, bw, kernel)
+        weights, remainders[i], from_g0, g0_atoms, data_idx = _draw_atoms_and_weights(
+            rng, config, x.size, w_g0
+        )
+        from_data = ~from_g0
+        rows[i] = table @ np.bincount(
+            data_idx[from_data], weights=weights[from_data], minlength=x.size
+        )
+        if from_g0.any():
+            rows[i] += _smooth(grid, g0_atoms[from_g0], weights[from_g0], bw)
     return PosteriorSample(
         model="dp",
         grid=grid,

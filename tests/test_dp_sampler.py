@@ -12,6 +12,7 @@ from frsense import (
     Grid,
     GridPdf,
     McmcControl,
+    UniformBase,
     centering_weight,
     dp_posterior,
     fr_distance,
@@ -62,10 +63,13 @@ class TestStickWeights:
         cfg = DpConfig(alpha=5.0, truncation=200)
         x = rng.uniform(0.05, 0.95, size=100)
         for _ in range(10):
-            atoms, weights, remainder = _draw_atoms_and_weights(rng, cfg, x, 0.05)
+            weights, remainder, from_g0, g0_atoms, data_idx = _draw_atoms_and_weights(
+                rng, cfg, x.size, 0.05
+            )
             assert abs(weights.sum() - 1.0) < 1e-12
             assert weights.min() >= 0.0
-            assert atoms.shape == (200,)
+            for piece in (weights, from_g0, g0_atoms, data_idx):
+                assert piece.shape == (200,)
             assert remainder == pytest.approx(weights[-1], abs=1e-15)
 
     def test_conservation_guard_fires_on_broken_sticks(self):
@@ -81,9 +85,7 @@ class TestStickWeights:
                 return np.zeros(size, dtype=np.int64)
 
         with pytest.raises(TruncationTooSmallError):
-            _draw_atoms_and_weights(
-                BrokenRng(), DpConfig(alpha=1.0), np.array([0.5]), 0.5
-            )
+            _draw_atoms_and_weights(BrokenRng(), DpConfig(alpha=1.0), 1, 0.5)
 
 
 class TestDpConfig:
@@ -206,13 +208,18 @@ class TestDeterminism:
 def skipping_draws(data, cfg, ctl, grid):
     """The rows and remainders of a dp run that, like earlier versions of
     ``dp_posterior``, makes a draw for every chain sweep (burn-in and
-    thinning included) and keeps every ``thin``-th one after ``burn_in``."""
+    thinning included) and keeps every ``thin``-th one after ``burn_in``.
+    Each kept draw is smoothed atom by atom, without the data kernel table."""
     rng = make_rng(ctl.seed)
     w_g0 = centering_weight(cfg.alpha, data.n)
     rows, remainders = [], []
+    x = data.rescaled
     for sweep in range(ctl.n_sweeps):
-        atoms, weights, remainder = _draw_atoms_and_weights(rng, cfg, data.rescaled, w_g0)
+        weights, remainder, from_g0, g0_atoms, data_idx = _draw_atoms_and_weights(
+            rng, cfg, x.size, w_g0
+        )
         if sweep >= ctl.burn_in and (sweep - ctl.burn_in) % ctl.thin == 0:
+            atoms = np.where(from_g0, g0_atoms, x[data_idx])
             rows.append(_smooth(grid, atoms, weights, cfg.bandwidth))
             remainders.append(remainder)
     return normalize_rows(grid, np.array(rows)), np.array(remainders)
@@ -235,7 +242,9 @@ class TestSameLawAsSkippingDraws:
         ctl = McmcControl(n_samples=20, burn_in=0, thin=1, seed=4)
         rows, remainders = skipping_draws(data, self.CFG, ctl, self.GRID)
         ps = dp_posterior(data, self.CFG, ctl, grid=self.GRID)
-        npt.assert_array_equal(ps.densities, rows)
+        # the same stream, so the same remainders; the table path sums each
+        # row in another order, so the densities agree to rounding only
+        npt.assert_allclose(ps.densities, rows, rtol=1e-13, atol=0)
         npt.assert_array_equal(ps.trace["absorbed_remainder"], remainders)
 
     def test_two_sample_ks(self, data):
@@ -256,3 +265,35 @@ class TestSameLawAsSkippingDraws:
         p_rem = stats.ks_2samp(ps.trace["absorbed_remainder"], old_remainders).pvalue
         p_dist = stats.ks_2samp(dist(ps.densities), dist(old_rows)).pvalue
         assert p_rem > 0.01 and p_dist > 0.01, (p_rem, p_dist)
+
+
+class TestTableEmission:
+    """``dp_posterior`` emits data atoms from one kernel table of the data;
+    smoothing every atom directly from the same draws gives the same rows."""
+
+    GRID = Grid(128)
+
+    @pytest.mark.parametrize("g0", [UniformBase(), BetaBase(2.0, 5.0)], ids=["uniform", "beta"])
+    @pytest.mark.parametrize(
+        "alpha, n_obs, g0_share",
+        [
+            pytest.param(1e-3, 100, (0.0, 0.001), id="no-g0-atom-in-most-draws"),
+            pytest.param(5.0, 100, (0.02, 0.1), id="alpha-5"),
+            pytest.param(1e3, 100, (0.85, 0.95), id="mostly-g0-atoms"),
+            pytest.param(5.0, 1, (0.75, 0.9), id="one-observation"),
+        ],
+    )
+    def test_rows_match_direct_smoothing(self, g0, alpha, n_obs, g0_share):
+        data = Dataset.from_observations(np.random.default_rng(8).normal(0.0, 1.0, n_obs))
+        cfg = DpConfig(alpha=alpha, g0=g0, truncation=60, bandwidth=0.05)
+        ctl = McmcControl(n_samples=30, burn_in=0, thin=1, seed=6)
+
+        rng = make_rng(ctl.seed)
+        w_g0 = centering_weight(alpha, data.n)
+        from_g0 = [_draw_atoms_and_weights(rng, cfg, data.n, w_g0)[2] for _ in range(ctl.n_samples)]
+        assert g0_share[0] <= np.mean(from_g0) <= g0_share[1]
+
+        rows, remainders = skipping_draws(data, cfg, ctl, self.GRID)
+        ps = dp_posterior(data, cfg, ctl, grid=self.GRID)
+        npt.assert_allclose(ps.densities, rows, rtol=1e-13, atol=0)
+        npt.assert_array_equal(ps.trace["absorbed_remainder"], remainders)
