@@ -68,6 +68,8 @@ _LOG_CELL_MIN = float(min(_LOG_A.min(), _LOG_1MA.min()))
 
 _QUAD_NODES = 24
 
+_TWO_PI = 2.0 * math.pi
+
 
 def griffin_steel_pdf(alpha, eta: float, gamma: float):
     """Density of the concentration prior; vectorized over ``alpha``."""
@@ -184,12 +186,39 @@ class DcvConfig:
             raise InvalidSettingError(f"phi = {self.phi!r} overflows Gamma(phi)") from None
 
 
-def _norm_logpdf(x: float, mean: float, var: float) -> float:
-    return -0.5 * (math.log(2.0 * math.pi * var) + (x - mean) ** 2 / var)
+def _laguerre_rule(n: int, alpha: float) -> tuple:
+    """Nodes and normalized weights of the n-point generalized Gauss-Laguerre rule.
+
+    Golub and Welsch (1969): the nodes are the eigenvalues of the Jacobi
+    matrix of the Laguerre polynomials L_k^(alpha), and each weight is the
+    squared first component of the node's unit eigenvector.  The weights
+    are scaled to sum to one, so the rule integrates against the
+    Gamma(alpha + 1, 1) density.
+    """
+    k = np.arange(1, n, dtype=float)
+    jacobi = np.diag(2.0 * np.arange(n) + alpha + 1.0)
+    off = np.sqrt(k * (k + alpha))
+    jacobi += np.diag(off, 1) + np.diag(off, -1)
+    nodes, vectors = np.linalg.eigh(jacobi)
+    weights = vectors[0] ** 2
+    return nodes, weights / weights.sum()
 
 
 def _gauss_row(x: np.ndarray, mean: float, var: float) -> np.ndarray:
     return np.exp(-0.5 * (x - mean) ** 2 / var) / math.sqrt(2.0 * math.pi * var)
+
+
+def _drop_cluster(j: int, columns, labels: list) -> list:
+    """Delete cluster j from each per-cluster list by moving the last
+    cluster into its slot; return the labels with that move applied."""
+    last = len(columns[0]) - 1
+    if j != last:
+        for values in columns:
+            values[j] = values[last]
+        labels = [j if li == last else li for li in labels]
+    for values in columns:
+        del values[-1]
+    return labels
 
 
 class _ChainBase:
@@ -201,7 +230,6 @@ class _ChainBase:
     """
 
     def __init__(self, x: np.ndarray, cfg, rng: np.random.Generator):
-        self.x = x
         self.n = int(x.size)
         self.cfg = cfg
         self.rng = rng
@@ -210,11 +238,12 @@ class _ChainBase:
         var = float(np.var(x, ddof=1)) if self.n > 1 else 1e-2
         self.tau = 1.0 / max(var, 1e-8)
         self.mu0 = float(np.mean(x))
-        self.labels = sample_crp_partition(self.alpha, self.n, rng)
-        self.counts, self.sums, self.sqs = _cluster_stats(x.tolist(), self.labels.tolist())
+        self.labels = sample_crp_partition(self.alpha, self.n, rng).tolist()
+        self.xs = x.tolist()
+        self.counts, self.sums, self.sqs = _cluster_stats(self.xs, self.labels)
         self.mus = [self.mu0] * len(self.counts)
-        #: Lists indexed by cluster, kept aligned; a subclass appends its own.
-        self.per_cluster = [self.counts, self.sums, self.sqs, self.mus]
+        #: log(c) for every cluster size c (entry 0 unused).
+        self.log_counts = [0.0] + [math.log(c) for c in range(1, self.n + 1)]
         self.accepted = 0
         self.proposed = 0
 
@@ -281,36 +310,6 @@ class _ChainBase:
             self.alpha = prop
             self.accepted += 1
 
-    def _open_cluster(self, *params):
-        """Append an empty cluster with parameters (mu, then any of the subclass's)."""
-        for values, value in zip(self.per_cluster, (0, 0.0, 0.0, *params)):
-            values.append(value)
-
-    def _delete_cluster(self, j: int):
-        """Move the last cluster into slot j and drop the last slot."""
-        last = self.n_clusters - 1
-        for values in self.per_cluster:
-            values[j] = values[last]
-            values.pop()
-        if j != last:
-            self.labels[self.labels == last] = j
-
-    def _remove_obs(self, i: int) -> None:
-        j = self.labels[i]
-        xi = float(self.x[i])
-        self.counts[j] -= 1
-        self.sums[j] -= xi
-        self.sqs[j] -= xi * xi
-        if self.counts[j] == 0:
-            self._delete_cluster(j)
-
-    def _add_obs(self, i: int, j: int):
-        xi = float(self.x[i])
-        self.labels[i] = j
-        self.counts[j] += 1
-        self.sums[j] += xi
-        self.sqs[j] += xi * xi
-
     def _update_means(self):
         prior_var = (1.0 - self.a) * self.sigma2
         for j, comp_var in enumerate(self._comp_vars()):
@@ -350,41 +349,70 @@ class _CcvChain(_ChainBase):
         return _gauss_row(grid.x, self.mu0, self.sigma2)
 
     def _assign(self):
+        """One pass of conjugate reassignments, component means integrated out.
+
+        Each occupied cluster keeps ``(log n_j, predictive mean,
+        log(2 pi var), var)``, refreshed only when a step removes or inserts
+        an observation.  The arithmetic is the plain loop's, in the same
+        order, so the chain does not depend on the caching.  The uniforms
+        come as one block per sweep, which numpy draws exactly as the same
+        number of scalar ``rng.random()`` calls.
+        """
         sigma2 = self.sigma2
         prior_var = (1.0 - self.a) * sigma2
         comp_var = self.a * sigma2
-        rng = self.rng
-        for i in range(self.n):
-            self._remove_obs(i)
-            xi = float(self.x[i])
-            k = self.n_clusters
-            logw = [0.0] * (k + 1)
-            for j in range(k):
-                prec = 1.0 / prior_var + self.counts[j] / comp_var
-                mean = (self.mu0 / prior_var + self.sums[j] / comp_var) / prec
-                logw[j] = math.log(self.counts[j]) + _norm_logpdf(
-                    xi, mean, 1.0 / prec + comp_var
-                )
-            logw[k] = math.log(self.alpha) + _norm_logpdf(xi, self.mu0, sigma2)
-            pick = _pick(logw, rng.random())
-            if pick == k:
-                self._open_cluster(self.mu0)
-            self._add_obs(i, pick)
+        mu0 = self.mu0
+        inv_prior, mu0_prior = 1.0 / prior_var, mu0 / prior_var
+        log, log_counts = math.log, self.log_counts
+
+        def terms_of(c, s):
+            prec = inv_prior + c / comp_var
+            var = 1.0 / prec + comp_var
+            return log_counts[c], (mu0_prior + s / comp_var) / prec, log(_TWO_PI * var), var
+
+        labels, counts, sums, sqs, mus = self.labels, self.counts, self.sums, self.sqs, self.mus
+        terms = [terms_of(c, s) for c, s in zip(counts, sums)]
+        columns = (counts, sums, sqs, mus, terms)
+        log_alpha, log_new_var = log(self.alpha), log(_TWO_PI * sigma2)
+        uniforms = self.rng.random(self.n).tolist()
+        for i, xi in enumerate(self.xs):
+            j = labels[i]
+            c = counts[j] - 1
+            if c:
+                counts[j] = c
+                s = sums[j] = sums[j] - xi
+                sqs[j] -= xi * xi
+                terms[j] = terms_of(c, s)
+            else:
+                labels = _drop_cluster(j, columns, labels)
+
+            logw = [lc - 0.5 * (lv + (xi - mean) ** 2 / var) for lc, mean, lv, var in terms]
+            logw.append(log_alpha - 0.5 * (log_new_var + (xi - mu0) ** 2 / sigma2))
+            pick = _pick(logw, uniforms[i])
+
+            labels[i] = pick
+            if pick == len(counts):
+                # A new cluster's sums are 0.0 + x_i, which is x_i: data are positive.
+                counts.append(1)
+                sums.append(xi)
+                sqs.append(xi * xi)
+                mus.append(mu0)
+                terms.append(terms_of(1, xi))
+            else:
+                c = counts[pick] = counts[pick] + 1
+                s = sums[pick] = sums[pick] + xi
+                sqs[pick] += xi * xi
+                terms[pick] = terms_of(c, s)
+        self.labels = labels
 
 
 class _DcvChain(_ChainBase):
     TRACE_NAMES = _ChainBase.TRACE_NAMES + ("var_dispersion",)
 
     def __init__(self, x, cfg: DcvConfig, rng):
-        # Imported here: scipy.special is slow to load and only dcv needs it.
-        from scipy.special import roots_genlaguerre
-
         super().__init__(x, cfg, rng)
         self.zetas = [1.0 / float(rng.gamma(cfg.phi, 1.0)) for _ in range(self.n_clusters)]
-        self.per_cluster.append(self.zetas)
-        nodes, qweights = roots_genlaguerre(_QUAD_NODES, cfg.phi - 1.0)
-        self._quad_nodes = nodes
-        self._quad_weights = qweights / qweights.sum()
+        self._quad_nodes, self._quad_weights = _laguerre_rule(_QUAD_NODES, cfg.phi - 1.0)
 
     def sweep(self):
         self._assign()
@@ -400,47 +428,73 @@ class _DcvChain(_ChainBase):
         self._update_a(within)
         self._update_alpha()
 
-    def _fresh_params(self, prior_var: float) -> tuple:
-        cfg = self.cfg
-        mu = self.mu0 + math.sqrt(prior_var) * float(self.rng.standard_normal())
-        zeta = 1.0 / float(self.rng.gamma(cfg.phi, 1.0))
-        return mu, zeta
-
     def _assign(self):
+        """One pass of Neal's (2000) Algorithm 8 with ``aux_m`` auxiliary slots.
+
+        Each occupied cluster keeps ``(mu_j, log(2 pi v_j), v_j)`` for its
+        component variance v_j = coef zeta_j, and its ``log n_j`` is
+        refreshed on each count change.  The arithmetic and the draws are
+        the plain loop's, in the same order.  The auxiliary draws sit
+        between the uniforms, so each uniform is drawn on its own.
+        """
         cfg = self.cfg
         sigma2 = self.sigma2
         prior_var = (1.0 - self.a) * sigma2
         coef = self.a * (cfg.phi - 1.0) * sigma2
-        rng = self.rng
-        m_aux = cfg.aux_m
-        log_aux_rate = math.log(self.alpha / m_aux)
-        for i in range(self.n):
-            j_old = self.labels[i]
-            singleton_params = None
-            if self.counts[j_old] == 1:
-                singleton_params = (self.mus[j_old], self.zetas[j_old])
-            self._remove_obs(i)
-            xi = float(self.x[i])
+        sd, mu0, phi, m_aux = math.sqrt(prior_var), self.mu0, cfg.phi, cfg.aux_m
+        normal, gamma, uniform = self.rng.standard_normal, self.rng.gamma, self.rng.random
+        log, log_counts = math.log, self.log_counts
+        log_aux_rate = log(self.alpha / m_aux)
 
-            aux = []
-            if singleton_params is not None:
-                aux.append(singleton_params)
+        labels, counts, sums, sqs = self.labels, self.counts, self.sums, self.sqs
+        mus, zetas = self.mus, self.zetas
+        terms = [(mu, log(_TWO_PI * v), v) for mu, v in zip(mus, self._comp_vars())]
+        log_ns = [log_counts[c] for c in counts]
+        columns = (counts, sums, sqs, mus, zetas, terms, log_ns)
+        for i, xi in enumerate(self.xs):
+            j = labels[i]
+            c = counts[j] - 1
+            if c:
+                counts[j] = c
+                sums[j] -= xi
+                sqs[j] -= xi * xi
+                log_ns[j] = log_counts[c]
+                aux = []
+            else:
+                # The singleton's own parameters fill the first auxiliary slot.
+                aux = [(*terms[j], zetas[j])]
+                labels = _drop_cluster(j, columns, labels)
             while len(aux) < m_aux:
-                aux.append(self._fresh_params(prior_var))
+                mu = mu0 + sd * normal()
+                zeta = 1.0 / gamma(phi, 1.0)
+                v = coef * zeta
+                aux.append((mu, log(_TWO_PI * v), v, zeta))
 
-            k = self.n_clusters
-            logw = [0.0] * (k + m_aux)
-            for j in range(k):
-                logw[j] = math.log(self.counts[j]) + _norm_logpdf(
-                    xi, self.mus[j], coef * self.zetas[j]
-                )
-            for c, (mu_c, zeta_c) in enumerate(aux):
-                logw[k + c] = log_aux_rate + _norm_logpdf(xi, mu_c, coef * zeta_c)
-            pick = _pick(logw, rng.random())
+            logw = [
+                ln - 0.5 * (lv + (xi - mu) ** 2 / v)
+                for ln, (mu, lv, v) in zip(log_ns, terms)
+            ]
+            logw += [log_aux_rate - 0.5 * (lv + (xi - mu) ** 2 / v) for mu, lv, v, _ in aux]
+            pick = _pick(logw, uniform())
+
+            k = len(counts)
             if pick >= k:
-                self._open_cluster(*aux[pick - k])
+                mu, lv, v, zeta = aux[pick - k]
                 pick = k
-            self._add_obs(i, pick)
+                counts.append(1)
+                sums.append(xi)
+                sqs.append(xi * xi)
+                mus.append(mu)
+                zetas.append(zeta)
+                terms.append((mu, lv, v))
+                log_ns.append(log_counts[1])
+            else:
+                c = counts[pick] = counts[pick] + 1
+                sums[pick] += xi
+                sqs[pick] += xi * xi
+                log_ns[pick] = log_counts[c]
+            labels[i] = pick
+        self.labels = labels
 
     def _comp_vars(self) -> list:
         coef = self.a * (self.cfg.phi - 1.0) * self.sigma2

@@ -448,11 +448,23 @@ class TestExitCodes:
 
 
 def test_cli_import_does_not_load_scipy_special():
-    # scipy.special is slow to import; only the dcv sampler needs it.
+    # scipy.special is slow to import, and nothing on the CLI or chain paths
+    # needs it: the dcv quadrature rule is built with numpy.
     src = os.path.dirname(os.path.dirname(frsense.__file__))
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     env = dict(os.environ, PYTHONPATH=path)
     code = "import sys, frsense.cli; print('scipy.special' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"
+    code = (
+        "import sys, numpy as np\n"
+        "from frsense import Dataset, DcvConfig, McmcControl, dcv_posterior\n"
+        "data = Dataset.from_observations(np.linspace(0.0, 1.0, 20))\n"
+        "dcv_posterior(data, DcvConfig(), McmcControl(n_samples=10, burn_in=0, thin=1))\n"
+        "print('scipy.special' in sys.modules)"
+    )
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )

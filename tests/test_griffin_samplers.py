@@ -1,9 +1,14 @@
 """Gibbs samplers for the mixtures with sampled variance structure."""
 
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from scipy.integrate import quad
+
+import _griffin_reference
+from _griffin_reference import DcvReference, reference_posterior
 
 from frsense import (
     CcvConfig,
@@ -14,10 +19,10 @@ from frsense import (
     dcv_posterior,
 )
 from frsense.errors import InvalidPhiError, InvalidSettingError
-from frsense.samplers import make_rng
+from frsense.samplers import griffin, make_rng
 from frsense.samplers.griffin import (
     A_GRID_SIZE,
-    _DcvChain,
+    _laguerre_rule,
     griffin_steel_pdf,
     sample_griffin_steel,
 )
@@ -182,7 +187,9 @@ class TestDcvChain:
         # fresh component draws have E[1 / zeta] = phi
         data = Dataset.from_observations(np.linspace(0.0, 1.0, 20))
         for phi in (2.0, 6.0):
-            chain = _DcvChain(data.rescaled, DcvConfig(phi=phi), make_rng(505))
+            # The reference chain keeps the draw as a method; the kernel's
+            # inlined copy makes the same draws (TestKernelMatchesReference).
+            chain = DcvReference(data.rescaled, DcvConfig(phi=phi), make_rng(505))
             inv = np.array([1.0 / chain._fresh_params(0.1)[1] for _ in range(10_000)])
             se = inv.std(ddof=1) / np.sqrt(inv.size)
             assert abs(inv.mean() - phi) < 3.0 * se
@@ -208,3 +215,89 @@ class TestDcvChain:
         assert a.n_draws == b.n_draws == 12
         for p in (*a.pdfs, *b.pdfs):
             assert p.grid.integrate(p.values) == pytest.approx(1.0, abs=1e-8)
+
+
+_POSTERIORS = {"ccv": (ccv_posterior, CcvConfig), "dcv": (dcv_posterior, DcvConfig)}
+
+
+def _recording_pick(monkeypatch, module) -> list:
+    """Make ``module._pick`` record each step's log weights and uniform."""
+    calls = []
+    pick = module._pick
+
+    def recording(logw, u):
+        calls.append((list(logw), u))
+        return pick(logw, u)
+
+    monkeypatch.setattr(module, "_pick", recording)
+    return calls
+
+
+#: case: (observations, config overrides, (n_samples, burn_in, thin))
+_CASES = {
+    "defaults": (60, {}, (12, 8, 1)),
+    "aux-1": (60, {"aux_m": 1}, (12, 8, 1)),
+    "aux-5": (60, {"aux_m": 5}, (12, 8, 1)),
+    "one-observation": (1, {}, (12, 5, 1)),
+    "no-burn-in-thinned": (40, {}, (12, 0, 3)),
+}
+
+
+class TestKernelMatchesReference:
+    """The cached kernels reproduce the plain assignment loops bit for bit."""
+
+    RUNS = [
+        (model, case)
+        for model in sorted(_POSTERIORS)
+        for case in sorted(_CASES)
+        if model == "dcv" or "aux_m" not in _CASES[case][1]
+    ]
+
+    @pytest.mark.parametrize("seed", [3, 17, 2024])
+    @pytest.mark.parametrize("model, case", RUNS)
+    def test_chain_identical(self, model, case, seed, monkeypatch):
+        n, kwargs, (n_samples, burn_in, thin) = _CASES[case]
+        data = bimodal_dataset(n_per=n // 2) if n > 1 else Dataset.from_observations([0.3])
+        posterior, config_cls = _POSTERIORS[model]
+        config = config_cls(**kwargs)
+        ctl = McmcControl(n_samples=n_samples, burn_in=burn_in, thin=thin, seed=seed)
+        # Every step's weights are compared exactly, so a reordered term
+        # fails here even when it changes no pick.
+        fast_steps = _recording_pick(monkeypatch, griffin)
+        fast = posterior(data, config, ctl)
+        ref_steps = _recording_pick(monkeypatch, _griffin_reference)
+        ref, chain = reference_posterior(model, data, config, ctl)
+        assert fast_steps == ref_steps
+        assert np.array_equal(fast.densities, ref.densities)
+        assert fast.trace.keys() == ref.trace.keys()
+        for name in ref.trace:
+            assert np.array_equal(fast.trace[name], ref.trace[name]), name
+        assert fast.diagnostics == ref.diagnostics
+        if case == "defaults":
+            # The swap-with-last deletion and its relabelling ran, and so did
+            # a singleton keeping its own parameters through the first slot.
+            assert chain.relabels > 0
+            assert model == "ccv" or chain.kept_singletons > 0
+
+
+class TestLaguerreRule:
+    PHIS = [1.0 + 1e-4, 1.5, 2.0, 3.0, 6.0, 50.0, 170.0]
+
+    @pytest.mark.parametrize("phi", PHIS)
+    def test_matches_scipy(self, phi):
+        from scipy.special import roots_genlaguerre
+
+        nodes, weights = _laguerre_rule(24, phi - 1.0)
+        ref_nodes, ref_weights = roots_genlaguerre(24, phi - 1.0)
+        npt.assert_allclose(nodes, ref_nodes, rtol=1e-13, atol=0.0)
+        npt.assert_allclose(weights, ref_weights / ref_weights.sum(), rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("phi", PHIS)
+    def test_integrates_gamma_moments(self, phi):
+        # The weights integrate against Gamma(phi, 1), whose k-th moment is
+        # Gamma(alpha + k + 1) / Gamma(alpha + 1) = (alpha + 1) ... (alpha + k).
+        alpha = phi - 1.0
+        nodes, weights = _laguerre_rule(24, alpha)
+        for k in range(11):
+            moment = math.prod(alpha + i for i in range(1, k + 1))
+            assert float(np.sum(weights * nodes**k)) == pytest.approx(moment, rel=1e-12, abs=0.0)
