@@ -204,8 +204,9 @@ def _laguerre_rule(n: int, alpha: float) -> tuple:
     return nodes, weights / weights.sum()
 
 
-def _gauss_row(x: np.ndarray, mean: float, var: float) -> np.ndarray:
-    return np.exp(-0.5 * (x - mean) ** 2 / var) / math.sqrt(2.0 * math.pi * var)
+def _gauss_row(x: np.ndarray, mean: float, var) -> np.ndarray:
+    """Normal density on ``x``; a column of variances gives one row each."""
+    return np.exp(-0.5 * (x - mean) ** 2 / var) / np.sqrt(_TWO_PI * var)
 
 
 def _drop_cluster(j: int, columns, labels: list) -> list:
@@ -428,30 +429,53 @@ class _DcvChain(_ChainBase):
         self._update_a(within)
         self._update_alpha()
 
+    def _slot_draws(self, prior_var: float, coef: float) -> tuple:
+        """``n * aux_m`` independent base-measure draws for one sweep's slots.
+
+        Returns the per-slot terms ``(mu, log(2 pi v), v)`` and the slots'
+        zeta, with v = coef zeta.  The means and the gammas come as one block
+        each; ``log`` stays scalar, so every term has the bits of a plain loop.
+        """
+        size = self.n * self.cfg.aux_m
+        mus = self.mu0 + math.sqrt(prior_var) * self.rng.standard_normal(size)
+        zetas = 1.0 / self.rng.gamma(self.cfg.phi, 1.0, size)
+        vs = coef * zetas
+        lvs = map(math.log, (_TWO_PI * vs).tolist())
+        return list(zip(mus.tolist(), lvs, vs.tolist())), zetas.tolist()
+
     def _assign(self):
         """One pass of Neal's (2000) Algorithm 8 with ``aux_m`` auxiliary slots.
 
+        The sweep's randomness is drawn up front, as three blocks: the n
+        uniforms, then the base-measure means and zetas of ``n * aux_m``
+        slots (``_slot_draws``); mu0, sigma^2 and ``a`` do not change during
+        the pass.  Observation i owns slots ``i * aux_m`` to
+        ``i * aux_m + aux_m - 1``.  When it was a singleton, its own
+        parameters replace the first slot's draw, so only the last
+        ``aux_m - 1`` are fresh.  Each slot is still an independent draw
+        from the base measure, so the transition kernel is the one of the
+        scalar draws (``tests/_griffin_reference.py`` keeps both loops).
         Each occupied cluster keeps ``(mu_j, log(2 pi v_j), v_j)`` for its
         component variance v_j = coef zeta_j, and its ``log n_j`` is
-        refreshed on each count change.  The arithmetic and the draws are
-        the plain loop's, in the same order.  The auxiliary draws sit
-        between the uniforms, so each uniform is drawn on its own.
+        refreshed on each count change.
         """
         cfg = self.cfg
         sigma2 = self.sigma2
         prior_var = (1.0 - self.a) * sigma2
         coef = self.a * (cfg.phi - 1.0) * sigma2
-        sd, mu0, phi, m_aux = math.sqrt(prior_var), self.mu0, cfg.phi, cfg.aux_m
-        normal, gamma, uniform = self.rng.standard_normal, self.rng.gamma, self.rng.random
-        log, log_counts = math.log, self.log_counts
-        log_aux_rate = log(self.alpha / m_aux)
+        m_aux = cfg.aux_m
+        log_counts = self.log_counts
+        log_aux_rate = math.log(self.alpha / m_aux)
+        uniforms = self.rng.random(self.n).tolist()
+        slot_terms, slot_zetas = self._slot_draws(prior_var, coef)
 
         labels, counts, sums, sqs = self.labels, self.counts, self.sums, self.sqs
         mus, zetas = self.mus, self.zetas
-        terms = [(mu, log(_TWO_PI * v), v) for mu, v in zip(mus, self._comp_vars())]
+        terms = [(mu, math.log(_TWO_PI * v), v) for mu, v in zip(mus, self._comp_vars())]
         log_ns = [log_counts[c] for c in counts]
         columns = (counts, sums, sqs, mus, zetas, terms, log_ns)
         for i, xi in enumerate(self.xs):
+            base = i * m_aux
             j = labels[i]
             c = counts[j] - 1
             if c:
@@ -459,34 +483,33 @@ class _DcvChain(_ChainBase):
                 sums[j] -= xi
                 sqs[j] -= xi * xi
                 log_ns[j] = log_counts[c]
-                aux = []
             else:
-                # The singleton's own parameters fill the first auxiliary slot.
-                aux = [(*terms[j], zetas[j])]
+                # The singleton's own parameters replace its first slot's draw.
+                slot_terms[base] = terms[j]
+                slot_zetas[base] = zetas[j]
                 labels = _drop_cluster(j, columns, labels)
-            while len(aux) < m_aux:
-                mu = mu0 + sd * normal()
-                zeta = 1.0 / gamma(phi, 1.0)
-                v = coef * zeta
-                aux.append((mu, log(_TWO_PI * v), v, zeta))
 
             logw = [
                 ln - 0.5 * (lv + (xi - mu) ** 2 / v)
                 for ln, (mu, lv, v) in zip(log_ns, terms)
             ]
-            logw += [log_aux_rate - 0.5 * (lv + (xi - mu) ** 2 / v) for mu, lv, v, _ in aux]
-            pick = _pick(logw, uniform())
+            logw += [
+                log_aux_rate - 0.5 * (lv + (xi - mu) ** 2 / v)
+                for mu, lv, v in slot_terms[base : base + m_aux]
+            ]
+            pick = _pick(logw, uniforms[i])
 
             k = len(counts)
             if pick >= k:
-                mu, lv, v, zeta = aux[pick - k]
+                slot = base + pick - k
+                term = slot_terms[slot]
                 pick = k
                 counts.append(1)
                 sums.append(xi)
                 sqs.append(xi * xi)
-                mus.append(mu)
-                zetas.append(zeta)
-                terms.append((mu, lv, v))
+                mus.append(term[0])
+                zetas.append(slot_zetas[slot])
+                terms.append(term)
                 log_ns.append(log_counts[1])
             else:
                 c = counts[pick] = counts[pick] + 1
@@ -511,23 +534,23 @@ class _DcvChain(_ChainBase):
     def trace_row(self) -> tuple:
         # Spread of the component variances within the state: mean absolute
         # log-ratio to their median (the shared a(phi-1)sigma^2 factor cancels).
-        if self.n_clusters > 1:
-            logs = np.log(self.zetas)
-            disp = float(np.mean(np.abs(logs - np.median(logs))))
-        else:
-            disp = 0.0
+        # A sorted list of about ten values is cheaper than numpy's median.
+        logs = sorted(map(math.log, self.zetas))
+        k = len(logs)
+        mid = k // 2
+        median = logs[mid] if k % 2 else 0.5 * (logs[mid - 1] + logs[mid])
+        disp = sum(abs(lg - median) for lg in logs) / k
         return super().trace_row() + (disp,)
 
     def _new_cluster_row(self, grid: Grid) -> np.ndarray:
         # Integrate the component normal over the variance inflation's
-        # Gamma(phi, 1) inverse with generalized Gauss-Laguerre.
+        # Gamma(phi, 1) inverse with generalized Gauss-Laguerre: one row per
+        # node, contracted with the weights.
         sigma2 = self.sigma2
         prior_var = (1.0 - self.a) * sigma2
         coef = self.a * (self.cfg.phi - 1.0) * sigma2
-        pp = np.zeros(grid.n_points)
-        for g, w in zip(self._quad_nodes, self._quad_weights):
-            pp += w * _gauss_row(grid.x, self.mu0, prior_var + coef / g)
-        return pp
+        variances = prior_var + coef / self._quad_nodes
+        return self._quad_weights @ _gauss_row(grid.x, self.mu0, variances[:, None])
 
 
 def _run_chain(chain, model: str, ctl: McmcControl, grid: Grid, cfg) -> PosteriorSample:

@@ -2,12 +2,24 @@
 
 These are the straightforward assignment steps that
 ``frsense.samplers.griffin`` replaced with faster ones: every cluster's
-weight rebuilt through ``_norm_logpdf`` for every observation, one scalar
-uniform per observation-step, and observations moved by ``_remove_obs`` and
-``_add_obs``.  The fast kernels must make the same floating-point
-operations and the same random draws in the same order, so
-``reference_posterior`` and ``ccv_posterior``/``dcv_posterior`` agree bit
-for bit.  Kept only as the oracle for that comparison.
+weight rebuilt through ``_norm_logpdf`` for every observation, and
+observations moved by ``_remove_obs`` and ``_add_obs``.  There are three:
+
+* ``CcvReference`` draws one scalar uniform per observation-step, as the ccv
+  kernel does (its block of uniforms is the same stream);
+* ``DcvBlockReference`` draws a sweep's randomness as the dcv kernel does:
+  n uniforms, then the means and then the gammas of ``n * aux_m`` auxiliary
+  slots, each as one block, observation i owning slots ``i * aux_m`` on;
+* ``DcvReference`` draws each auxiliary slot and uniform with its own scalar
+  call, in the order of the steps.  No kernel makes these draws any more;
+  it is the oracle for the law of the dcv chain.
+
+The fast kernels must make the same floating-point operations and the same
+random draws in the same order as ``CcvReference`` and
+``DcvBlockReference``, so ``reference_posterior`` and
+``ccv_posterior``/``dcv_posterior`` agree bit for bit.  ``DcvReference``
+and the dcv kernel must give the same law of the chain state, which the
+tests check with two-sample Kolmogorov-Smirnov tests over many seeds.
 """
 
 from __future__ import annotations
@@ -144,13 +156,57 @@ class DcvReference(_ReferenceSteps, _DcvChain):
             self._add_obs(i, pick)
 
 
-_CHAINS = {"ccv": CcvReference, "dcv": DcvReference}
+class DcvBlockReference(DcvReference):
+    """The plain dcv loop with the dcv kernel's block draws."""
+
+    def _assign(self):
+        cfg = self.cfg
+        sigma2 = self.sigma2
+        prior_var = (1.0 - self.a) * sigma2
+        coef = self.a * (cfg.phi - 1.0) * sigma2
+        rng = self.rng
+        m_aux = cfg.aux_m
+        log_aux_rate = math.log(self.alpha / m_aux)
+        uniforms = rng.random(self.n)
+        normals = rng.standard_normal(self.n * m_aux)
+        gammas = rng.gamma(cfg.phi, 1.0, self.n * m_aux)
+        for i in range(self.n):
+            aux = [
+                (self.mu0 + math.sqrt(prior_var) * float(normals[s]), 1.0 / float(gammas[s]))
+                for s in range(i * m_aux, (i + 1) * m_aux)
+            ]
+            j_old = self.labels[i]
+            singleton = self.counts[j_old] == 1
+            if singleton:
+                aux[0] = (self.mus[j_old], self.zetas[j_old])
+            self._remove_obs(i)
+            xi = self.xs[i]
+
+            k = self.n_clusters
+            logw = [0.0] * (k + m_aux)
+            for j in range(k):
+                logw[j] = math.log(self.counts[j]) + _norm_logpdf(
+                    xi, self.mus[j], coef * self.zetas[j]
+                )
+            for c, (mu_c, zeta_c) in enumerate(aux):
+                logw[k + c] = log_aux_rate + _norm_logpdf(xi, mu_c, coef * zeta_c)
+            pick = _pick(logw, float(uniforms[i]))
+            if pick == k and singleton:
+                self.kept_singletons += 1
+            if pick >= k:
+                self._open_cluster(*aux[pick - k])
+                pick = k
+            self._add_obs(i, pick)
+
+
+_CHAINS = {"ccv": CcvReference, "dcv": DcvBlockReference}
 
 
 def reference_posterior(model: str, data, config, ctl, grid=None) -> tuple:
     """``(PosteriorSample, chain)`` of the reference chain for ``model``.
 
-    The chain carries the ``relabels`` (and, for dcv, ``kept_singletons``)
+    For dcv this is ``DcvBlockReference``, the loop the kernel matches.  The
+    chain carries the ``relabels`` (and, for dcv, ``kept_singletons``)
     counts of the run.
     """
     grid = grid or default_grid()

@@ -3,7 +3,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from scipy import stats
+
+from _law import assert_same_law
 
 from frsense import (
     BetaBase,
@@ -262,9 +263,9 @@ class TestSameLawAsSkippingDraws:
         def dist(rows):
             return [fr_distance(GridPdf(self.GRID, row), center) for row in rows]
 
-        p_rem = stats.ks_2samp(ps.trace["absorbed_remainder"], old_remainders).pvalue
-        p_dist = stats.ks_2samp(dist(ps.densities), dist(old_rows)).pvalue
-        assert p_rem > 0.01 and p_dist > 0.01, (p_rem, p_dist)
+        new = {"absorbed_remainder": ps.trace["absorbed_remainder"], "fr": dist(ps.densities)}
+        old = {"absorbed_remainder": old_remainders, "fr": dist(old_rows)}
+        assert_same_law(new, old)
 
 
 class TestTableEmission:

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 
 import _griffin_reference
 from _griffin_reference import DcvReference, reference_posterior
+from _law import assert_same_law
 
 from frsense import (
     CcvConfig,
@@ -19,9 +20,12 @@ from frsense import (
     dcv_posterior,
 )
 from frsense.errors import InvalidPhiError, InvalidSettingError
+from frsense.grid import default_grid
 from frsense.samplers import griffin, make_rng
 from frsense.samplers.griffin import (
     A_GRID_SIZE,
+    _DcvChain,
+    _gauss_row,
     _laguerre_rule,
     griffin_steel_pdf,
     sample_griffin_steel,
@@ -184,15 +188,32 @@ class TestDcvChain:
         npt.assert_array_equal(a.densities, b.densities)
 
     def test_variance_inflation_prior_moment(self):
-        # fresh component draws have E[1 / zeta] = phi
+        # the auxiliary slots' fresh draws have E[1 / zeta] = phi and means
+        # centered on mu0; one sweep's block holds 20 observations x 500 slots
         data = Dataset.from_observations(np.linspace(0.0, 1.0, 20))
         for phi in (2.0, 6.0):
-            # The reference chain keeps the draw as a method; the kernel's
-            # inlined copy makes the same draws (TestKernelMatchesReference).
-            chain = DcvReference(data.rescaled, DcvConfig(phi=phi), make_rng(505))
-            inv = np.array([1.0 / chain._fresh_params(0.1)[1] for _ in range(10_000)])
+            chain = _DcvChain(data.rescaled, DcvConfig(phi=phi, aux_m=500), make_rng(505))
+            terms, zetas = chain._slot_draws(0.1, 0.5)
+            inv = 1.0 / np.array(zetas)
+            assert inv.size == 10_000
             se = inv.std(ddof=1) / np.sqrt(inv.size)
             assert abs(inv.mean() - phi) < 3.0 * se
+            mus = np.array([term[0] for term in terms])
+            assert abs(mus.mean() - chain.mu0) < 3.0 * math.sqrt(0.1 / mus.size)
+
+    @pytest.mark.parametrize(
+        "zetas", [[0.7], [0.2, 3.0], [1.5, 0.3, 0.9], [0.4, 2.2, 0.1, 1.3, 5.0, 0.8]]
+    )
+    def test_var_dispersion_matches_numpy(self, zetas):
+        data = Dataset.from_observations(np.linspace(0.0, 1.0, 20))
+        chain = _DcvChain(data.rescaled, DcvConfig(), make_rng(1))
+        chain.zetas = list(zetas)
+        logs = np.log(zetas)
+        expected = float(np.mean(np.abs(logs - np.median(logs))))
+        got = chain.trace_row()[_DcvChain.TRACE_NAMES.index("var_dispersion")]
+        assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+        if len(zetas) == 1:
+            assert got == 0.0
 
     def test_component_variances_homogenize_as_phi_grows(self):
         # large phi concentrates zeta near its mean, so the within-state
@@ -244,7 +265,8 @@ _CASES = {
 
 
 class TestKernelMatchesReference:
-    """The cached kernels reproduce the plain assignment loops bit for bit."""
+    """The cached kernels reproduce the plain assignment loops bit for bit:
+    ccv its scalar-draw loop, dcv the loop with its block draws."""
 
     RUNS = [
         (model, case)
@@ -280,6 +302,33 @@ class TestKernelMatchesReference:
             assert model == "ccv" or chain.kept_singletons > 0
 
 
+def chain_states(chain_cls, data, config, seeds, n_sweeps: int) -> dict:
+    """Each trace statistic of the chain state after ``n_sweeps``, one per seed."""
+    rows = []
+    for seed in seeds:
+        chain = chain_cls(data.rescaled, config, make_rng(seed))
+        for _ in range(n_sweeps):
+            chain.sweep()
+        rows.append(chain.trace_row())
+    return {name: [row[k] for row in rows] for k, name in enumerate(chain_cls.TRACE_NAMES)}
+
+
+class TestSameLawAsScalarDraws:
+    """The dcv kernel draws a sweep's auxiliary slots and uniforms as blocks;
+    its chain state must follow the law of the scalar-draw loop's."""
+
+    STATS = ("n_clusters", "alpha", "a", "sigma2")
+
+    def test_two_sample_ks(self):
+        # Both chains start from the same law (the shared constructor) and
+        # run 10 sweeps; disjoint seeds keep the two samples independent.
+        n_chains, n_sweeps = 200, 10
+        data, config = bimodal_dataset(n_per=15), DcvConfig()
+        fast = chain_states(_DcvChain, data, config, range(n_chains), n_sweeps)
+        ref = chain_states(DcvReference, data, config, range(n_chains, 2 * n_chains), n_sweeps)
+        assert_same_law({k: fast[k] for k in self.STATS}, {k: ref[k] for k in self.STATS})
+
+
 class TestLaguerreRule:
     PHIS = [1.0 + 1e-4, 1.5, 2.0, 3.0, 6.0, 50.0, 170.0]
 
@@ -301,3 +350,20 @@ class TestLaguerreRule:
         for k in range(11):
             moment = math.prod(alpha + i for i in range(1, k + 1))
             assert float(np.sum(weights * nodes**k)) == pytest.approx(moment, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("phi", PHIS)
+    def test_new_cluster_row_matches_per_node_sum(self, phi):
+        # One (24, n_points) evaluation contracted with the weights gives the
+        # per-node sum up to summation order.
+        grid = default_grid()
+        chain = _DcvChain(bimodal_dataset().rescaled, DcvConfig(phi=phi), make_rng(11))
+        for _ in range(3):
+            chain.sweep()
+            sigma2 = chain.sigma2
+            prior_var = (1.0 - chain.a) * sigma2
+            coef = chain.a * (phi - 1.0) * sigma2
+            expected = np.zeros(grid.n_points)
+            for g, w in zip(chain._quad_nodes, chain._quad_weights):
+                expected += w * _gauss_row(grid.x, chain.mu0, prior_var + coef / g)
+            row = chain._new_cluster_row(grid)
+            assert np.max(np.abs(row - expected)) <= 1e-14 * expected.max()
