@@ -92,4 +92,4 @@ from .io import (  # noqa: F401
     write_sweep_csv,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

@@ -22,7 +22,6 @@ import sys
 import traceback
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .config import apply_preset, load_config
@@ -152,6 +151,8 @@ def _cmd_sweep(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     write_sweep_csv(os.path.join(out_dir, "sweep.csv"), result)
     write_bands_csv(os.path.join(out_dir, "bands.csv"), result)
+    import scipy  # only for its version; the other commands never load it
+
     run_info = {
         "package_version": __version__,
         "numpy_version": np.__version__,

@@ -194,13 +194,21 @@ def sample_crp_partition(alpha: float, n: int, rng: np.random.Generator) -> np.n
     return labels
 
 
-def _pick(logw: list, u: float, exp=math.exp, fsum=math.fsum) -> int:
+def _pick(logw: list, u: float, exp=math.exp) -> int:
     """Index j drawn with probability proportional to exp(logw[j]).
 
-    ``u`` is one uniform on [0, 1); the draw inverts the cumulative weights.
+    ``u`` is one uniform on [0, 1); see ``_pick_linear``.
     """
     mx = max(logw)
-    weights = [exp(lw - mx) for lw in logw]
+    return _pick_linear([exp(lw - mx) for lw in logw], u)
+
+
+def _pick_linear(weights: list, u: float, fsum=math.fsum) -> int:
+    """Index j drawn with probability proportional to ``weights[j]``.
+
+    ``u`` is one uniform on [0, 1); the draw inverts the cumulative weights.
+    ``math.fsum`` gives the total the same bits on every Python version.
+    """
     u *= fsum(weights)
     acc = 0.0
     for j, w in enumerate(weights):

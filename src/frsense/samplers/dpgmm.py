@@ -27,7 +27,7 @@ from .common import (
     McmcControl,
     PosteriorSample,
     _cluster_stats,
-    _pick,
+    _pick_linear,
     check_settings,
     make_rng,
     sample_crp_partition,
@@ -36,6 +36,10 @@ from .common import (
 __all__ = ["DpgmmConfig", "dpgmm_posterior"]
 
 _LOG_PI = math.log(math.pi)
+#: Bounds on the new-cluster weight alpha * t0(x) over the data range.
+_MIN_NEW_WEIGHT = 1e-300
+_LOG_MAX_NEW_WEIGHT = math.log(1e300)
+_MAX_NU = 1e6
 
 
 @dataclass(frozen=True)
@@ -56,12 +60,38 @@ class DpgmmConfig:
             raise InvalidSettingError(f"m = {self.m!r} is too far from [0, 1]")
         try:
             finite = all(map(math.isfinite, _predictive_params(self, 0, 0.0, 0.0)))
-        except (OverflowError, ValueError):  # lgamma overflow, log of zero
-            finite = False
+        except (OverflowError, ValueError, ZeroDivisionError):  # lgamma overflow,
+            finite = False  # log of zero, an underflowed nu * r
         if not finite:
             raise InvalidSettingError(
                 f"m={self.m!r}, r={self.r!r}, nu={self.nu!r}, s={self.s!r} give "
                 "a prior predictive outside double precision"
+            )
+        # A cluster's scale adds r * n_j * (mean - m)**2 / 2; this bound keeps
+        # it finite for clusters of up to 9e7 observations.
+        reach = max(abs(self.m), abs(1.0 - self.m))
+        if self.r * reach * reach > 1e300:
+            raise InvalidSettingError(
+                f"r={self.r!r}, m={self.m!r}: r times the largest squared distance "
+                "from m to [0, 1] is above 1e300"
+            )
+        # The Gibbs weights are linear.  alpha * t0 must stay in
+        # [1e-300, 1e300] on [0, 1], which holds the data: t0 is unimodal
+        # about m, lowest at 0 or 1 and highest at m clipped to [0, 1].
+        peak = min(max(self.m, 0.0), 1.0)
+        at_0, at_1, at_peak = _new_cluster_log_weights(self, (0.0, 1.0, peak))
+        if math.exp(min(at_0, at_1)) < _MIN_NEW_WEIGHT or at_peak > _LOG_MAX_NEW_WEIGHT:
+            raise InvalidSettingError(
+                f"alpha={self.alpha!r}, m={self.m!r}, r={self.r!r}, nu={self.nu!r}, "
+                f"s={self.s!r} give a new-cluster weight alpha * t0(x) outside "
+                "[1e-300, 1e300] on [0, 1]"
+            )
+        # A cluster weight raises a rounded product to the power -(df + 1) / 2,
+        # so its relative error grows as df * 2**-53 (1e-10 at nu = 1e6).
+        if self.nu > _MAX_NU:
+            raise InvalidSettingError(
+                f"nu = {self.nu!r} is above {_MAX_NU:g}, where the Gibbs weights "
+                "lose precision"
             )
 
 
@@ -78,7 +108,10 @@ def _predictive_params(cfg: DpgmmConfig, count: int, total: float, total_sq: flo
     if count > 0:
         mean = total / count
         ssd = total_sq - total * total / count
-        bn = b0 + 0.5 * ssd + 0.5 * cfg.r * count * (mean - cfg.m) ** 2 / rn
+        shift = 0.5 * cfg.r * count * (mean - cfg.m) ** 2 / rn
+        bn = b0 + 0.5 * ssd + shift
+        if bn <= 0.0:  # ssd < 0 is rounding error, here of tied data
+            bn = b0 + shift
         loc = (cfg.r * cfg.m + total) / rn
     else:
         bn = b0
@@ -114,21 +147,34 @@ def _emit_row(cfg: DpgmmConfig, grid: Grid, counts, sums, sqs) -> np.ndarray:
     return row
 
 
+def _new_cluster_log_weights(cfg: DpgmmConfig, xs) -> list:
+    """``log(alpha * t0(x))`` for each x, where t0 is the prior predictive."""
+    log_alpha = math.log(cfg.alpha)
+    prior = _predictive_params(cfg, 0, 0.0, 0.0)
+    return [log_alpha + _t_logpdf(x, prior) for x in xs]
+
+
 def _cluster_terms(cfg: DpgmmConfig, n: int):
     """``terms(count, sum, sum_sq)`` for clusters of up to ``n`` observations.
 
-    The terms, ``(log n_j, log_norm, (df + 1) / 2, loc, df * scale^2)``,
-    are what ``_log_weights`` needs of one cluster.  They are
-    ``_predictive_params`` term for term, in the same order, with its
-    count-only parts (the lgamma ratio, log df) tabulated once.
+    The terms, ``(b, power, loc, denom)`` with ``power = -(df + 1) / 2``,
+    ``denom = df * scale^2`` and ``b ** power = n_j * exp(log_norm)``, are
+    what a Gibbs step needs of one cluster: its weight at x is
+    ``(b * (1.0 + (x - loc) ** 2 / denom)) ** power``, which is ``n_j``
+    times its Student-t predictive density.  Raising the whole product to
+    the power, not ``1 + z`` alone, keeps a tight cluster's weight from
+    underflowing before ``n_j * exp(log_norm)`` would scale it back up.
+    ``loc``, ``denom`` and ``log_norm`` are ``_predictive_params``'s, made by
+    the same operations in the same order, with its count-only parts (the
+    lgamma ratio, log df) tabulated once.
     """
-    log = math.log
+    log, exp = math.log, math.exp
     r, m, rm = cfg.r, cfg.m, cfg.r * cfg.m
     a0 = 0.5 * cfg.nu
     b0 = 0.5 * cfg.nu * cfg.s
     an_of = [a0 + 0.5 * c for c in range(n + 1)]
     df_of = [2.0 * an for an in an_of]
-    half_of = [0.5 * (df + 1.0) for df in df_of]
+    power_of = [-0.5 * (df + 1.0) for df in df_of]
     lgamma_of = [math.lgamma(0.5 * (df + 1.0)) - math.lgamma(0.5 * df) for df in df_of]
     logdf_of = [log(df) + _LOG_PI for df in df_of]
     logc_of = [0.0] + [log(c) for c in range(1, n + 1)]
@@ -136,18 +182,17 @@ def _cluster_terms(cfg: DpgmmConfig, n: int):
     def terms(c, s, sq):
         rn = r + c
         mean = s / c
-        bn = b0 + 0.5 * (sq - s * s / c) + 0.5 * r * c * (mean - m) ** 2 / rn
+        shift = 0.5 * r * c * (mean - m) ** 2 / rn
+        bn = b0 + 0.5 * (sq - s * s / c) + shift
+        if bn <= 0.0:
+            bn = b0 + shift
         an = an_of[c]
         scale_sq = bn * (rn + 1.0) / (an * rn)
         log_norm = lgamma_of[c] - 0.5 * (logdf_of[c] + log(scale_sq))
-        return logc_of[c], log_norm, half_of[c], (rm + s) / rn, df_of[c] * scale_sq
+        power = power_of[c]
+        return exp((logc_of[c] + log_norm) / power), power, (rm + s) / rn, df_of[c] * scale_sq
 
     return terms
-
-
-def _log_weights(x: float, terms, log1p=math.log1p) -> list:
-    """``log n_j + _t_logpdf(x, ...)`` of each cluster, from its cached terms."""
-    return [lc + (ln - hd * log1p((x - lo) ** 2 / de)) for lc, ln, hd, lo, de in terms]
 
 
 def _gibbs_chain(
@@ -160,12 +205,15 @@ def _gibbs_chain(
 ) -> tuple:
     """Run the chain from ``labels``; return the retained rows and cluster counts.
 
-    Each occupied cluster keeps its ``_cluster_terms``, refreshed only when
-    a step removes or inserts an observation, and each observation's
-    new-cluster weight is computed once.  The arithmetic is the plain
-    algorithm's, in the same order, so the chain does not depend on the
-    caching.  The uniforms come as one block per sweep, which numpy draws
-    exactly as the same number of scalar ``rng.random()`` calls.
+    Each step weighs the occupied clusters and a new one in linear space, in
+    one pass, and picks by ``_pick_linear``.  Each occupied cluster keeps
+    its ``_cluster_terms``, refreshed only when a step removes or inserts an
+    observation, and each observation's new-cluster weight is computed
+    once.  ``DpgmmConfig`` keeps that weight within [1e-300, 1e300] and no
+    cluster weight can exceed ``n * e**373``, so the total neither
+    underflows nor overflows.  The uniforms come as one block per sweep,
+    which numpy draws exactly as the same number of scalar ``rng.random()``
+    calls.
     """
     n = x.size
     xs = x.tolist()
@@ -173,9 +221,7 @@ def _gibbs_chain(
     counts, sums, sqs = _cluster_stats(xs, labels)
     terms_of = _cluster_terms(cfg, n)
     terms = [terms_of(*stats) for stats in zip(counts, sums, sqs)]
-    log_alpha = math.log(cfg.alpha)
-    prior = _predictive_params(cfg, 0, 0.0, 0.0)
-    new_cluster = [log_alpha + _t_logpdf(xi, prior) for xi in xs]
+    new_cluster = [math.exp(lw) for lw in _new_cluster_log_weights(cfg, xs)]
 
     rows = np.empty((ctl.n_samples, grid.n_points))
     k_trace = np.empty(ctl.n_samples)
@@ -188,8 +234,9 @@ def _gibbs_chain(
             c = counts[j] - 1
             if c:
                 counts[j] = c
-                s = sums[j] = sums[j] - xi
-                sq = sqs[j] = sqs[j] - xi * xi
+                s_left, sq_left, terms_left = sums[j], sqs[j], terms[j]
+                s = sums[j] = s_left - xi
+                sq = sqs[j] = sq_left - xi * xi
                 terms[j] = terms_of(c, s, sq)
             else:
                 last = len(counts) - 1
@@ -198,10 +245,11 @@ def _gibbs_chain(
                     terms[j] = terms[last]
                     labels = [j if li == last else li for li in labels]
                 del counts[-1], sums[-1], sqs[-1], terms[-1]
+                j = -1
 
-            logw = _log_weights(xi, terms)
-            logw.append(new_cluster[i])
-            pick = _pick(logw, uniforms[i])
+            weights = [(b * (1.0 + (xi - lo) ** 2 / de)) ** pw for b, pw, lo, de in terms]
+            weights.append(new_cluster[i])
+            pick = _pick_linear(weights, uniforms[i])
 
             labels[i] = pick
             if pick == len(terms):
@@ -214,7 +262,11 @@ def _gibbs_chain(
                 c = counts[pick] = counts[pick] + 1
                 s = sums[pick] = sums[pick] + xi
                 sq = sqs[pick] = sqs[pick] + xi * xi
-                terms[pick] = terms_of(c, s, sq)
+                if pick == j and s == s_left and sq == sq_left:
+                    # Back where it was, with the same sums: the same terms.
+                    terms[pick] = terms_left
+                else:
+                    terms[pick] = terms_of(c, s, sq)
 
         if sweep >= ctl.burn_in and (sweep - ctl.burn_in) % ctl.thin == 0:
             rows[kept] = _emit_row(cfg, grid, counts, sums, sqs)

@@ -29,7 +29,10 @@ def _predictive_params(cfg: DpgmmConfig, count: int, total: float, total_sq: flo
     if count > 0:
         mean = total / count
         ssd = total_sq - total * total / count
-        bn = b0 + 0.5 * ssd + 0.5 * cfg.r * count * (mean - cfg.m) ** 2 / rn
+        shift = 0.5 * cfg.r * count * (mean - cfg.m) ** 2 / rn
+        bn = b0 + 0.5 * ssd + shift
+        if bn <= 0.0:
+            bn = b0 + shift
         loc = (cfg.r * cfg.m + total) / rn
     else:
         bn = b0

@@ -164,6 +164,7 @@ class TestSweepCommand:
         assert sorted(os.listdir("res")) == ["bands.csv", "manifest.ini", "sweep.csv"]
         lines = open("res/sweep.csv").read().splitlines()
         assert len(lines) == 4 and lines[0] == "param_value,D,V,E"
+        assert "scipy_version = " in open("res/manifest.ini").read()
 
     def test_identical_invocations_are_byte_identical(self, workdir):
         assert invoke(["sweep", "--config", "exp.ini", "--out", "r1"])[0] == 0
@@ -302,6 +303,21 @@ class TestValidateConfigCommand:
         rc, _, err = invoke([command, "--config", "bad.ini"])
         assert rc == 1, err
         assert err.startswith(code + ":")
+
+    @pytest.mark.parametrize("command", ["validate-config", "sweep"])
+    def test_dpgmm_new_cluster_weight_floor(self, workdir, monkeypatch, command):
+        # m = 1e100 puts the data so far out in t0's tail that alpha * t0
+        # underflows the linear Gibbs weights.
+        import frsense.cli as cli_mod
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("a sweep started")
+
+        monkeypatch.setattr(cli_mod, "run_sweep", no_sweep)
+        open("bad.ini", "w").write(DPGMM_CONFIG.replace("m = 0.5", "m = 1e100"))
+        rc, _, err = invoke([command, "--config", "bad.ini"])
+        assert rc == 1, err
+        assert err.startswith("CONFIG_BAD_VALUE:") and "new-cluster weight" in err
 
     @pytest.mark.parametrize("model, key", MUTATED_KEYS)
     def test_mutated_values_fail_alike_and_never_internally(self, workdir, model, key):
@@ -449,15 +465,16 @@ class TestExitCodes:
 
 def test_cli_import_does_not_load_scipy_special():
     # scipy.special is slow to import, and nothing on the CLI or chain paths
-    # needs it: the dcv quadrature rule is built with numpy.
+    # needs it: the dcv quadrature rule is built with numpy.  scipy itself is
+    # loaded by `sweep` alone, for the manifest's version line.
     src = os.path.dirname(os.path.dirname(frsense.__file__))
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     env = dict(os.environ, PYTHONPATH=path)
-    code = "import sys, frsense.cli; print('scipy.special' in sys.modules)"
+    code = "import sys, frsense.cli; print('scipy.special' in sys.modules, 'scipy' in sys.modules)"
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "False False"
     code = (
         "import sys, numpy as np\n"
         "from frsense import Dataset, DcvConfig, McmcControl, dcv_posterior\n"

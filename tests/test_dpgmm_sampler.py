@@ -5,19 +5,22 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.integrate import quad
 
 from _dpgmm_reference import reference_posterior
+from _law import assert_same_law
 
-from frsense import Dataset, DpgmmConfig, McmcControl, dpgmm_posterior
+from frsense import Dataset, DpgmmConfig, Grid, McmcControl, dpgmm_posterior
 from frsense.errors import FrsenseError, InvalidSettingError
 from frsense.samplers import crp_expected_clusters, make_rng, sample_crp_partition
-from frsense.samplers.common import _cluster_stats, _pick
+from frsense.samplers.common import _cluster_stats, _pick, _pick_linear
 from frsense.samplers.dpgmm import (
     _cluster_terms,
     _emit_row,
-    _log_weights,
+    _new_cluster_log_weights,
     _predictive_params,
     _t_logpdf,
     _t_pdf_rows,
@@ -27,8 +30,9 @@ from frsense.samplers.dpgmm import (
 class TestPick:
     def test_inverts_the_cumulative_weights(self):
         logw = [math.log(1.0), math.log(2.0), math.log(1.0)]
-        picks = [_pick(logw, u) for u in (0.0, 0.24, 0.26, 0.74, 0.76, np.nextafter(1.0, 0.0))]
-        assert picks == [0, 0, 1, 1, 2, 2]
+        uniforms = (0.0, 0.24, 0.26, 0.74, 0.76, np.nextafter(1.0, 0.0))
+        assert [_pick(logw, u) for u in uniforms] == [0, 0, 1, 1, 2, 2]
+        assert [_pick_linear([1.0, 2.0, 1.0], u) for u in uniforms] == [0, 0, 1, 1, 2, 2]
 
     def test_shift_invariant_in_log_weights(self):
         for u in np.linspace(0.0, 0.99, 12):
@@ -126,6 +130,14 @@ class TestChainBehavior:
         npt.assert_array_equal(a.densities, b.densities)
         npt.assert_array_equal(a.trace["n_clusters"], b.trace["n_clusters"])
 
+    def test_equal_observations_under_a_tiny_spread_prior(self):
+        # Tied data make a cluster's spread a rounding error around zero; with
+        # nu * s tiny, a negative one would make the scale negative.
+        data = Dataset.from_observations([1.0] * 10 + [2.0] * 10 + [3.5] * 10)
+        ctl = McmcControl(n_samples=10, burn_in=5, thin=1, seed=5)
+        ps = dpgmm_posterior(data, DpgmmConfig(m=0.5, r=1e-30, s=1e-30), ctl)
+        assert np.isfinite(ps.densities).all()
+
     def test_tighter_precision_prior_finds_more_clusters(self):
         # prior component sd ~ sqrt(S): at 1.0 the bimodal structure is blurred
         # into one wide component, at 0.1 the two modes separate
@@ -177,8 +189,9 @@ class TestKernelMatchesReference:
         "kwargs", [{}, {"m": 0.5, "s": 0.01}, {"m": -3.0, "r": 2.5, "nu": 1.5, "s": 7.0}]
     )
     def test_cached_log_weights_match_predictive_params(self, kwargs, rng):
-        # Exact equality, so a reordered operation fails here even when it
-        # changes no pick of the chains above.
+        # Exact equality of the terms, so a reordered operation fails here
+        # even when it changes no pick of the chains above.  The linear
+        # weight itself matches the log-space one to rounding.
         config = DpgmmConfig(**kwargs)
         x = rng.uniform(0.05, 0.95, size=40)
         terms = _cluster_terms(config, x.size)
@@ -186,13 +199,42 @@ class TestKernelMatchesReference:
             size = int(rng.integers(1, x.size + 1))
             members = x[rng.choice(x.size, size=size, replace=False)].tolist()
             (count,), (total,), (total_sq,) = _cluster_stats(members, [0] * size)
-            cached = terms(count, total, total_sq)
+            b, _, lo, de = cached = terms(count, total, total_sq)
             df, loc, log_norm, denom = params = _predictive_params(
                 config, count, total, total_sq
             )
-            assert cached == (math.log(count), log_norm, 0.5 * (df + 1.0), loc, denom)
+            power = -0.5 * (df + 1.0)
+            assert cached == (math.exp((math.log(count) + log_norm) / power), power, loc, denom)
             xi = float(rng.uniform(0.05, 0.95))
-            assert _log_weights(xi, [cached]) == [math.log(count) + _t_logpdf(xi, params)]
+            weight = (b * (1.0 + (xi - lo) ** 2 / de)) ** power
+            assert weight == pytest.approx(
+                math.exp(math.log(count) + _t_logpdf(xi, params)), rel=1e-13, abs=0.0
+            )
+
+
+class TestSameLawAsLogSpace:
+    """The kernel weighs clusters in linear space, the reference loop in log
+    space; a pick can differ only where a uniform lands within rounding of a
+    cumulative-weight boundary, so the chains must follow one law."""
+
+    def test_two_sample_ks(self):
+        # Both chains start from the same law (a restaurant-process draw) and
+        # run 10 sweeps; disjoint seeds keep the two samples independent.
+        n_chains, grid = 200, Grid(32)
+        data, config = _bimodal(30), DpgmmConfig(m=0.5, s=0.01)
+
+        def ctl(seed):
+            return McmcControl(n_samples=10, burn_in=0, thin=1, seed=seed)
+
+        fast = [
+            dpgmm_posterior(data, config, ctl(seed), grid).trace["n_clusters"][-1]
+            for seed in range(n_chains)
+        ]
+        ref = [
+            reference_posterior(data, config, ctl(seed), grid)[1][-1]
+            for seed in range(n_chains, 2 * n_chains)
+        ]
+        assert_same_law({"n_clusters": fast}, {"n_clusters": ref})
 
 
 class TestDpgmmConfig:
@@ -213,10 +255,109 @@ class TestDpgmmConfig:
             DpgmmConfig(m=m)
 
     def test_m_far_from_data_but_representable_accepted(self):
-        assert DpgmmConfig(m=1e150).m == 1e150
+        assert DpgmmConfig(m=1e50).m == 1e50
 
     @pytest.mark.parametrize("kwargs", [{"r": 1e308}, {"nu": 1e308}, {"s": 1e308}])
     def test_overflowing_prior_predictive_rejected(self, kwargs):
         with pytest.raises(InvalidSettingError, match="prior predictive") as info:
             DpgmmConfig(**kwargs)
         assert isinstance(info.value, FrsenseError)
+
+    def test_underflowing_prior_scale_rejected(self):
+        # nu / 2 * r underflows to 0 in the prior predictive's scale.
+        with pytest.raises(InvalidSettingError, match="prior predictive"):
+            DpgmmConfig(nu=1e-200, r=1e-200)
+
+    @pytest.mark.parametrize("kwargs", [{"r": 1e300, "m": 1e9}, {"r": 1e301, "m": 0.5}])
+    def test_r_that_overflows_a_cluster_scale_rejected(self, kwargs):
+        with pytest.raises(InvalidSettingError, match="largest squared distance"):
+            DpgmmConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"m": 1e100},
+            {"m": -1e100},
+            {"m": 1e150},
+            {"alpha": 1e-300},
+            {"s": 1e-300},
+            {"nu": 1e-300},
+            {"nu": 1e300, "s": 1e-6},
+            {"alpha": 1e301},
+            {"alpha": 1e308},
+        ],
+    )
+    def test_new_cluster_weight_outside_bounds_rejected(self, kwargs):
+        with pytest.raises(InvalidSettingError, match="new-cluster weight"):
+            DpgmmConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"m": 1e50},
+            {"m": -1e50},
+            {"alpha": 1e-200},
+            {"alpha": 1e300},
+            {"s": 1e300},
+            {"r": 1e-300},
+            {"nu": 1e6},
+        ],
+    )
+    def test_extreme_but_safe_configs_accepted(self, kwargs):
+        config = DpgmmConfig(**kwargs)
+        low = min(map(math.exp, _new_cluster_log_weights(config, (0.0, 1.0))))
+        assert low >= 1e-300
+
+    @pytest.mark.parametrize("nu", [1.000001e6, 1e12, 1e300])
+    def test_nu_where_linear_weights_lose_precision_rejected(self, nu):
+        with pytest.raises(InvalidSettingError, match="lose precision"):
+            DpgmmConfig(nu=nu)
+
+
+def _accepted_or_none(**kwargs):
+    try:
+        return DpgmmConfig(**kwargs)
+    except InvalidSettingError:
+        return None
+
+
+def _powers_of_ten(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+ACCEPTED_CONFIGS = st.builds(
+    _accepted_or_none,
+    alpha=_powers_of_ten(-300, 300),
+    m=st.floats(-2.0, 3.0) | _powers_of_ten(-3, 60) | _powers_of_ten(-3, 60).map(lambda v: -v),
+    r=_powers_of_ten(-300, 300),
+    nu=_powers_of_ten(-300, 7),
+    s=_powers_of_ten(-300, 300),
+).filter(lambda config: config is not None)
+
+UNIT_DATA = st.floats(0.05, 0.95)
+
+
+class TestLinearWeightsProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        config=ACCEPTED_CONFIGS,
+        members=st.lists(UNIT_DATA, min_size=1, max_size=60),
+        x=UNIT_DATA,
+    )
+    # A cluster tight enough that (1 + z) ** power alone underflows, while
+    # its weight is 1e73 times the new cluster's.
+    @example(DpgmmConfig(alpha=1e-290, r=1e-220, s=1e-220, nu=1.0), [0.75], 0.5)
+    # The largest nu accepted, where rounding 1 + z costs the most.
+    @example(DpgmmConfig(nu=1e6, s=1e-4), [0.3, 0.35, 0.4], 0.9)
+    def test_weights_finite_and_new_cluster_weight_above_floor(self, config, members, x):
+        (count,), (total,), (total_sq,) = _cluster_stats(members, [0] * len(members))
+        b, power, lo, de = _cluster_terms(config, len(members))(count, total, total_sq)
+        weight = (b * (1.0 + (x - lo) ** 2 / de)) ** power
+        assert math.isfinite(weight) and weight >= 0.0
+        (log_new,) = _new_cluster_log_weights(config, [x])
+        new = math.exp(log_new)
+        assert math.isfinite(new) and 1e-300 <= new <= 1e300
+        # Each weight is the log-space one, to 1e-9 of itself or of the floor.
+        params = _predictive_params(config, count, total, total_sq)
+        exact = math.exp(math.log(count) + _t_logpdf(x, params))
+        assert abs(weight - exact) <= 1e-9 * max(exact, 1e-300)
