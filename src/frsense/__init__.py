@@ -13,13 +13,11 @@ from .grid import (  # noqa: F401
     from_srd,
     normalize_pdf,
     normalize_rows,
-    tangent_project,
     to_srd,
 )
 from .geometry import (  # noqa: F401
     KarcherInfo,
     TpcaResult,
-    exp_map,
     fr_distance,
     geodesic_path,
     inv_exp_map,
@@ -34,7 +32,6 @@ from .measures import (  # noqa: F401
     SampleSummary,
     cumulative_spectrum,
     e_upper_bound,
-    measure_triple,
     replicate_band,
     summarize_sample,
     triple_from_summaries,
@@ -51,17 +48,14 @@ from .samplers import (  # noqa: F401
     UniformBase,
     ccv_posterior,
     centering_weight,
-    crp_expected_clusters,
     dcv_posterior,
     derived_seed,
     dp_posterior,
     dpgmm_posterior,
-    griffin_steel_pdf,
     make_rng,
     sample_crp_partition,
     sample_griffin_steel,
     silverman_bandwidth,
-    smoothed_centering_measure,
 )
 from .sweep import (  # noqa: F401
     BandTriple,
@@ -92,4 +86,4 @@ from .io import (  # noqa: F401
     write_sweep_csv,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

@@ -305,7 +305,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pca", help="principal modes of a density matrix")
     p.add_argument("--densities", required=True, metavar="CSV")
     p.add_argument("--out", required=True, metavar="DIR")
-    p.add_argument("--components", type=_positive_int, metavar="N")
+    p.add_argument(
+        "--components", type=_positive_int, metavar="N",
+        help="eigenvalue rows to write (default: all min(draws, grid points))",
+    )
     p.set_defaults(handler=_cmd_pca)
     return parser
 

@@ -116,6 +116,16 @@ class ExperimentConfig:
     geometry: GeometryOptions
     output: OutputOptions
 
+    def __post_init__(self):
+        # A summary has min(n_samples, n_points) eigenvalues; SweepSpec
+        # already requires n_samples > d_components.
+        if self.spec.d_components > self.geometry.n_points:
+            raise ConfigError(
+                "CONFIG_BAD_COMPONENTS",
+                f"d_components={self.spec.d_components} exceeds the "
+                f"{self.geometry.n_points} grid points",
+            )
+
 
 class _Block:
     """One INI section with typed, consume-once key access."""

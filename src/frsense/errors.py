@@ -47,7 +47,11 @@ class NegativeValueError(FrsenseError, ValueError):
 
 
 class BaseMismatchError(FrsenseError, ValueError):
-    """A tangent vector is anchored at a different base point than required."""
+    """A TangentVector's values are not orthogonal to its base point.
+
+    Raised by the tangency check of ``TangentVector``, so a vector anchored
+    at one SRD is refused at another unless it is tangent there too.
+    """
 
 
 class AntipodalOrBoundaryError(FrsenseError, ValueError):

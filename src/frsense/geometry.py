@@ -8,6 +8,9 @@ quantity here has a closed form on the sphere:
 * exponential map   cos(|v|) psi + sin(|v|) v / |v|
 * inverse exp map   (u / sin u) (psi2 - cos(u) psi1)   with u the distance
 
+The exponential map is private: the Karcher iteration and
+``geodesic_path`` shoot along it, clamped back into the orthant.
+
 Intrinsic means are computed by gradient descent on the sum of squared
 distances (tangent averaging), and principal modes of a sample come from the
 eigendecomposition of the tangent covariance with quadrature-weight scaling,
@@ -17,7 +20,9 @@ Every sample statistic goes through one private core, ``_karcher_fit``: the
 sample becomes one SRD matrix (validated, square-rooted and put in canonical
 row order once), and the Karcher iteration returns the tangents and the
 distances at the mean it returns, from which the variance and the spectrum
-follow without another pass.
+follow without another pass.  ``_tangent_spectrum`` is the one place a
+tangent covariance is decomposed, for ``summarize_sample`` (eigenvalues) and
+``tangent_pca`` (eigenvalues and eigenfunctions) alike.
 """
 
 from __future__ import annotations
@@ -29,7 +34,6 @@ import numpy as np
 
 from .errors import (
     AntipodalOrBoundaryError,
-    BaseMismatchError,
     EmptyInputError,
     FrsenseError,
     GridMismatchError,
@@ -49,7 +53,6 @@ from .grid import (
 
 __all__ = [
     "fr_distance",
-    "exp_map",
     "inv_exp_map",
     "geodesic_path",
     "karcher_mean",
@@ -105,25 +108,6 @@ def _exp_values(grid: Grid, base: np.ndarray, v: np.ndarray) -> np.ndarray:
     out = np.cos(theta) * base + (np.sin(theta) / theta) * v
     np.clip(out, 0.0, None, out=out)
     return out / grid.norm(out)
-
-
-def exp_map(psi: Srd, dpsi: TangentVector) -> Srd:
-    """Shoot a geodesic from ``psi`` along ``dpsi`` for time one.
-
-    The raw sphere exponential can leave the nonnegative orthant; negative
-    values are clamped to zero and the result renormalized, which keeps the
-    output a valid SRD at the cost of exactness for large tangent norms.
-
-    Raises
-    ------
-    BaseMismatchError
-        If ``dpsi`` is anchored at a different point than ``psi``.
-    """
-    if dpsi.base is not psi and not (
-        dpsi.base.grid == psi.grid and np.array_equal(dpsi.base.values, psi.values)
-    ):
-        raise BaseMismatchError("tangent vector is anchored at a different SRD")
-    return Srd(psi.grid, _exp_values(psi.grid, psi.values, dpsi.values))
 
 
 def inv_exp_map(psi1: Srd, psi2: Srd) -> TangentVector:
@@ -341,18 +325,35 @@ def karcher_variance(samples, mean: Srd) -> float:
     return float(np.mean(_distances(grid, mean.values, psi) ** 2))
 
 
-def _tangent_spectrum(fit: _KarcherFit) -> np.ndarray:
-    """Eigenvalues of the weighted tangent covariance, nonincreasing.
+def _tangent_spectrum(fit: _KarcherFit, vectors: bool = False):
+    """Spectrum of the weighted tangent covariance, nonincreasing.
 
-    With n draws on p grid points the nonzero spectrum of the p x p
-    covariance ``X^T X / (n - 1)`` equals that of the n x n Gram matrix
-    ``X X^T / (n - 1)`` (the method of snapshots), so the smaller of the two
-    is decomposed.  The result has ``min(n, p)`` entries.
+    The tangents scaled by the square roots of the quadrature weights form an
+    n x p matrix S.  The nonzero spectrum of the p x p covariance
+    ``S^T S / (n - 1)`` equals that of the n x n Gram matrix
+    ``S S^T / (n - 1)`` (the method of snapshots), so the smaller of the two
+    is decomposed and the result has ``min(n, p)`` entries.
+
+    With ``vectors`` it also returns the eigenfunctions as ``TpcaResult``
+    holds them.  From the Gram matrix's eigenvectors U they are ``S^T U``
+    orthonormalized by one QR, which keeps null directions orthonormal too,
+    where dividing by ``sqrt((n - 1) lambda)`` would blow up rounding noise.
     """
-    n = fit.tangents.shape[0]
-    scaled = fit.tangents * np.sqrt(fit.grid.weights)
-    small = scaled @ scaled.T if n <= scaled.shape[1] else scaled.T @ scaled
-    return _checked_spectrum(np.linalg.eigvalsh(small / (n - 1))[::-1])
+    n, p = fit.tangents.shape
+    sqrt_w = np.sqrt(fit.grid.weights)
+    scaled = fit.tangents * sqrt_w
+    gram = n <= p
+    small = (scaled @ scaled.T if gram else scaled.T @ scaled) / (n - 1)
+    if not vectors:
+        return _checked_spectrum(np.linalg.eigvalsh(small)[::-1])
+    evals, evecs = np.linalg.eigh(small)
+    evecs = evecs[:, ::-1]
+    if gram:
+        evecs = np.linalg.qr(scaled.T @ evecs)[0]
+    funcs = evecs / sqrt_w[:, None]
+    flip = funcs[np.argmax(np.abs(funcs), axis=0), np.arange(funcs.shape[1])] < 0
+    funcs[:, flip] *= -1.0
+    return _checked_spectrum(evals[::-1]), funcs
 
 
 def _checked_spectrum(evals: np.ndarray) -> np.ndarray:
@@ -365,6 +366,7 @@ def _checked_spectrum(evals: np.ndarray) -> np.ndarray:
 class TpcaResult:
     """Tangent principal component analysis of an SRD sample.
 
+    With n draws on p grid points it holds ``min(n, p)`` eigenpairs.
     ``eigenvalues`` are sorted nonincreasing and scaled so they approximate
     the continuum covariance operator's spectrum; ``eigenvectors`` holds one
     grid eigenfunction per column, orthonormal under the trapezoidal inner
@@ -391,26 +393,17 @@ def tangent_pca(
     """Principal modes of variation of a sample of SRDs.
 
     Computes the intrinsic mean, lifts every sample to the tangent space at
-    that mean, and eigendecomposes the sample covariance there.  The
-    covariance is conjugated by the square roots of the quadrature weights
-    before the (symmetric) eigendecomposition, which is what makes the
-    eigenvalues quadrature-consistent and the eigenvectors orthonormal in the
+    that mean, and eigendecomposes the sample covariance there, through the
+    same Karcher pass and spectrum routine as ``summarize_sample``.  The
+    tangents are scaled by the square roots of the quadrature weights before
+    the (symmetric) eigendecomposition, which is what makes the eigenvalues
+    quadrature-consistent and the eigenvectors orthonormal in the
     trapezoidal inner product.
     """
     if len(samples) < 2:
         raise InsufficientSamplesError("tangent PCA needs at least two SRDs")
     fit = _karcher_fit(samples, eps1, eps2, max_iter)
     fit.warn_unconverged("; principal modes may be unreliable")
-
-    sqrt_w = np.sqrt(fit.grid.weights)
-    scaled = fit.tangents * sqrt_w[None, :]
-    cov = (scaled.T @ scaled) / (len(samples) - 1)
-    evals, evecs = np.linalg.eigh(cov)
-    evals = _checked_spectrum(evals[::-1])
-    evecs = evecs[:, ::-1]
-
-    funcs = evecs / sqrt_w[:, None]
-    flip = funcs[np.argmax(np.abs(funcs), axis=0), np.arange(funcs.shape[1])] < 0
-    funcs[:, flip] *= -1.0
+    evals, funcs = _tangent_spectrum(fit, vectors=True)
     mean = Srd(fit.grid, fit.mean)
     return TpcaResult(mean=mean, eigenvalues=evals, eigenvectors=funcs, n_samples=len(samples))

@@ -34,7 +34,6 @@ __all__ = [
     "normalize_rows",
     "to_srd",
     "from_srd",
-    "tangent_project",
 ]
 
 #: Grid resolution used throughout unless a caller asks for something else.
@@ -280,9 +279,6 @@ class TangentVector(_ReadOnlyArrays):
     def norm(self) -> float:
         return self.grid.norm(self.values)
 
-    def scaled(self, c: float) -> "TangentVector":
-        return TangentVector(self.base, c * self.values)
-
 
 def normalize_pdf(grid: Grid, raw) -> GridPdf:
     """Normalize a nonnegative grid function to a unit-integral density.
@@ -339,15 +335,3 @@ def from_srd(psi: Srd) -> GridPdf:
     """Square an SRD back into a density."""
     p = psi.values**2
     return GridPdf(psi.grid, p / psi.grid.integrate(p))
-
-
-def tangent_project(base: Srd, values) -> TangentVector:
-    """Project a grid function onto the tangent space at ``base``.
-
-    Subtracts the component along ``base`` so the result is exactly tangent;
-    handy for building perturbation directions in tests and demos.
-    """
-    arr = np.asarray(values, dtype=float)
-    _check_shape(base.grid, arr)
-    arr = arr - base.grid.inner(arr, base.values) * base.values
-    return TangentVector(base, arr)

@@ -8,7 +8,6 @@ byte-identical files.
 from __future__ import annotations
 
 import configparser
-import os
 import warnings
 
 import numpy as np

@@ -11,11 +11,12 @@ baseline sample of grid densities:
   cumulative eigenvalue vectors from tangent PCA, in
   [0, e_upper_bound(d)].
 
-All three vanish when the samples are identical.  ``measure_triple``
-computes them from two samples and ``triple_from_summaries`` from two
-SampleSummary objects; there is no other way to get them.  Inputs can be
-PosteriorSample or DensityMatrix objects, or plain sequences of GridPdf /
-Srd draws; each sample goes through one Karcher pass of the geometry core.
+All three vanish when the samples are identical.  ``summarize_sample``
+reduces each sample to a SampleSummary in one Karcher pass of the geometry
+core, and ``triple_from_summaries`` computes the measures from two of them;
+there is no other way to get them.  Inputs can be PosteriorSample or
+DensityMatrix objects, or plain sequences of GridPdf / Srd draws.  The
+spectrum is the one ``tangent_pca`` reports, from the same private routine.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ __all__ = [
     "SampleSummary",
     "cumulative_spectrum",
     "e_upper_bound",
-    "measure_triple",
     "replicate_band",
     "summarize_sample",
     "triple_from_summaries",
@@ -207,13 +207,6 @@ def triple_from_summaries(base: SampleSummary, pert: SampleSummary) -> MeasureTr
     v_spread = math.log(pert.variance) - math.log(base.variance)
     e_covshape = float(np.linalg.norm(base.spectrum.omega - pert.spectrum.omega))
     return MeasureTriple(d_shift, v_spread, e_covshape, base.d)
-
-
-def measure_triple(base, pert, d: int = DEFAULT_N_COMPONENTS) -> MeasureTriple:
-    """All three measures, sharing one tangent PCA per sample."""
-    return triple_from_summaries(
-        summarize_sample(base, d), summarize_sample(pert, d)
-    )
 
 
 def replicate_band(values, level: float = 0.95) -> tuple[float, float]:

@@ -4,7 +4,6 @@ from .common import (
     Dataset,
     McmcControl,
     PosteriorSample,
-    crp_expected_clusters,
     derived_seed,
     make_rng,
     sample_crp_partition,
@@ -16,7 +15,6 @@ from .dp import (
     UniformBase,
     centering_weight,
     dp_posterior,
-    smoothed_centering_measure,
 )
 from .dpgmm import DpgmmConfig, dpgmm_posterior
 from .griffin import (
@@ -24,7 +22,6 @@ from .griffin import (
     DcvConfig,
     ccv_posterior,
     dcv_posterior,
-    griffin_steel_pdf,
     sample_griffin_steel,
 )
 
@@ -40,15 +37,12 @@ __all__ = [
     "UniformBase",
     "ccv_posterior",
     "centering_weight",
-    "crp_expected_clusters",
     "dcv_posterior",
     "derived_seed",
     "dp_posterior",
     "dpgmm_posterior",
-    "griffin_steel_pdf",
     "make_rng",
     "sample_crp_partition",
     "sample_griffin_steel",
     "silverman_bandwidth",
-    "smoothed_centering_measure",
 ]

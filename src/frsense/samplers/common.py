@@ -18,7 +18,6 @@ __all__ = [
     "derived_seed",
     "make_rng",
     "sample_crp_partition",
-    "crp_expected_clusters",
     "silverman_bandwidth",
 ]
 
@@ -229,12 +228,6 @@ def _cluster_stats(x, labels) -> tuple:
         sums[li] += xi
         sqs[li] += xi * xi
     return counts, sums, sqs
-
-
-def crp_expected_clusters(alpha: float, n: int) -> float:
-    """Expected number of occupied clusters: sum of alpha / (alpha + i - 1)."""
-    i = np.arange(1, n + 1, dtype=float)
-    return float(np.sum(alpha / (alpha + i - 1.0)))
 
 
 def silverman_bandwidth(values: np.ndarray, grid: Grid) -> float:

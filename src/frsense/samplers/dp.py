@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InvalidSettingError, TruncationTooSmallError
-from ..grid import Grid, GridPdf, default_grid, normalize_pdf, normalize_rows
+from ..grid import Grid, default_grid, normalize_rows
 from .common import (
     Dataset,
     McmcControl,
@@ -35,7 +35,6 @@ __all__ = [
     "DpConfig",
     "dp_posterior",
     "centering_weight",
-    "smoothed_centering_measure",
 ]
 
 #: After remainder absorption the stick weights must sum to one within this.
@@ -51,9 +50,6 @@ class UniformBase:
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.random(size)
 
-    def density(self, x: np.ndarray) -> np.ndarray:
-        return np.ones_like(x)
-
 
 @dataclass(frozen=True)
 class BetaBase:
@@ -67,11 +63,6 @@ class BetaBase:
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.beta(self.a, self.b, size)
-
-    def density(self, x: np.ndarray) -> np.ndarray:
-        from scipy.stats import beta as beta_dist
-
-        return beta_dist.pdf(x, self.a, self.b)
 
 
 @dataclass(frozen=True)
@@ -148,35 +139,6 @@ def _kernel(grid: Grid, atoms: np.ndarray, bw: float) -> np.ndarray:
 def _smooth(grid: Grid, atoms: np.ndarray, weights: np.ndarray, bw: float) -> np.ndarray:
     """Gaussian-kernel mixture of the atoms, evaluated on the grid."""
     return _kernel(grid, atoms, bw) @ weights
-
-
-def smoothed_centering_measure(
-    data: Dataset,
-    config: DpConfig,
-    grid: Grid | None = None,
-) -> GridPdf:
-    """Kernel smoothing of the posterior centering measure.
-
-    This is the expectation of a posterior draw (before edge renormalization),
-    so it serves as a deterministic reference for the Monte Carlo mean of
-    ``dp_posterior`` output.  The base-measure part is convolved on a fine
-    internal quadrature; the empirical part uses the kernel table of the data
-    that ``dp_posterior`` emits its data atoms with.
-    """
-    grid = grid or default_grid()
-    x = data.rescaled
-    w_g0 = centering_weight(config.alpha, data.n)
-    bw = config.bandwidth if config.bandwidth is not None else silverman_bandwidth(x, grid)
-
-    # Both parts use the unnormalized kernel exp(-z^2/2).  The empirical part
-    # carries weight 1/n per point and the convolution integrates the kernel
-    # against g0, so each equals bw * sqrt(2 pi) times a smoothed density;
-    # the shared constant drops out in the final normalization.
-    fine = np.linspace(0.0, 1.0, 4096)
-    z = (grid.x[:, None] - fine[None, :]) / bw
-    conv = np.trapezoid(np.exp(-0.5 * z * z) * config.g0.density(fine)[None, :], fine, axis=1)
-    emp = _kernel(grid, x, bw) @ np.full(x.size, 1.0 / x.size)
-    return normalize_pdf(grid, w_g0 * conv + (1.0 - w_g0) * emp)
 
 
 def dp_posterior(

@@ -51,7 +51,6 @@ __all__ = [
     "DcvConfig",
     "ccv_posterior",
     "dcv_posterior",
-    "griffin_steel_pdf",
     "sample_griffin_steel",
 ]
 
@@ -69,15 +68,6 @@ _LOG_CELL_MIN = float(min(_LOG_A.min(), _LOG_1MA.min()))
 _QUAD_NODES = 24
 
 _TWO_PI = 2.0 * math.pi
-
-
-def griffin_steel_pdf(alpha, eta: float, gamma: float):
-    """Density of the concentration prior; vectorized over ``alpha``."""
-    alpha = np.asarray(alpha, dtype=float)
-    log_c = eta * math.log(gamma) + math.lgamma(2.0 * eta) - 2.0 * math.lgamma(eta)
-    with np.errstate(divide="ignore"):
-        log_pdf = log_c + (eta - 1.0) * np.log(alpha) - 2.0 * eta * np.log(alpha + gamma)
-    return np.exp(log_pdf)
 
 
 #: The Beta(eta, eta) draw behind alpha is kept this far inside (0, 1).

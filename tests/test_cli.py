@@ -305,6 +305,23 @@ class TestValidateConfigCommand:
         assert err.startswith(code + ":")
 
     @pytest.mark.parametrize("command", ["validate-config", "sweep"])
+    def test_more_components_than_grid_points(self, workdir, monkeypatch, command):
+        # The summary has min(draws, grid points) eigenvalues, so 20
+        # components on 16 points would fail only after every chain ran.
+        import frsense.cli as cli_mod
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("a sweep started")
+
+        monkeypatch.setattr(cli_mod, "run_sweep", no_sweep)
+        text = CONFIG.replace("d_components = 4", "d_components = 20")
+        text = text.replace("n_samples = 16", "n_samples = 30")
+        open("bad.ini", "w").write(text.replace("n_points = 64", "n_points = 16"))
+        rc, _, err = invoke([command, "--config", "bad.ini"])
+        assert rc == 1, err
+        assert err.startswith("CONFIG_BAD_COMPONENTS:")
+
+    @pytest.mark.parametrize("command", ["validate-config", "sweep"])
     def test_dpgmm_new_cluster_weight_floor(self, workdir, monkeypatch, command):
         # m = 1e100 puts the data so far out in t0's tail that alpha * t0
         # underflows the linear Gibbs weights.

@@ -202,6 +202,15 @@ values = 2.0, 4.0, 8.0
             load_minimal(tmp_path, extra="\n[mcmc]\nthin = 0\n")
         assert exc.value.code == "CONFIG_BAD_MCMC"
 
+    def test_more_components_than_grid_points(self, tmp_path):
+        # A summary has at most n_points eigenvalues.
+        cfg = load_minimal(tmp_path, extra="d_components = 16\n\n[geometry]\nn_points = 16\n")
+        assert cfg.spec.d_components == cfg.geometry.n_points
+        with pytest.raises(ConfigError) as exc:
+            load_minimal(tmp_path, extra="\n[geometry]\nn_points = 16\n")
+        assert exc.value.code == "CONFIG_BAD_COMPONENTS"
+        assert "d_components=20" in str(exc.value)
+
 
 PRESET_BODY = """\
 [dataset]
@@ -250,6 +259,12 @@ class TestPresetConfigs:
         with pytest.raises(ConfigError) as exc:
             load_config(write_config(tmp_path, body))
         assert exc.value.code == "CONFIG_BAD_PRESET"
+
+    def test_apply_preset_checks_components_against_grid(self, tmp_path):
+        cfg = load_minimal(tmp_path, extra="d_components = 6\n\n[geometry]\nn_points = 16\n")
+        with pytest.raises(ConfigError) as exc:
+            apply_preset(cfg, "alpha")
+        assert exc.value.code == "CONFIG_BAD_COMPONENTS"
 
     def test_apply_preset_keeps_mcmc_and_aggregate(self, tmp_path):
         cfg = load_minimal(tmp_path, extra="\n[mcmc]\nseed = 321\n")
@@ -310,7 +325,7 @@ def experiment_configs(draw, dataset_path):
         model, baseline, parameter, values, replicates, band_values, mcmc, d_components
     )
     geometry = GeometryOptions(
-        n_points=draw(st.integers(16, 1024)),
+        n_points=draw(st.integers(max(16, d_components), 1024)),
         karcher_eps1=draw(st.floats(1e-12, 1e-2)),
         karcher_step=draw(st.floats(0.01, 1.0)),
         karcher_max_iter=draw(st.integers(1, 500)),

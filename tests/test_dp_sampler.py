@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from _law import assert_same_law
+from _oracles import smoothed_centering_measure
 
 from frsense import (
     BetaBase,
@@ -20,7 +21,6 @@ from frsense import (
     make_rng,
     normalize_pdf,
     normalize_rows,
-    smoothed_centering_measure,
 )
 from frsense.errors import InvalidSettingError, TruncationTooSmallError
 from frsense.samplers.dp import _draw_atoms_and_weights, _smooth
@@ -37,10 +37,6 @@ class TestCenteringWeight:
 
 
 class TestBaseMeasures:
-    def test_beta_base_density_normalized(self, grid):
-        base = BetaBase(2.0, 3.0)
-        assert grid.integrate(base.density(grid.x)) == pytest.approx(1.0, abs=1e-4)
-
     def test_beta_base_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
             BetaBase(0.0, 1.0)

@@ -12,10 +12,11 @@ from scipy.integrate import quad
 
 from _dpgmm_reference import reference_posterior
 from _law import assert_same_law
+from _oracles import crp_expected_clusters
 
 from frsense import Dataset, DpgmmConfig, Grid, McmcControl, dpgmm_posterior
 from frsense.errors import FrsenseError, InvalidSettingError
-from frsense.samplers import crp_expected_clusters, make_rng, sample_crp_partition
+from frsense.samplers import make_rng, sample_crp_partition
 from frsense.samplers.common import _cluster_stats, _pick, _pick_linear
 from frsense.samplers.dpgmm import (
     _cluster_terms,

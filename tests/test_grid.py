@@ -16,11 +16,11 @@ from frsense import (
     TangentVector,
     from_srd,
     normalize_pdf,
-    tangent_project,
     to_srd,
 )
 from frsense.grid import INTEGRAL_TOL, first_invalid_row, normalize_rows, srd_rows
 
+from _oracles import tangent_project
 from conftest import random_mixture_pdf
 
 

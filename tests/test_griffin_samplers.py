@@ -10,6 +10,7 @@ from scipy.integrate import quad
 import _griffin_reference
 from _griffin_reference import DcvReference, reference_posterior
 from _law import assert_same_law
+from _oracles import griffin_steel_pdf
 
 from frsense import (
     CcvConfig,
@@ -27,7 +28,6 @@ from frsense.samplers.griffin import (
     _DcvChain,
     _gauss_row,
     _laguerre_rule,
-    griffin_steel_pdf,
     sample_griffin_steel,
 )
 
