@@ -193,22 +193,24 @@ def sample_crp_partition(alpha: float, n: int, rng: np.random.Generator) -> np.n
     return labels
 
 
-def _pick(logw: list, u: float, exp=math.exp) -> int:
+def _pick(logw: list, u: float, exp=math.exp, fsum=math.fsum) -> int:
     """Index j drawn with probability proportional to exp(logw[j]).
 
     ``u`` is one uniform on [0, 1); see ``_pick_linear``.
     """
     mx = max(logw)
-    return _pick_linear([exp(lw - mx) for lw in logw], u)
+    weights = [exp(lw - mx) for lw in logw]
+    return _pick_linear(weights, u, fsum(weights))
 
 
-def _pick_linear(weights: list, u: float, fsum=math.fsum) -> int:
+def _pick_linear(weights: list, u: float, total: float) -> int:
     """Index j drawn with probability proportional to ``weights[j]``.
 
-    ``u`` is one uniform on [0, 1); the draw inverts the cumulative weights.
-    ``math.fsum`` gives the total the same bits on every Python version.
+    ``u`` is one uniform on [0, 1) and ``total`` is ``math.fsum(weights)``,
+    which the caller has already computed (``fsum`` gives it the same bits
+    on every Python version); the draw inverts the cumulative weights.
     """
-    u *= fsum(weights)
+    u *= total
     acc = 0.0
     for j, w in enumerate(weights):
         acc += w

@@ -222,6 +222,7 @@ def _gibbs_chain(
     terms_of = _cluster_terms(cfg, n)
     terms = [terms_of(*stats) for stats in zip(counts, sums, sqs)]
     new_cluster = [math.exp(lw) for lw in _new_cluster_log_weights(cfg, xs)]
+    fsum = math.fsum
 
     rows = np.empty((ctl.n_samples, grid.n_points))
     k_trace = np.empty(ctl.n_samples)
@@ -249,7 +250,7 @@ def _gibbs_chain(
 
             weights = [(b * (1.0 + (xi - lo) ** 2 / de)) ** pw for b, pw, lo, de in terms]
             weights.append(new_cluster[i])
-            pick = _pick_linear(weights, uniforms[i])
+            pick = _pick_linear(weights, uniforms[i], fsum(weights))
 
             labels[i] = pick
             if pick == len(terms):

@@ -24,6 +24,13 @@ zeta_j), mu0, 1/sigma^2, ``a`` (griddy step on a 200-cell midpoint grid over
 assignments are conjugate with the component means marginalized out; dcv
 assignments use auxiliary parameter slots filled with fresh base-measure
 draws (``aux_m`` of them, a singleton's own parameters occupying the first).
+
+Both assignment steps weigh the choices in linear space: one ``exp`` per
+weight, with the log-amplitude inside it, one ``math.fsum`` and one
+inverse-CDF scan (``_pick_linear``).  The component variances are sampled,
+so no setting keeps the total above underflow; a step whose total falls
+below ``_WEIGHT_FLOOR`` weighs its choices again in log space (``_pick``)
+with the same uniform, which draws from the same law.
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ from .common import (
     PosteriorSample,
     _cluster_stats,
     _pick,
+    _pick_linear,
     check_settings,
     make_rng,
     sample_crp_partition,
@@ -68,6 +76,11 @@ _LOG_CELL_MIN = float(min(_LOG_A.min(), _LOG_1MA.min()))
 _QUAD_NODES = 24
 
 _TWO_PI = 2.0 * math.pi
+
+#: An assignment step whose linear weights total less than this is redrawn
+#: in log space.  Above it, weights that underflow (at most 5e-324 each)
+#: are negligible against the total.
+_WEIGHT_FLOOR = 1e-300
 
 
 #: The Beta(eta, eta) draw behind alpha is kept this far inside (0, 1).
@@ -230,6 +243,7 @@ class _ChainBase:
         self.tau = 1.0 / max(var, 1e-8)
         self.mu0 = float(np.mean(x))
         self.labels = sample_crp_partition(self.alpha, self.n, rng).tolist()
+        self.x = x
         self.xs = x.tolist()
         self.counts, self.sums, self.sqs = _cluster_stats(self.xs, self.labels)
         self.mus = [self.mu0] * len(self.counts)
@@ -297,7 +311,8 @@ class _ChainBase:
             + math.log(prop)
             - math.log(self.alpha)
         )
-        if math.log(self.rng.random()) < log_ratio:
+        u = self.rng.random()
+        if u == 0.0 or math.log(u) < log_ratio:
             self.alpha = prop
             self.accepted += 1
 
@@ -342,29 +357,41 @@ class _CcvChain(_ChainBase):
     def _assign(self):
         """One pass of conjugate reassignments, component means integrated out.
 
-        Each occupied cluster keeps ``(log n_j, predictive mean,
-        log(2 pi var), var)``, refreshed only when a step removes or inserts
-        an observation.  The arithmetic is the plain loop's, in the same
-        order, so the chain does not depend on the caching.  The uniforms
-        come as one block per sweep, which numpy draws exactly as the same
-        number of scalar ``rng.random()`` calls.
+        Each occupied cluster keeps ``(la_j, mean_j, h_j)`` for its
+        predictive normal N(mean_j, var_j): the log-amplitude
+        ``la_j = log n_j - log(2 pi var_j) / 2`` and ``h_j = 0.5 / var_j``,
+        refreshed only when a step removes or inserts an observation.  Its
+        weight at x is ``exp(la_j - (x - mean_j)**2 h_j)``; keeping ``la_j``
+        inside the ``exp`` spares a tight cluster the underflow of
+        ``exp(-(x - mean_j)**2 h_j)`` before its amplitude scales it back.
+        mu0 and sigma^2 do not change during the pass, so every
+        observation's new-cluster weight comes from one numpy expression.
+        A step sums its weights with one ``math.fsum`` and picks with
+        ``_pick_linear``; below ``_WEIGHT_FLOOR`` it picks in log space
+        instead, with the same uniform.  The uniforms come as one block per
+        sweep, which numpy draws exactly as the same number of scalar
+        ``rng.random()`` calls.
         """
         sigma2 = self.sigma2
         prior_var = (1.0 - self.a) * sigma2
         comp_var = self.a * sigma2
         mu0 = self.mu0
         inv_prior, mu0_prior = 1.0 / prior_var, mu0 / prior_var
-        log, log_counts = math.log, self.log_counts
+        exp, log, fsum, log_counts = math.exp, math.log, math.fsum, self.log_counts
 
         def terms_of(c, s):
             prec = inv_prior + c / comp_var
             var = 1.0 / prec + comp_var
-            return log_counts[c], (mu0_prior + s / comp_var) / prec, log(_TWO_PI * var), var
+            la = log_counts[c] - 0.5 * log(_TWO_PI * var)
+            return la, (mu0_prior + s / comp_var) / prec, 0.5 / var
 
         labels, counts, sums, sqs, mus = self.labels, self.counts, self.sums, self.sqs, self.mus
         terms = [terms_of(c, s) for c, s in zip(counts, sums)]
         columns = (counts, sums, sqs, mus, terms)
-        log_alpha, log_new_var = log(self.alpha), log(_TWO_PI * sigma2)
+        new_logw = (
+            log(self.alpha) - 0.5 * log(_TWO_PI * sigma2) - (self.x - mu0) ** 2 * (0.5 / sigma2)
+        )
+        new_weights = np.exp(new_logw).tolist()
         uniforms = self.rng.random(self.n).tolist()
         for i, xi in enumerate(self.xs):
             j = labels[i]
@@ -377,9 +404,15 @@ class _CcvChain(_ChainBase):
             else:
                 labels = _drop_cluster(j, columns, labels)
 
-            logw = [lc - 0.5 * (lv + (xi - mean) ** 2 / var) for lc, mean, lv, var in terms]
-            logw.append(log_alpha - 0.5 * (log_new_var + (xi - mu0) ** 2 / sigma2))
-            pick = _pick(logw, uniforms[i])
+            weights = [exp(la - (d := xi - mean) * d * h) for la, mean, h in terms]
+            weights.append(new_weights[i])
+            total = fsum(weights)
+            if total < _WEIGHT_FLOOR:
+                logw = [la - (xi - mean) ** 2 * h for la, mean, h in terms]
+                logw.append(float(new_logw[i]))
+                pick = _pick(logw, uniforms[i])
+            else:
+                pick = _pick_linear(weights, uniforms[i], total)
 
             labels[i] = pick
             if pick == len(counts):
@@ -404,6 +437,8 @@ class _DcvChain(_ChainBase):
         super().__init__(x, cfg, rng)
         self.zetas = [1.0 / float(rng.gamma(cfg.phi, 1.0)) for _ in range(self.n_clusters)]
         self._quad_nodes, self._quad_weights = _laguerre_rule(_QUAD_NODES, cfg.phi - 1.0)
+        #: Each slot's observation: x_i repeated ``aux_m`` times.
+        self._slot_xs = np.repeat(self.x, cfg.aux_m)
 
     def sweep(self):
         self._assign()
@@ -419,19 +454,18 @@ class _DcvChain(_ChainBase):
         self._update_a(within)
         self._update_alpha()
 
-    def _slot_draws(self, prior_var: float, coef: float) -> tuple:
+    def _slot_draws(self, prior_var: float) -> tuple:
         """``n * aux_m`` independent base-measure draws for one sweep's slots.
 
-        Returns the per-slot terms ``(mu, log(2 pi v), v)`` and the slots'
-        zeta, with v = coef zeta.  The means and the gammas come as one block
-        each; ``log`` stays scalar, so every term has the bits of a plain loop.
+        Returns the slots' means and zetas as two arrays, each drawn as one
+        block: the means first, then the gammas behind the zetas.  This is
+        the only place the slots are drawn; ``_assign`` turns them into
+        slot weights with one numpy expression.
         """
         size = self.n * self.cfg.aux_m
         mus = self.mu0 + math.sqrt(prior_var) * self.rng.standard_normal(size)
         zetas = 1.0 / self.rng.gamma(self.cfg.phi, 1.0, size)
-        vs = coef * zetas
-        lvs = map(math.log, (_TWO_PI * vs).tolist())
-        return list(zip(mus.tolist(), lvs, vs.tolist())), zetas.tolist()
+        return mus, zetas
 
     def _assign(self):
         """One pass of Neal's (2000) Algorithm 8 with ``aux_m`` auxiliary slots.
@@ -445,67 +479,100 @@ class _DcvChain(_ChainBase):
         ``aux_m - 1`` are fresh.  Each slot is still an independent draw
         from the base measure, so the transition kernel is the one of the
         scalar draws (``tests/_griffin_reference.py`` keeps both loops).
-        Each occupied cluster keeps ``(mu_j, log(2 pi v_j), v_j)`` for its
-        component variance v_j = coef zeta_j, and its ``log n_j`` is
-        refreshed on each count change.
+
+        The weights are linear.  Slot s of variance v weighs
+        ``exp(log(alpha / m) - log(2 pi v) / 2 - (x_i - mu_s)**2 0.5 / v)``
+        at its own observation; all ``n * aux_m`` come from one numpy
+        expression, and only a singleton's own first slot is recomputed as
+        a scalar.  Each occupied cluster keeps ``(la_j, mu_j, h_j)`` with
+        ``h_j = 0.5 / v_j`` and the log-amplitude ``la_j = log n_j + nl_j``,
+        where ``nl_j = -log(2 pi v_j) / 2`` is kept too; ``la_j`` is
+        refreshed on each count change.  The cluster's weight is
+        ``exp(la_j - (x - mu_j)**2 h_j)``, with ``la_j`` inside the ``exp``
+        so that a tight cluster's weight does not underflow before its
+        amplitude scales it back.  A step sums its
+        weights with one ``math.fsum`` and picks with ``_pick_linear``;
+        below ``_WEIGHT_FLOOR`` it picks in log space instead, with the
+        same uniform.
         """
         cfg = self.cfg
         sigma2 = self.sigma2
         prior_var = (1.0 - self.a) * sigma2
         coef = self.a * (cfg.phi - 1.0) * sigma2
         m_aux = cfg.aux_m
-        log_counts = self.log_counts
-        log_aux_rate = math.log(self.alpha / m_aux)
+        exp, log, fsum, log_counts = math.exp, math.log, math.fsum, self.log_counts
+        log_aux_rate = log(self.alpha / m_aux)
         uniforms = self.rng.random(self.n).tolist()
-        slot_terms, slot_zetas = self._slot_draws(prior_var, coef)
+        slot_mus, slot_zetas = self._slot_draws(prior_var)
+        slot_vs = coef * slot_zetas
+        slot_logw = (
+            log_aux_rate
+            - 0.5 * np.log(_TWO_PI * slot_vs)
+            - (self._slot_xs - slot_mus) ** 2 * (0.5 / slot_vs)
+        )
+        slot_weights = np.exp(slot_logw).tolist()
+        slot_mus, slot_zetas = slot_mus.tolist(), slot_zetas.tolist()
 
         labels, counts, sums, sqs = self.labels, self.counts, self.sums, self.sqs
         mus, zetas = self.mus, self.zetas
-        terms = [(mu, math.log(_TWO_PI * v), v) for mu, v in zip(mus, self._comp_vars())]
-        log_ns = [log_counts[c] for c in counts]
-        columns = (counts, sums, sqs, mus, zetas, terms, log_ns)
+        vs = self._comp_vars()
+        nls = [-0.5 * log(_TWO_PI * v) for v in vs]
+        terms = [(log_counts[c] + nl, mu, 0.5 / v) for c, nl, mu, v in zip(counts, nls, mus, vs)]
+        columns = (counts, sums, sqs, mus, zetas, nls, terms)
         for i, xi in enumerate(self.xs):
             base = i * m_aux
+            slots = slot_weights[base : base + m_aux]
             j = labels[i]
             c = counts[j] - 1
+            _, mu, h = terms[j]
             if c:
                 counts[j] = c
                 sums[j] -= xi
                 sqs[j] -= xi * xi
-                log_ns[j] = log_counts[c]
+                terms[j] = log_counts[c] + nls[j], mu, h
+                own = None
             else:
                 # The singleton's own parameters replace its first slot's draw.
-                slot_terms[base] = terms[j]
-                slot_zetas[base] = zetas[j]
+                own = mu, zetas[j], h, nls[j]
+                own_logw = log_aux_rate + nls[j] - (xi - mu) ** 2 * h
+                slots[0] = exp(own_logw)
                 labels = _drop_cluster(j, columns, labels)
 
-            logw = [
-                ln - 0.5 * (lv + (xi - mu) ** 2 / v)
-                for ln, (mu, lv, v) in zip(log_ns, terms)
-            ]
-            logw += [
-                log_aux_rate - 0.5 * (lv + (xi - mu) ** 2 / v)
-                for mu, lv, v in slot_terms[base : base + m_aux]
-            ]
-            pick = _pick(logw, uniforms[i])
+            weights = [exp(la - (d := xi - mu) * d * h) for la, mu, h in terms]
+            weights += slots
+            total = fsum(weights)
+            if total < _WEIGHT_FLOOR:
+                logw = [la - (xi - mu) ** 2 * h for la, mu, h in terms]
+                slot_lw = slot_logw[base : base + m_aux].tolist()
+                if own:
+                    slot_lw[0] = own_logw
+                pick = _pick(logw + slot_lw, uniforms[i])
+            else:
+                pick = _pick_linear(weights, uniforms[i], total)
 
             k = len(counts)
             if pick >= k:
-                slot = base + pick - k
-                term = slot_terms[slot]
+                slot = pick - k
+                if slot == 0 and own:
+                    mu, zeta, h, nl = own
+                else:
+                    mu, zeta = slot_mus[base + slot], slot_zetas[base + slot]
+                    v = coef * zeta
+                    h, nl = 0.5 / v, -0.5 * log(_TWO_PI * v)
                 pick = k
                 counts.append(1)
                 sums.append(xi)
                 sqs.append(xi * xi)
-                mus.append(term[0])
-                zetas.append(slot_zetas[slot])
-                terms.append(term)
-                log_ns.append(log_counts[1])
+                mus.append(mu)
+                zetas.append(zeta)
+                nls.append(nl)
+                terms.append((nl, mu, h))  # log 1 = 0
             else:
                 c = counts[pick] = counts[pick] + 1
                 sums[pick] += xi
                 sqs[pick] += xi * xi
-                log_ns[pick] = log_counts[c]
+                _, mu, h = terms[pick]
+                terms[pick] = log_counts[c] + nls[pick], mu, h
             labels[i] = pick
         self.labels = labels
 

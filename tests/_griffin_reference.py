@@ -2,8 +2,9 @@
 
 These are the straightforward assignment steps that
 ``frsense.samplers.griffin`` replaced with faster ones: every cluster's
-weight rebuilt through ``_norm_logpdf`` for every observation, and
-observations moved by ``_remove_obs`` and ``_add_obs``.  There are three:
+weight rebuilt in log space through ``_norm_logpdf`` for every observation,
+picked by ``_pick``, and observations moved by ``_remove_obs`` and
+``_add_obs``.  There are three:
 
 * ``CcvReference`` draws one scalar uniform per observation-step, as the ccv
   kernel does (its block of uniforms is the same stream);
@@ -14,11 +15,14 @@ observations moved by ``_remove_obs`` and ``_add_obs``.  There are three:
   call, in the order of the steps.  No kernel makes these draws any more;
   it is the oracle for the law of the dcv chain.
 
-The fast kernels must make the same floating-point operations and the same
-random draws in the same order as ``CcvReference`` and
-``DcvBlockReference``, so ``reference_posterior`` and
-``ccv_posterior``/``dcv_posterior`` agree bit for bit.  ``DcvReference``
-and the dcv kernel must give the same law of the chain state, which the
+The fast kernels weigh in linear space.  They must make the same random
+draws in the same order as ``CcvReference`` and ``DcvBlockReference``, and
+the same state updates; each step's linear weights must be ``exp`` of the
+reference's log weights to rounding.  A pick could then differ only where
+a uniform lands within rounding of a cumulative-weight boundary, so on the
+tests' cases ``reference_posterior`` and ``ccv_posterior``/``dcv_posterior``
+agree bit for bit.  The kernels and the scalar-draw loops ``CcvReference``
+and ``DcvReference`` must give the same law of the chain state, which the
 tests check with two-sample Kolmogorov-Smirnov tests over many seeds.
 """
 

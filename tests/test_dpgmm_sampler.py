@@ -33,7 +33,7 @@ class TestPick:
         logw = [math.log(1.0), math.log(2.0), math.log(1.0)]
         uniforms = (0.0, 0.24, 0.26, 0.74, 0.76, np.nextafter(1.0, 0.0))
         assert [_pick(logw, u) for u in uniforms] == [0, 0, 1, 1, 2, 2]
-        assert [_pick_linear([1.0, 2.0, 1.0], u) for u in uniforms] == [0, 0, 1, 1, 2, 2]
+        assert [_pick_linear([1.0, 2.0, 1.0], u, 4.0) for u in uniforms] == [0, 0, 1, 1, 2, 2]
 
     def test_shift_invariant_in_log_weights(self):
         for u in np.linspace(0.0, 0.99, 12):

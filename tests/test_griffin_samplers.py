@@ -5,10 +5,12 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import _griffin_reference
-from _griffin_reference import DcvReference, reference_posterior
+from _griffin_reference import CcvReference, DcvBlockReference, DcvReference, reference_posterior
 from _law import assert_same_law
 from _oracles import griffin_steel_pdf
 
@@ -23,8 +25,11 @@ from frsense import (
 from frsense.errors import InvalidPhiError, InvalidSettingError
 from frsense.grid import default_grid
 from frsense.samplers import griffin, make_rng
+from frsense.samplers.common import _cluster_stats, _pick
 from frsense.samplers.griffin import (
     A_GRID_SIZE,
+    _WEIGHT_FLOOR,
+    _CcvChain,
     _DcvChain,
     _gauss_row,
     _laguerre_rule,
@@ -193,12 +198,11 @@ class TestDcvChain:
         data = Dataset.from_observations(np.linspace(0.0, 1.0, 20))
         for phi in (2.0, 6.0):
             chain = _DcvChain(data.rescaled, DcvConfig(phi=phi, aux_m=500), make_rng(505))
-            terms, zetas = chain._slot_draws(0.1, 0.5)
-            inv = 1.0 / np.array(zetas)
-            assert inv.size == 10_000
+            mus, zetas = chain._slot_draws(0.1)
+            inv = 1.0 / zetas
+            assert inv.size == mus.size == 10_000
             se = inv.std(ddof=1) / np.sqrt(inv.size)
             assert abs(inv.mean() - phi) < 3.0 * se
-            mus = np.array([term[0] for term in terms])
             assert abs(mus.mean() - chain.mu0) < 3.0 * math.sqrt(0.1 / mus.size)
 
     @pytest.mark.parametrize(
@@ -241,16 +245,16 @@ class TestDcvChain:
 _POSTERIORS = {"ccv": (ccv_posterior, CcvConfig), "dcv": (dcv_posterior, DcvConfig)}
 
 
-def _recording_pick(monkeypatch, module) -> list:
-    """Make ``module._pick`` record each step's log weights and uniform."""
+def _recording(monkeypatch, module, name: str) -> list:
+    """Make ``module.<name>`` (a pick) record each call's arguments."""
     calls = []
-    pick = module._pick
+    pick = getattr(module, name)
 
-    def recording(logw, u):
-        calls.append((list(logw), u))
-        return pick(logw, u)
+    def recording(*args):
+        calls.append(tuple(list(a) if isinstance(a, list) else a for a in args))
+        return pick(*args)
 
-    monkeypatch.setattr(module, "_pick", recording)
+    monkeypatch.setattr(module, name, recording)
     return calls
 
 
@@ -265,8 +269,9 @@ _CASES = {
 
 
 class TestKernelMatchesReference:
-    """The cached kernels reproduce the plain assignment loops bit for bit:
-    ccv its scalar-draw loop, dcv the loop with its block draws."""
+    """The cached linear-weight kernels follow the plain log-space loops:
+    ccv its scalar-draw loop, dcv the loop with its block draws.  The
+    weights agree to rounding and the chains bit for bit."""
 
     RUNS = [
         (model, case)
@@ -283,13 +288,19 @@ class TestKernelMatchesReference:
         posterior, config_cls = _POSTERIORS[model]
         config = config_cls(**kwargs)
         ctl = McmcControl(n_samples=n_samples, burn_in=burn_in, thin=thin, seed=seed)
-        # Every step's weights are compared exactly, so a reordered term
+        # Every step's weights are compared, so a wrong or misplaced term
         # fails here even when it changes no pick.
-        fast_steps = _recording_pick(monkeypatch, griffin)
+        fast_steps = _recording(monkeypatch, griffin, "_pick_linear")
+        fallbacks = _recording(monkeypatch, griffin, "_pick")
         fast = posterior(data, config, ctl)
-        ref_steps = _recording_pick(monkeypatch, _griffin_reference)
+        ref_steps = _recording(monkeypatch, _griffin_reference, "_pick")
         ref, chain = reference_posterior(model, data, config, ctl)
-        assert fast_steps == ref_steps
+        assert fallbacks == []
+        assert len(fast_steps) == len(ref_steps)
+        for (weights, u, total), (logw, ref_u) in zip(fast_steps, ref_steps):
+            assert u == ref_u
+            assert total == math.fsum(weights)
+            npt.assert_allclose(weights, np.exp(logw), rtol=1e-12, atol=0.0)
         assert np.array_equal(fast.densities, ref.densities)
         assert fast.trace.keys() == ref.trace.keys()
         for name in ref.trace:
@@ -314,19 +325,189 @@ def chain_states(chain_cls, data, config, seeds, n_sweeps: int) -> dict:
 
 
 class TestSameLawAsScalarDraws:
-    """The dcv kernel draws a sweep's auxiliary slots and uniforms as blocks;
-    its chain state must follow the law of the scalar-draw loop's."""
+    """Both kernels weigh in linear space, and the dcv kernel draws a
+    sweep's auxiliary slots and uniforms as blocks; their chain states must
+    follow the law of the log-space scalar-draw loops'."""
 
     STATS = ("n_clusters", "alpha", "a", "sigma2")
 
-    def test_two_sample_ks(self):
+    def _check(self, kernel, reference, config):
         # Both chains start from the same law (the shared constructor) and
         # run 10 sweeps; disjoint seeds keep the two samples independent.
         n_chains, n_sweeps = 200, 10
-        data, config = bimodal_dataset(n_per=15), DcvConfig()
-        fast = chain_states(_DcvChain, data, config, range(n_chains), n_sweeps)
-        ref = chain_states(DcvReference, data, config, range(n_chains, 2 * n_chains), n_sweeps)
+        data = bimodal_dataset(n_per=15)
+        fast = chain_states(kernel, data, config, range(n_chains), n_sweeps)
+        ref = chain_states(reference, data, config, range(n_chains, 2 * n_chains), n_sweeps)
         assert_same_law({k: fast[k] for k in self.STATS}, {k: ref[k] for k in self.STATS})
+
+    def test_two_sample_ks(self):
+        self._check(_DcvChain, DcvReference, DcvConfig())
+
+    def test_ccv_two_sample_ks(self):
+        self._check(_CcvChain, CcvReference, CcvConfig())
+
+
+class _StubRng:
+    """A generator whose ``random`` returns ``u``; optionally every slot
+    draw is a standard normal of 0 and a gamma of 1.  Other draws come from
+    ``rng``."""
+
+    def __init__(self, rng, u: float, fixed_slots: bool = False):
+        self.rng, self.u, self.fixed_slots = rng, u, fixed_slots
+
+    def random(self, size=None):
+        return self.u if size is None else np.full(size, self.u)
+
+    def standard_normal(self, size=None):
+        if self.fixed_slots:
+            return np.zeros(size)
+        return self.rng.standard_normal(size)
+
+    def gamma(self, shape, scale=1.0, size=None):
+        if self.fixed_slots:
+            return np.ones(size)
+        return self.rng.gamma(shape, scale, size)
+
+
+class TestAlphaUpdate:
+    @pytest.mark.parametrize(
+        "chain_cls, config", [(_CcvChain, CcvConfig()), (_DcvChain, DcvConfig())]
+    )
+    def test_zero_uniform_accepts_the_proposal(self, chain_cls, config):
+        # log(0.0) raised "math domain error"; u = 0 is below any ratio.
+        chain = chain_cls(bimodal_dataset(n_per=10).rescaled, config, make_rng(3))
+        alpha = chain.alpha
+        chain.rng = _StubRng(make_rng(4), 0.0)
+        chain._update_alpha()
+        assert (chain.accepted, chain.proposed) == (1, 1)
+        step = griffin.ALPHA_WALK_STEP * float(make_rng(4).standard_normal())
+        assert chain.alpha == alpha * math.exp(step)
+
+
+def _tight_state(chain_cls, xs, labels, mus, config):
+    """A chain over ``xs`` in a hand-set state: sigma^2 = 1e-6, a = 0.5,
+    mu0 = 0 and alpha = 1, every cluster and slot of variance about 1e-6."""
+    chain = chain_cls(np.array(xs), config, make_rng(0))
+    chain.tau, chain.a, chain.mu0, chain.alpha = 1e6, 0.5, 0.0, 1.0
+    chain.labels = list(labels)
+    chain.counts, chain.sums, chain.sqs = _cluster_stats(chain.xs, chain.labels)
+    chain.mus = list(mus)
+    if issubclass(chain_cls, _DcvChain):
+        chain.zetas = [1.0] * len(mus)
+    return chain
+
+
+class TestUnderflowFallback:
+    """A step whose linear weights all underflow picks in log space with
+    the same uniform, as the log-space reference loop does.
+
+    Observation 0 sits at 1.0 between two clusters whose means (ccv: the
+    predictive means) are 0.95 and 1.05, with variances near 1e-6: each
+    weight is about exp(-1250), below the smallest double.  The new cluster
+    and the auxiliary slots sit at mu0 = 0, farther still.  The two
+    clusters' log weights are equal, so the uniform decides the pick.  The
+    rest of the pass follows the reference too; for ccv its steps also
+    underflow, for dcv the clusters' means stay on the data and they do not.
+    """
+
+    UNIFORMS = (0.05, 0.3, 0.7, 0.95)
+
+    # ccv: a singleton at s has predictive mean a mu0 + (1 - a) s = s / 2.
+    CASES = {
+        "ccv": (_CcvChain, CcvReference, CcvConfig(), [1.0, 1.9, 2.1], [0.0] * 3),
+        "dcv": (_DcvChain, DcvBlockReference, DcvConfig(), [1.0, 0.95, 1.05], [3.0, 0.95, 1.05]),
+    }
+
+    @pytest.mark.parametrize("model", sorted(CASES))
+    def test_picks_in_log_space_with_the_step_uniform(self, model):
+        chain_cls, ref_cls, config, xs, mus = self.CASES[model]
+        firsts = set()
+        for u in self.UNIFORMS:
+            chain = _tight_state(chain_cls, xs, [0, 1, 2], mus, config)
+            ref = _tight_state(ref_cls, xs, [0, 1, 2], mus, config)
+            chain.rng = _StubRng(make_rng(1), u, fixed_slots=True)
+            ref.rng = _StubRng(make_rng(1), u, fixed_slots=True)
+            with pytest.MonkeyPatch.context() as mp:
+                linear = _recording(mp, griffin, "_pick_linear")
+                fallbacks = _recording(mp, griffin, "_pick")
+                ref_steps = _recording(mp, _griffin_reference, "_pick")
+                chain._assign()
+                ref._assign()
+
+            # The first step (for ccv, every step) fell back, with finite log
+            # weights equal to the reference's and the step's uniform.
+            assert len(linear) + len(fallbacks) == len(ref_steps) == len(xs)
+            assert len(fallbacks) == (3 if model == "ccv" else 1)
+            for logw, step_u in fallbacks:
+                assert step_u == u
+                assert np.all(np.isfinite(logw))
+                assert math.fsum(map(math.exp, logw)) < _WEIGHT_FLOOR
+            npt.assert_allclose(fallbacks[0][0], ref_steps[0][0], rtol=1e-12, atol=0.0)
+            for weights, _, _ in linear:
+                assert not np.any(np.isnan(weights))
+            assert chain.labels == ref.labels
+            assert chain.counts == ref.counts
+            assert chain.mus == ref.mus
+            first_logw = fallbacks[0][0]
+            assert first_logw[0] == pytest.approx(first_logw[1], rel=1e-9)
+            firsts.add(_pick(first_logw, u))
+        assert firsts == {0, 1}
+
+
+def _configs(cls, **extra):
+    """Settings of ``cls`` over 1e-8 to 1e8 (mu00 over [-3, 4]), the
+    rejected ones filtered out."""
+
+    def build(fields):
+        try:
+            return cls(**fields)
+        except InvalidSettingError:
+            return None
+
+    decades = st.integers(-8, 8).map(lambda e: 10.0**e)
+    names = ("a0", "a1", "eta", "gamma", "lambda0", "s0", "s1")
+    fields = {name: decades for name in names}
+    return (
+        st.fixed_dictionaries({**fields, "mu00": st.floats(-3.0, 4.0), **extra})
+        .map(build)
+        .filter(lambda config: config is not None)
+    )
+
+
+LINEAR_CONFIGS = st.one_of(
+    _configs(CcvConfig),
+    _configs(
+        DcvConfig,
+        phi=st.sampled_from([1.0 + 1e-6, 1.001, 1.5, 3.0, 50.0]),
+        aux_m=st.integers(1, 4),
+    ),
+)
+
+
+class TestLinearWeightsProperty:
+    """Over accepted settings and a few sweeps, every step weighs with
+    finite, nonnegative linear weights whose total reaches the floor, or
+    takes the log-space fallback.  Tight settings (large s0 / s1, small
+    ``a``, phi near 1) make about half the dcv examples and one ccv example
+    in ten take the fallback at least once."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(config=LINEAR_CONFIGS, seed=st.integers(0, 2**32 - 1))
+    def test_weights_finite_or_fallback(self, config, seed):
+        chain_cls = _DcvChain if isinstance(config, DcvConfig) else _CcvChain
+        chain = chain_cls(bimodal_dataset(n_per=8).rescaled, config, make_rng(seed))
+        n_sweeps = 3
+        with pytest.MonkeyPatch.context() as mp:
+            linear = _recording(mp, griffin, "_pick_linear")
+            fallbacks = _recording(mp, griffin, "_pick")
+            for _ in range(n_sweeps):
+                chain.sweep()
+        assert len(linear) + len(fallbacks) == n_sweeps * chain.n
+        for weights, _, total in linear:
+            assert all(math.isfinite(w) and w >= 0.0 for w in weights)
+            assert total >= _WEIGHT_FLOOR
+        for logw, _ in fallbacks:
+            assert all(math.isfinite(lw) for lw in logw)
 
 
 class TestLaguerreRule:
