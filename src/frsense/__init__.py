@@ -86,4 +86,4 @@ from .io import (  # noqa: F401
     write_sweep_csv,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.5.1"

@@ -151,12 +151,9 @@ def _cmd_sweep(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     write_sweep_csv(os.path.join(out_dir, "sweep.csv"), result)
     write_bands_csv(os.path.join(out_dir, "bands.csv"), result)
-    import scipy  # only for its version; the other commands never load it
-
     run_info = {
         "package_version": __version__,
         "numpy_version": np.__version__,
-        "scipy_version": scipy.__version__,
         "base_seed": result.base_seed,
         "n_workers": args.threads,
         "wall_clock_seconds": "%.3f" % result.wall_clock,

@@ -40,7 +40,16 @@ from dataclasses import dataclass
 from .errors import ConfigError
 from .grid import DEFAULT_N_POINTS, MIN_POINTS
 from .samplers import BetaBase, McmcControl, UniformBase
-from .sweep import _MODELS, MODEL_TAGS, SweepSpec, get_config_value, sweep_grid_presets
+from .sweep import (
+    _LADDERS,
+    _MODELS,
+    AGGREGATES,
+    MODEL_TAGS,
+    SweepSpec,
+    _band_marks,
+    _preset_values,
+    get_config_value,
+)
 
 __all__ = [
     "ExperimentConfig",
@@ -52,7 +61,6 @@ __all__ = [
 ]
 
 TRANSFORMS = ("none", "log")
-AGGREGATES = ("first", "mean")
 
 _KNOWN_SECTIONS = (
     "dataset",
@@ -127,75 +135,62 @@ class ExperimentConfig:
             )
 
 
+def _parse_bool(text: str) -> bool:
+    lowered = text.strip().lower()
+    if lowered in ("true", "yes", "on", "1"):
+        return True
+    if lowered in ("false", "no", "off", "0"):
+        return False
+    raise ValueError(text)
+
+
+def _parse_floats(text: str) -> tuple:
+    return tuple(float(p) for p in text.split(",") if p.strip())
+
+
+#: Parser and expected-value wording for each type a key can be read as.
+_PARSERS = {
+    bool: (_parse_bool, "a boolean (true/false)"),
+    int: (int, "an integer"),
+    float: (float, "a number"),
+    tuple: (_parse_floats, "a comma-separated list of numbers"),
+}
+
+_REQUIRED = object()
+
+
 class _Block:
     """One INI section with typed, consume-once key access."""
 
-    def __init__(self, name: str, raw: dict, unknown_code: str = "CONFIG_UNKNOWN_KEY"):
+    def __init__(self, sections: dict, name: str, unknown_code: str = "CONFIG_UNKNOWN_KEY"):
         self.name = name
-        self.raw = dict(raw)
+        self.raw = dict(sections.get(name, {}))
         self.unknown_code = unknown_code
 
-    def _take(self, key, default):
+    def take(self, key, kind=str, default=None, choices=None):
+        """Pop ``key`` and parse it as ``kind``; ``default`` if it is unset."""
         if key in self.raw:
-            return self.raw.pop(key)
-        if default is not _REQUIRED:
+            text = self.raw.pop(key)
+        elif default is _REQUIRED:
+            raise ConfigError(
+                "CONFIG_MISSING_KEY", f"[{self.name}] is missing required key {key!r}"
+            )
+        else:
             return default
-        raise ConfigError(
-            "CONFIG_MISSING_KEY", f"[{self.name}] is missing required key {key!r}"
-        )
+        if kind is str:
+            if choices is not None and text not in choices:
+                raise self._bad(key, text, "one of " + ", ".join(choices))
+            return text
+        parse, expected = _PARSERS[kind]
+        try:
+            return parse(text)
+        except ValueError:
+            raise self._bad(key, text, expected) from None
 
     def _bad(self, key, text, expected):
         return ConfigError(
-            "CONFIG_BAD_VALUE",
-            f"[{self.name}] {key} = {text!r}: expected {expected}",
+            "CONFIG_BAD_VALUE", f"[{self.name}] {key} = {text!r}: expected {expected}"
         )
-
-    def take_str(self, key, default=None, choices=None):
-        text = self._take(key, default)
-        if text is None:
-            return None
-        if choices is not None and text not in choices:
-            raise self._bad(key, text, "one of " + ", ".join(choices))
-        return text
-
-    def take_float(self, key, default=None):
-        text = self._take(key, default)
-        if not isinstance(text, str):
-            return text
-        try:
-            return float(text)
-        except ValueError:
-            raise self._bad(key, text, "a number") from None
-
-    def take_int(self, key, default=None):
-        text = self._take(key, default)
-        if not isinstance(text, str):
-            return text
-        try:
-            return int(text)
-        except ValueError:
-            raise self._bad(key, text, "an integer") from None
-
-    def take_bool(self, key, default=None):
-        text = self._take(key, default)
-        if not isinstance(text, str):
-            return text
-        lowered = text.strip().lower()
-        if lowered in ("true", "yes", "on", "1"):
-            return True
-        if lowered in ("false", "no", "off", "0"):
-            return False
-        raise self._bad(key, text, "a boolean (true/false)")
-
-    def take_float_list(self, key, default=None):
-        text = self._take(key, default)
-        if not isinstance(text, str):
-            return text
-        parts = [p for p in (s.strip() for s in text.split(",")) if p]
-        try:
-            return tuple(float(p) for p in parts)
-        except ValueError:
-            raise self._bad(key, text, "a comma-separated list of numbers") from None
 
     def finish(self):
         if self.raw:
@@ -205,7 +200,34 @@ class _Block:
             )
 
 
-_REQUIRED = object()
+def _take_fields(cls, block: _Block, skip=()) -> dict:
+    """Read the fields of ``cls`` that ``block`` sets, then reject its other keys.
+
+    Each is parsed by the type of its field's default, as float where that
+    is neither bool, int nor str (so dp's ``bandwidth = None`` reads a float).
+    """
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        if f.name in block.raw and f.name not in skip:
+            kind = type(f.default)
+            kwargs[f.name] = block.take(f.name, kind if kind in (bool, int, str) else float)
+    block.finish()
+    return kwargs
+
+
+def _build_section(cls, block: _Block, bad_code: str, **fixed):
+    """Build ``cls`` from the keys ``block`` sets and the ``fixed`` fields.
+
+    A ``ValueError`` from ``cls`` becomes ``ConfigError(bad_code)``; a
+    ``ConfigError`` it raises keeps its own code.
+    """
+    kwargs = _take_fields(cls, block, skip=fixed)
+    try:
+        return cls(**kwargs, **fixed)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(bad_code, str(exc)) from exc
 
 
 def _read_sections(path: str) -> dict:
@@ -233,13 +255,13 @@ def _read_sections(path: str) -> dict:
 def _build_g0(sections):
     if "model.baseline.g0" not in sections:
         return UniformBase()
-    block = _Block("model.baseline.g0", sections["model.baseline.g0"], "CONFIG_BAD_PARAM")
-    kind = block.take_str("kind", choices=("uniform", "beta"), default=_REQUIRED)
+    block = _Block(sections, "model.baseline.g0", "CONFIG_BAD_PARAM")
+    kind = block.take("kind", default=_REQUIRED, choices=("uniform", "beta"))
     if kind == "uniform":
         block.finish()
         return UniformBase()
-    a = block.take_float("a", default=_REQUIRED)
-    b = block.take_float("b", default=_REQUIRED)
+    a = block.take("a", float, _REQUIRED)
+    b = block.take("b", float, _REQUIRED)
     block.finish()
     try:
         return BetaBase(a, b)
@@ -249,34 +271,18 @@ def _build_g0(sections):
 
 def _build_baseline(kind: str, sections):
     cls = _MODELS[kind][0]
-    block = _Block(
-        "model.baseline", sections.get("model.baseline", {}), "CONFIG_BAD_PARAM"
-    )
-    kwargs = {}
-    for f in dataclasses.fields(cls):
-        if f.name == "g0":
-            continue
-        if f.name not in block.raw:
-            continue
-        # A field whose default is an integer stays one when read from text.
-        if isinstance(f.default, int):
-            kwargs[f.name] = block.take_int(f.name)
-        else:
-            kwargs[f.name] = block.take_float(f.name)
-    block.finish()
+    block = _Block(sections, "model.baseline", "CONFIG_BAD_PARAM")
+    # The baseline's own keys are read and checked before its base measure;
+    # that spends the block, so _build_section below only builds.
+    fields = _take_fields(cls, block, skip=("g0",))
     if kind == "dp":
-        kwargs["g0"] = _build_g0(sections)
+        fields["g0"] = _build_g0(sections)
     elif "model.baseline.g0" in sections:
         raise ConfigError(
             "CONFIG_BAD_PARAM",
             f"[model.baseline.g0] only applies to the dp model, not {kind!r}",
         )
-    try:
-        return cls(**kwargs)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError("CONFIG_BAD_VALUE", str(exc)) from exc
+    return _build_section(cls, block, "CONFIG_BAD_VALUE", **fields)
 
 
 def _resnap(values, baseline: float):
@@ -294,14 +300,14 @@ def _resnap(values, baseline: float):
 
 
 def _build_sweep(kind: str, baseline, sections) -> tuple:
-    block = _Block("sweep", sections["sweep"])
-    preset_name = block.take_str("preset")
-    parameter = block.take_str("parameter")
-    values = block.take_float_list("values")
-    replicates = block.take_int("replicates")
-    band_values = block.take_float_list("band_values")
-    d_components = block.take_int("d_components")
-    aggregate = block.take_str("aggregate", default="first", choices=AGGREGATES)
+    block = _Block(sections, "sweep")
+    preset_name = block.take("preset")
+    parameter = block.take("parameter")
+    values = block.take("values", tuple)
+    replicates = block.take("replicates", int)
+    band_values = block.take("band_values", tuple)
+    d_components = block.take("d_components", int)
+    aggregate = block.take("aggregate", default="first", choices=AGGREGATES)
     block.finish()
 
     if preset_name is not None and values is not None:
@@ -314,29 +320,20 @@ def _build_sweep(kind: str, baseline, sections) -> tuple:
                 "CONFIG_BAD_PRESET",
                 f"preset {preset_name!r} conflicts with parameter {parameter!r}",
             )
-        matches = [
-            t for t in sweep_grid_presets(kind) if t.parameter == preset_name
-        ]
-        if not matches:
-            names = ", ".join(t.parameter for t in sweep_grid_presets(kind))
+        ladders = _LADDERS[kind]
+        if preset_name not in ladders:
             raise ConfigError(
                 "CONFIG_BAD_PRESET",
-                f"model {kind!r} has no preset {preset_name!r} (available: {names})",
+                f"model {kind!r} has no preset {preset_name!r} "
+                f"(available: {', '.join(ladders)})",
             )
-        template = matches[0]
-        parameter = template.parameter
+        parameter = preset_name
         base_val = get_config_value(baseline, parameter)
-        values = template.values
+        values = _preset_values(kind, parameter)
         if base_val not in values:
             values = _resnap(values, base_val)
         if band_values is None:
-            band_values = tuple(
-                dict.fromkeys((values[0], base_val, values[-1]))
-            )
-        if replicates is None:
-            replicates = template.replicates
-        if d_components is None:
-            d_components = template.d_components
+            band_values = _band_marks(values, base_val)
     else:
         if values is None:
             raise ConfigError(
@@ -348,18 +345,10 @@ def _build_sweep(kind: str, baseline, sections) -> tuple:
                 "[sweep] needs a parameter name when values are given explicitly",
             )
 
-    spec_kwargs = dict(
-        model=kind,
-        baseline=baseline,
-        parameter=parameter,
-        values=values,
-    )
-    if replicates is not None:
-        spec_kwargs["replicates"] = replicates
-    if band_values is not None:
-        spec_kwargs["band_values"] = band_values
-    if d_components is not None:
-        spec_kwargs["d_components"] = d_components
+    # Keys left unset take SweepSpec's defaults.
+    given = dict(replicates=replicates, band_values=band_values, d_components=d_components)
+    spec_kwargs = {key: value for key, value in given.items() if value is not None}
+    spec_kwargs.update(model=kind, baseline=baseline, parameter=parameter, values=values)
     return spec_kwargs, aggregate
 
 
@@ -379,47 +368,6 @@ def apply_preset(config: ExperimentConfig, preset_name: str) -> ExperimentConfig
     return dataclasses.replace(config, spec=spec)
 
 
-def _build_mcmc(sections) -> McmcControl:
-    block = _Block("mcmc", sections.get("mcmc", {}))
-    defaults = McmcControl()
-    kwargs = dict(
-        n_samples=block.take_int("n_samples", defaults.n_samples),
-        burn_in=block.take_int("burn_in", defaults.burn_in),
-        thin=block.take_int("thin", defaults.thin),
-        seed=block.take_int("seed", defaults.seed),
-    )
-    block.finish()
-    try:
-        return McmcControl(**kwargs)
-    except ValueError as exc:
-        raise ConfigError("CONFIG_BAD_MCMC", str(exc)) from exc
-
-
-def _build_geometry(sections) -> GeometryOptions:
-    block = _Block("geometry", sections.get("geometry", {}))
-    defaults = GeometryOptions()
-    options = GeometryOptions(
-        n_points=block.take_int("n_points", defaults.n_points),
-        karcher_eps1=block.take_float("karcher_eps1", defaults.karcher_eps1),
-        karcher_step=block.take_float("karcher_step", defaults.karcher_step),
-        karcher_max_iter=block.take_int(
-            "karcher_max_iter", defaults.karcher_max_iter
-        ),
-    )
-    block.finish()
-    return options
-
-
-def _build_output(sections) -> OutputOptions:
-    block = _Block("output", sections.get("output", {}))
-    options = OutputOptions(
-        directory=block.take_str("directory", "results"),
-        densities=block.take_bool("densities", False),
-    )
-    block.finish()
-    return options
-
-
 def load_config(path: str) -> ExperimentConfig:
     """Parse and validate a config (or manifest) file.
 
@@ -429,9 +377,9 @@ def load_config(path: str) -> ExperimentConfig:
     """
     sections = _read_sections(path)
 
-    dataset = _Block("dataset", sections["dataset"])
-    data_path = dataset.take_str("path", default=_REQUIRED)
-    transform = dataset.take_str("transform", default="none", choices=TRANSFORMS)
+    dataset = _Block(sections, "dataset")
+    data_path = dataset.take("path", default=_REQUIRED)
+    transform = dataset.take("transform", default="none", choices=TRANSFORMS)
     dataset.finish()
     if not os.path.isabs(data_path):
         data_path = os.path.normpath(
@@ -440,15 +388,18 @@ def load_config(path: str) -> ExperimentConfig:
     if not os.path.isfile(data_path):
         raise ConfigError("CONFIG_BAD_PATH", f"dataset file not found: {data_path}")
 
-    model = _Block("model", sections["model"])
-    kind = model.take_str("kind", default=_REQUIRED, choices=MODEL_TAGS)
+    model = _Block(sections, "model")
+    kind = model.take("kind", default=_REQUIRED, choices=MODEL_TAGS)
     model.finish()
 
     baseline = _build_baseline(kind, sections)
     spec_kwargs, aggregate = _build_sweep(kind, baseline, sections)
-    spec = SweepSpec(mcmc=_build_mcmc(sections), **spec_kwargs)
-    geometry = _build_geometry(sections)
-    output = _build_output(sections)
+    mcmc = _build_section(McmcControl, _Block(sections, "mcmc"), "CONFIG_BAD_MCMC")
+    spec = SweepSpec(mcmc=mcmc, **spec_kwargs)
+    geometry = _build_section(
+        GeometryOptions, _Block(sections, "geometry"), "CONFIG_BAD_GEOMETRY"
+    )
+    output = _build_section(OutputOptions, _Block(sections, "output"), "CONFIG_BAD_VALUE")
     return ExperimentConfig(
         dataset_path=data_path,
         transform=transform,
@@ -467,6 +418,16 @@ def _scalar_text(value) -> str:
     return str(value)
 
 
+def _fields_text(obj) -> dict:
+    """Every set scalar field of a config dataclass as {name: text}."""
+    return {
+        f.name: _scalar_text(value)
+        for f in dataclasses.fields(obj)
+        if (value := getattr(obj, f.name)) is not None
+        and not dataclasses.is_dataclass(value)
+    }
+
+
 def dump_config(config: ExperimentConfig) -> dict:
     """Full config echo as {section: {key: text}}, every field explicit.
 
@@ -480,18 +441,12 @@ def dump_config(config: ExperimentConfig) -> dict:
             "transform": config.transform,
         },
         "model": {"kind": spec.model},
-        "model.baseline": {},
+        "model.baseline": _fields_text(spec.baseline),
     }
-    baseline = sections["model.baseline"]
-    for f in dataclasses.fields(spec.baseline):
-        value = getattr(spec.baseline, f.name)
-        if f.name == "g0":
-            g0 = {"kind": "uniform"}
-            if isinstance(value, BetaBase):
-                g0 = {"kind": "beta", "a": repr(value.a), "b": repr(value.b)}
-            sections["model.baseline.g0"] = g0
-        elif value is not None:
-            baseline[f.name] = _scalar_text(value)
+    g0 = getattr(spec.baseline, "g0", None)
+    if g0 is not None:
+        kind = "beta" if isinstance(g0, BetaBase) else "uniform"
+        sections["model.baseline.g0"] = {"kind": kind, **_fields_text(g0)}
     sections["sweep"] = {
         "parameter": spec.parameter,
         "values": ", ".join(repr(v) for v in spec.values),
@@ -500,20 +455,7 @@ def dump_config(config: ExperimentConfig) -> dict:
         "d_components": str(spec.d_components),
         "aggregate": config.aggregate,
     }
-    sections["mcmc"] = {
-        "n_samples": str(spec.mcmc.n_samples),
-        "burn_in": str(spec.mcmc.burn_in),
-        "thin": str(spec.mcmc.thin),
-        "seed": str(spec.mcmc.seed),
-    }
-    sections["geometry"] = {
-        "n_points": str(config.geometry.n_points),
-        "karcher_eps1": repr(config.geometry.karcher_eps1),
-        "karcher_step": repr(config.geometry.karcher_step),
-        "karcher_max_iter": str(config.geometry.karcher_max_iter),
-    }
-    sections["output"] = {
-        "directory": config.output.directory,
-        "densities": _scalar_text(config.output.densities),
-    }
+    sections["mcmc"] = _fields_text(spec.mcmc)
+    sections["geometry"] = _fields_text(config.geometry)
+    sections["output"] = _fields_text(config.output)
     return sections

@@ -261,9 +261,13 @@ class _ChainBase:
         return len(self.counts)
 
     def _within_ss(self, j: int) -> float:
-        """Sum of squared deviations of cluster j's members from mu_j."""
+        """Sum of squared deviations of cluster j's members from mu_j.
+
+        Clamped at zero: the expanded form can round below it, for a
+        singleton whose mean is within an ulp of its member.
+        """
         mu = self.mus[j]
-        return self.sqs[j] - 2.0 * mu * self.sums[j] + self.counts[j] * mu * mu
+        return max(self.sqs[j] - 2.0 * mu * self.sums[j] + self.counts[j] * mu * mu, 0.0)
 
     def _update_mu0(self):
         cfg = self.cfg

@@ -73,14 +73,22 @@ _MODELS = {
 
 MODEL_TAGS = tuple(sorted(_MODELS))
 
+#: How a sweep's per-replicate curves become its reported curve.
+AGGREGATES = ("first", "mean")
 
-def model_sampler(model: str):
-    """The posterior sampler callable registered for a model tag."""
+
+def _model_entry(model: str) -> tuple:
+    """The (config class, sampler) pair registered for a model tag."""
     if model not in _MODELS:
         raise UnknownModelError(
             f"unknown model tag {model!r}; expected one of " + ", ".join(MODEL_TAGS)
         )
-    return _MODELS[model][1]
+    return _MODELS[model]
+
+
+def model_sampler(model: str):
+    """The posterior sampler callable registered for a model tag."""
+    return _model_entry(model)[1]
 
 
 def _field_names(config) -> set:
@@ -157,12 +165,7 @@ class SweepSpec:
     d_components: int = DEFAULT_N_COMPONENTS
 
     def __post_init__(self):
-        if self.model not in _MODELS:
-            raise UnknownModelError(
-                f"unknown model tag {self.model!r}; expected one of "
-                + ", ".join(MODEL_TAGS)
-            )
-        cfg_cls = _MODELS[self.model][0]
+        cfg_cls = _model_entry(self.model)[0]
         if not isinstance(self.baseline, cfg_cls):
             raise ConfigError(
                 "CONFIG_BAD_MODEL",
@@ -352,8 +355,10 @@ def run_sweep(
     function of (data, spec, aggregate) and the geometry settings; the
     worker count never changes it.
     """
-    if aggregate not in ("first", "mean"):
-        raise ValueError(f"aggregate must be 'first' or 'mean', got {aggregate!r}")
+    if aggregate not in AGGREGATES:
+        raise ValueError(
+            f"aggregate must be one of {', '.join(AGGREGATES)}, got {aggregate!r}"
+        )
     if n_workers < 1:
         raise ValueError(f"n_workers must be >= 1, got {n_workers}")
     start = time.perf_counter()
@@ -430,30 +435,54 @@ def run_sweep(
     )
 
 
-def _geometric_grid(lo: float, hi: float, baseline: float) -> tuple:
-    grid = np.geomspace(lo, hi, GRID_POINTS)
-    snap = int(np.argmin(np.abs(np.log(grid) - math.log(baseline))))
-    grid[snap] = baseline
+#: Preset ladders: model -> parameter -> (spacing, lo, hi).  Scale-like
+#: positive parameters are spaced geometrically, location-like ones linearly.
+_LADDERS = {
+    "dp": {"alpha": ("geometric", 0.1, 15.0)},
+    "dpgmm": {
+        "alpha": ("geometric", 0.1, 15.0),
+        "m": ("linear", -8.0, 8.0),
+        "r": ("geometric", 1.0 / 18.0, 6.0),
+        "nu": ("linear", 1.0, 15.0),
+        "s": ("geometric", 0.1, 12.0),
+    },
+    "ccv": {
+        "a0": ("linear", 1.0, 20.0),
+        "a1": ("linear", 1.0, 20.0),
+        "eta": ("linear", 1.0, 20.0),
+        "gamma": ("geometric", 1.0, 20.0),
+    },
+    "dcv": {
+        "a0": ("linear", 1.0, 20.0),
+        "a1": ("linear", 1.0, 20.0),
+        "eta": ("linear", 1.0, 20.0),
+        "gamma": ("geometric", 1.0, 20.0),
+        "phi": ("geometric", 1.5, 20.0),
+    },
+}
+
+
+def _preset_values(model: str, parameter: str) -> tuple:
+    """A preset ladder with its point nearest the model's default snapped onto it.
+
+    Nearness is log distance on a geometric ladder, linear distance on a
+    linear one.
+    """
+    spacing, lo, hi = _LADDERS[model][parameter]
+    default = get_config_value(_MODELS[model][0](), parameter)
+    if spacing == "geometric":
+        grid = np.geomspace(lo, hi, GRID_POINTS)
+        distance = np.abs(np.log(grid) - math.log(default))
+    else:
+        grid = np.linspace(lo, hi, GRID_POINTS)
+        distance = np.abs(grid - default)
+    grid[int(np.argmin(distance))] = default
     return tuple(float(v) for v in grid)
 
 
-def _linear_grid(lo: float, hi: float, baseline: float) -> tuple:
-    grid = np.linspace(lo, hi, GRID_POINTS)
-    snap = int(np.argmin(np.abs(grid - baseline)))
-    grid[snap] = baseline
-    return tuple(float(v) for v in grid)
-
-
-def _preset(model, baseline, parameter, values) -> SweepSpec:
-    base_val = get_config_value(baseline, parameter)
-    marks = tuple(dict.fromkeys((values[0], base_val, values[-1])))
-    return SweepSpec(
-        model=model,
-        baseline=baseline,
-        parameter=parameter,
-        values=values,
-        band_values=marks,
-    )
+def _band_marks(values, baseline: float) -> tuple:
+    """Default band values: the ladder's ends and its baseline."""
+    return tuple(dict.fromkeys((values[0], baseline, values[-1])))
 
 
 def sweep_grid_presets(model: str) -> list:
@@ -463,39 +492,10 @@ def sweep_grid_presets(model: str) -> list:
     ones linear spacing.  Every ladder contains the baseline value
     exactly (the nearest grid point is snapped onto it).
     """
-    if model == "dp":
-        dp = DpConfig()
-        return [
-            _preset(
-                "dp", dp, "alpha", _geometric_grid(0.1, 15.0, dp.alpha)
-            ),
-        ]
-    if model == "dpgmm":
-        gm = DpgmmConfig()
-        return [
-            _preset("dpgmm", gm, "alpha", _geometric_grid(0.1, 15.0, gm.alpha)),
-            _preset("dpgmm", gm, "m", _linear_grid(-8.0, 8.0, gm.m)),
-            _preset("dpgmm", gm, "r", _geometric_grid(1.0 / 18.0, 6.0, gm.r)),
-            _preset("dpgmm", gm, "nu", _linear_grid(1.0, 15.0, gm.nu)),
-            _preset("dpgmm", gm, "s", _geometric_grid(0.1, 12.0, gm.s)),
-        ]
-    if model == "ccv":
-        cc = CcvConfig()
-        return [
-            _preset("ccv", cc, "a0", _linear_grid(1.0, 20.0, cc.a0)),
-            _preset("ccv", cc, "a1", _linear_grid(1.0, 20.0, cc.a1)),
-            _preset("ccv", cc, "eta", _linear_grid(1.0, 20.0, cc.eta)),
-            _preset("ccv", cc, "gamma", _geometric_grid(1.0, 20.0, cc.gamma)),
-        ]
-    if model == "dcv":
-        dc = DcvConfig()
-        return [
-            _preset("dcv", dc, "a0", _linear_grid(1.0, 20.0, dc.a0)),
-            _preset("dcv", dc, "a1", _linear_grid(1.0, 20.0, dc.a1)),
-            _preset("dcv", dc, "eta", _linear_grid(1.0, 20.0, dc.eta)),
-            _preset("dcv", dc, "gamma", _geometric_grid(1.0, 20.0, dc.gamma)),
-            _preset("dcv", dc, "phi", _geometric_grid(1.5, 20.0, dc.phi)),
-        ]
-    raise UnknownModelError(
-        f"unknown model tag {model!r}; expected one of " + ", ".join(MODEL_TAGS)
-    )
+    baseline = _model_entry(model)[0]()
+    specs = []
+    for parameter in _LADDERS[model]:
+        values = _preset_values(model, parameter)
+        marks = _band_marks(values, get_config_value(baseline, parameter))
+        specs.append(SweepSpec(model, baseline, parameter, values, band_values=marks))
+    return specs

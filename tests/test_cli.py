@@ -164,7 +164,7 @@ class TestSweepCommand:
         assert sorted(os.listdir("res")) == ["bands.csv", "manifest.ini", "sweep.csv"]
         lines = open("res/sweep.csv").read().splitlines()
         assert len(lines) == 4 and lines[0] == "param_value,D,V,E"
-        assert "scipy_version = " in open("res/manifest.ini").read()
+        assert "numpy_version = " in open("res/manifest.ini").read()
 
     def test_identical_invocations_are_byte_identical(self, workdir):
         assert invoke(["sweep", "--config", "exp.ini", "--out", "r1"])[0] == 0
@@ -480,10 +480,10 @@ class TestExitCodes:
         assert err.startswith("INTERNAL:")
 
 
-def test_cli_import_does_not_load_scipy_special():
+def test_cli_import_does_not_load_scipy_special(workdir):
     # scipy.special is slow to import, and nothing on the CLI or chain paths
-    # needs it: the dcv quadrature rule is built with numpy.  scipy itself is
-    # loaded by `sweep` alone, for the manifest's version line.
+    # needs it: the dcv quadrature rule is built with numpy.  scipy is a test
+    # dependency only, so a whole `sweep` must not load it either.
     src = os.path.dirname(os.path.dirname(frsense.__file__))
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     env = dict(os.environ, PYTHONPATH=path)
@@ -503,3 +503,14 @@ def test_cli_import_does_not_load_scipy_special():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "False"
+    code = (
+        "import sys, contextlib, io\n"
+        "from frsense.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = main(['sweep', '--config', 'exp.ini', '--out', 'res'])\n"
+        "print(rc, 'scipy' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "0 False"

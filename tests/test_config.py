@@ -403,3 +403,86 @@ n_points = 96
         path = write_config(tmp_path, MINIMAL + "\n[run]\nanything = goes\n")
         cfg = load_config(path)
         assert cfg.spec.model == "dp"
+
+
+G0_BETA = "\n[model.baseline.g0]\nkind = beta\na = {a}\nb = 2.0\n"
+
+
+@pytest.mark.parametrize(
+    "body, code",
+    [
+        (MINIMAL + "\n[mcmc]\ncolour = red\n", "CONFIG_UNKNOWN_KEY"),
+        (MINIMAL + "\n[geometry]\ncolour = red\n", "CONFIG_UNKNOWN_KEY"),
+        (MINIMAL + "\n[output]\ncolour = red\n", "CONFIG_UNKNOWN_KEY"),
+        (MINIMAL + "\n[mcmc]\nn_samples = 2.5\n", "CONFIG_BAD_VALUE"),
+        (MINIMAL + "\n[mcmc]\nn_samples = 3\n", "CONFIG_BAD_MCMC"),
+        (MINIMAL + "\n[geometry]\nkarcher_step = 0\n", "CONFIG_BAD_GEOMETRY"),
+        (MINIMAL + "\n[output]\ndensities = maybe\n", "CONFIG_BAD_VALUE"),
+        # A block's values are parsed before its unknown keys are reported.
+        (MINIMAL + "\n[mcmc]\nn_samples = x\ncolour = red\n", "CONFIG_BAD_VALUE"),
+        # The baseline's own keys are checked before its base measure is read.
+        (
+            MINIMAL.replace("alpha = 5.0", "alpha = 5.0\nomega = 3.0") + G0_BETA.format(a=-1.0),
+            "CONFIG_BAD_PARAM",
+        ),
+        (MINIMAL + G0_BETA.format(a=-1.0), "CONFIG_BAD_VALUE"),
+    ],
+    ids=[
+        "mcmc-unknown", "geometry-unknown", "output-unknown", "mcmc-not-int",
+        "mcmc-too-short", "geometry-step", "output-not-bool", "value-before-key",
+        "baseline-key-before-g0", "g0-bad-shape",
+    ],
+)
+def test_section_error_codes(tmp_path, body, code):
+    with pytest.raises(ConfigError) as exc:
+        load_config(write_config(tmp_path, body))
+    assert exc.value.code == code
+
+
+LAYOUT_BODIES = {
+    "dp": MINIMAL.replace("alpha = 5.0", "alpha = 5.0\nbandwidth = 0.1")
+    + G0_BETA.format(a=3.0),
+    "dpgmm": MINIMAL.replace("kind = dp", "kind = dpgmm").replace("alpha = 5.0", "alpha = 1.0")
+    .replace("1.0, 5.0, 10.0", "0.5, 1.0, 2.0"),
+    "ccv": MINIMAL.replace("kind = dp", "kind = ccv").replace("alpha = 5.0", "eta = 3.0")
+    .replace("parameter = alpha", "parameter = eta").replace("1.0, 5.0, 10.0", "2.0, 3.0, 4.0"),
+    "dcv": MINIMAL.replace("kind = dp", "kind = dcv").replace("alpha = 5.0", "phi = 2.0")
+    .replace("parameter = alpha", "parameter = phi").replace("1.0, 5.0, 10.0", "1.5, 2.0, 4.0"),
+}
+
+GRIFFIN_KEYS = ["a0", "a1", "eta", "gamma", "mu00", "lambda0", "s0", "s1"]
+BASELINE_KEYS = {
+    "dp": ["alpha", "truncation", "bandwidth"],
+    "dpgmm": ["alpha", "m", "r", "nu", "s"],
+    "ccv": GRIFFIN_KEYS,
+    "dcv": GRIFFIN_KEYS + ["phi", "aux_m"],
+}
+
+
+@pytest.mark.parametrize("model", sorted(LAYOUT_BODIES))
+def test_manifest_layout_is_fixed(tmp_path, model):
+    # Reloading ignores order, so the round-trip tests cannot see a
+    # reordered manifest; this pins the sections and keys as written.
+    cfg = load_config(write_config(tmp_path, LAYOUT_BODIES[model]))
+    expected = [
+        ("dataset", ["path", "transform"]),
+        ("model", ["kind"]),
+        ("model.baseline", BASELINE_KEYS[model]),
+    ]
+    if model == "dp":
+        expected.append(("model.baseline.g0", ["kind", "a", "b"]))
+    expected += [
+        (
+            "sweep",
+            ["parameter", "values", "replicates", "band_values", "d_components", "aggregate"],
+        ),
+        ("mcmc", ["n_samples", "burn_in", "thin", "seed"]),
+        ("geometry", ["n_points", "karcher_eps1", "karcher_step", "karcher_max_iter"]),
+        ("output", ["directory", "densities"]),
+    ]
+    sections = dump_config(cfg)
+    assert [(name, list(keys)) for name, keys in sections.items()] == expected
+    manifest = tmp_path / "manifest.ini"
+    write_manifest(str(manifest), cfg, {"base_seed": 0})
+    headers = [line[1:-1] for line in manifest.read_text().splitlines() if line.startswith("[")]
+    assert headers == [name for name, _ in expected] + ["run"]

@@ -219,6 +219,20 @@ class TestDcvChain:
         if len(zetas) == 1:
             assert got == 0.0
 
+    def test_zeta_update_survives_rounding_below_zero(self):
+        # A singleton whose mean is one ulp below its member: the expanded
+        # sum of squares rounds to -5.6e-17, which a huge tau turns into a
+        # negative gamma scale unless the sum is clamped at zero.
+        data = Dataset.from_observations(np.linspace(0.0, 1.0, 20))
+        chain = _DcvChain(data.rescaled, DcvConfig(), make_rng(3))
+        x = 0.7
+        chain.counts, chain.sums, chain.sqs = [1], [x], [x * x]
+        chain.mus, chain.zetas = [math.nextafter(x, 0.0)], [1.0]
+        chain.tau = 1e300
+        chain._update_zetas()
+        assert math.isfinite(chain.zetas[0]) and chain.zetas[0] > 0.0
+        assert chain._within_ss(0) == 0.0
+
     def test_component_variances_homogenize_as_phi_grows(self):
         # large phi concentrates zeta near its mean, so the within-state
         # spread of component variances must shrink from phi=2 to phi=20
