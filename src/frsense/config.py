@@ -38,6 +38,7 @@ import os
 from dataclasses import dataclass
 
 from .errors import ConfigError
+from .geometry import KARCHER_EPS1, KARCHER_MAX_ITER, KARCHER_STEP
 from .grid import DEFAULT_N_POINTS, MIN_POINTS
 from .samplers import BetaBase, McmcControl, UniformBase
 from .sweep import (
@@ -80,9 +81,9 @@ class GeometryOptions:
     """Grid resolution and Karcher-mean iteration controls."""
 
     n_points: int = DEFAULT_N_POINTS
-    karcher_eps1: float = 1e-6
-    karcher_step: float = 0.5
-    karcher_max_iter: int = 200
+    karcher_eps1: float = KARCHER_EPS1
+    karcher_step: float = KARCHER_STEP
+    karcher_max_iter: int = KARCHER_MAX_ITER
 
     def __post_init__(self):
         if self.n_points < MIN_POINTS:

@@ -99,10 +99,11 @@ class InsufficientValuesError(FrsenseError, ValueError):
 
 
 class ConfigError(FrsenseError, ValueError):
-    """Experiment configuration failed validation.
+    """Experiment configuration, or the data it names, failed validation.
 
     ``code`` is a stable machine-readable identifier (for example
-    ``CONFIG_BAD_PARAM``) surfaced by the command line interface.
+    ``CONFIG_BAD_PARAM``, or ``DATA_NONFINITE`` for observations outside
+    double precision) surfaced by the command line interface.
     """
 
     def __init__(self, code: str, message: str):

@@ -68,6 +68,12 @@ SMALL_ANGLE = 1e-12
 #: Log maps are refused within this margin of the orthant boundary at pi/2.
 BOUNDARY_MARGIN = 1e-9
 
+#: Karcher iteration defaults of every entry point: the gradient-norm
+#: tolerance, the step size and the iteration cap.
+KARCHER_EPS1 = 1e-6
+KARCHER_STEP = 0.5
+KARCHER_MAX_ITER = 200
+
 
 def _as_srd(obj) -> Srd:
     if isinstance(obj, Srd):
@@ -249,7 +255,12 @@ class _KarcherFit:
             )
 
 
-def _karcher_fit(samples, eps1: float = 1e-6, eps2: float = 0.5, max_iter: int = 200) -> _KarcherFit:
+def _karcher_fit(
+    samples,
+    eps1: float = KARCHER_EPS1,
+    eps2: float = KARCHER_STEP,
+    max_iter: int = KARCHER_MAX_ITER,
+) -> _KarcherFit:
     """The Karcher iteration of ``karcher_mean``, keeping its last tangents."""
     grid, psi = _srd_matrix(samples)
     vals = psi.mean(axis=0)
@@ -279,9 +290,9 @@ def _karcher_fit(samples, eps1: float = 1e-6, eps2: float = 0.5, max_iter: int =
 
 def karcher_mean(
     samples,
-    eps1: float = 1e-6,
-    eps2: float = 0.5,
-    max_iter: int = 200,
+    eps1: float = KARCHER_EPS1,
+    eps2: float = KARCHER_STEP,
+    max_iter: int = KARCHER_MAX_ITER,
     full_output: bool = False,
 ):
     """Intrinsic (Karcher) mean of a sample of densities or SRDs.
@@ -386,9 +397,9 @@ class TpcaResult:
 
 def tangent_pca(
     samples,
-    eps1: float = 1e-6,
-    eps2: float = 0.5,
-    max_iter: int = 200,
+    eps1: float = KARCHER_EPS1,
+    eps2: float = KARCHER_STEP,
+    max_iter: int = KARCHER_MAX_ITER,
 ) -> TpcaResult:
     """Principal modes of variation of a sample of SRDs.
 

@@ -8,6 +8,7 @@ byte-identical files.
 from __future__ import annotations
 
 import configparser
+import math
 import warnings
 
 import numpy as np
@@ -60,9 +61,12 @@ def load_dataset(path: str, transform: str = "none") -> Dataset:
             if not text or text.startswith("#"):
                 continue
             try:
-                values.append(float(text))
+                value = float(text)
             except ValueError:
                 raise ParseError(f"not a number: {text!r}", lineno) from None
+            if not math.isfinite(value):
+                raise ParseError(f"not a finite number: {text!r}", lineno)
+            values.append(value)
     observations = np.asarray(values, dtype=float)
     if transform == "log":
         if observations.size and observations.min() <= 0.0:

@@ -31,7 +31,15 @@ from .errors import (
     InsufficientSamplesError,
     InsufficientValuesError,
 )
-from .geometry import KarcherInfo, _karcher_fit, _tangent_spectrum, fr_distance
+from .geometry import (
+    KARCHER_EPS1,
+    KARCHER_MAX_ITER,
+    KARCHER_STEP,
+    KarcherInfo,
+    _karcher_fit,
+    _tangent_spectrum,
+    fr_distance,
+)
 from .grid import Srd, _ReadOnlyArrays
 
 __all__ = [
@@ -170,9 +178,9 @@ def summarize_sample(
     sample,
     d: int = DEFAULT_N_COMPONENTS,
     *,
-    eps1: float = 1e-6,
-    eps2: float = 0.5,
-    max_iter: int = 200,
+    eps1: float = KARCHER_EPS1,
+    eps2: float = KARCHER_STEP,
+    max_iter: int = KARCHER_MAX_ITER,
 ) -> SampleSummary:
     """One Karcher pass over a sample, reduced to a SampleSummary.
 

@@ -1,4 +1,14 @@
-"""Shared sampler infrastructure: data container, chain controls, outputs."""
+"""Shared sampler infrastructure: data container, chain controls, outputs.
+
+The Gibbs samplers (dpgmm, ccv, dcv) are chains run by ``_run_chain``, the
+one burn-in/thin keep loop and the one place their ``PosteriorSample`` is
+built.  A chain has ``sweep()``, one full update drawing from the generator
+it was built with; ``emit_row(grid)``, the state's predictive density on
+the grid, unnormalized; ``TRACE_NAMES`` and ``trace_row()``, the names and
+current values of its monitored scalars; and ``diagnostics()``, a dict of
+whole-run scalars read once at the end.  ``_drop_cluster`` is the chains'
+one swap-with-last cluster delete.
+"""
 
 from __future__ import annotations
 
@@ -8,8 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
-from ..errors import EmptyDatasetError, InvalidSettingError
-from ..grid import DensityMatrix, Grid, _ReadOnlyArrays
+from ..errors import ConfigError, EmptyDatasetError, InvalidSettingError
+from ..grid import DensityMatrix, Grid, _ReadOnlyArrays, default_grid, normalize_rows
 
 __all__ = [
     "Dataset",
@@ -46,9 +56,16 @@ class Dataset(_ReadOnlyArrays):
         obs.flags.writeable = False
         object.__setattr__(self, "observations", obs)
         if not np.isfinite(obs).all():
-            raise ValueError("observations must be finite")
+            raise ConfigError("DATA_NONFINITE", "observations must be finite")
         if self.scale <= 0.0:
             raise ValueError(f"scale must be positive, got {self.scale}")
+        finite = math.isfinite(self.shift) and math.isfinite(self.scale)
+        if not (finite and np.isfinite(self.rescaled).all()):
+            raise ConfigError(
+                "DATA_NONFINITE",
+                f"shift={self.shift!r}, scale={self.scale!r}: the rescaled "
+                "observations do not fit in double precision",
+            )
         r = self.rescaled
         if r.min() < MARGIN - 1e-9 or r.max() > 1.0 - MARGIN + 1e-9:
             raise ValueError("rescaled observations leave the margin envelope")
@@ -78,7 +95,8 @@ class Dataset(_ReadOnlyArrays):
 
     @cached_property
     def rescaled(self) -> np.ndarray:
-        r = (self.observations - self.shift) / self.scale
+        with np.errstate(over="ignore"):  # __post_init__ rejects an overflow
+            r = (self.observations - self.shift) / self.scale
         r.flags.writeable = False
         return r
 
@@ -115,7 +133,8 @@ class McmcControl:
 
     @property
     def n_sweeps(self) -> int:
-        return self.burn_in + self.n_samples * self.thin
+        """Sweeps a chain runs: through the last retained one."""
+        return self.burn_in + (self.n_samples - 1) * self.thin + 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,6 +249,43 @@ def _cluster_stats(x, labels) -> tuple:
         sums[li] += xi
         sqs[li] += xi * xi
     return counts, sums, sqs
+
+
+def _drop_cluster(j: int, columns, labels: list) -> list:
+    """Delete cluster j from each per-cluster list by moving the last
+    cluster into its slot; return the labels with that move applied."""
+    last = len(columns[0]) - 1
+    if j != last:
+        for values in columns:
+            values[j] = values[last]
+        labels = [j if li == last else li for li in labels]
+    for values in columns:
+        del values[-1]
+    return labels
+
+
+def _run_chain(chain, model: str, ctl: McmcControl, grid: Grid | None, cfg) -> PosteriorSample:
+    """Run ``chain`` for ``ctl.n_sweeps`` sweeps and keep every ``thin``-th
+    state after ``burn_in``; ``grid=None`` means the default grid."""
+    grid = grid or default_grid()
+    names = chain.TRACE_NAMES
+    rows = np.empty((ctl.n_samples, grid.n_points))
+    trace = np.empty((ctl.n_samples, len(names)))
+    for sweep in range(ctl.n_sweeps):
+        chain.sweep()
+        kept, off = divmod(sweep - ctl.burn_in, ctl.thin)
+        if kept >= 0 and off == 0:
+            rows[kept] = chain.emit_row(grid)
+            trace[kept] = chain.trace_row()
+    return PosteriorSample(
+        model=model,
+        grid=grid,
+        densities=normalize_rows(grid, rows),
+        seed=ctl.seed,
+        config=cfg,
+        trace={name: trace[:, idx].copy() for idx, name in enumerate(names)},
+        diagnostics=chain.diagnostics(),
+    )
 
 
 def silverman_bandwidth(values: np.ndarray, grid: Grid) -> float:

@@ -21,13 +21,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InvalidSettingError
-from ..grid import Grid, default_grid, normalize_rows
+from ..grid import Grid
 from .common import (
     Dataset,
     McmcControl,
     PosteriorSample,
     _cluster_stats,
+    _drop_cluster,
     _pick_linear,
+    _run_chain,
     check_settings,
     make_rng,
     sample_crp_partition,
@@ -195,15 +197,9 @@ def _cluster_terms(cfg: DpgmmConfig, n: int):
     return terms
 
 
-def _gibbs_chain(
-    x: np.ndarray,
-    labels: np.ndarray,
-    cfg: DpgmmConfig,
-    ctl: McmcControl,
-    grid: Grid,
-    rng: np.random.Generator,
-) -> tuple:
-    """Run the chain from ``labels``; return the retained rows and cluster counts.
+class _DpgmmChain:
+    """Collapsed Gibbs chain over the labels, started from a restaurant-process
+    prior draw; one sweep is one full reassignment pass.
 
     Each step weighs the occupied clusters and a new one in linear space, in
     one pass, and picks by ``_pick_linear``.  Each occupied cluster keeps
@@ -215,20 +211,25 @@ def _gibbs_chain(
     which numpy draws exactly as the same number of scalar ``rng.random()``
     calls.
     """
-    n = x.size
-    xs = x.tolist()
-    labels = labels.tolist()
-    counts, sums, sqs = _cluster_stats(xs, labels)
-    terms_of = _cluster_terms(cfg, n)
-    terms = [terms_of(*stats) for stats in zip(counts, sums, sqs)]
-    new_cluster = [math.exp(lw) for lw in _new_cluster_log_weights(cfg, xs)]
-    fsum = math.fsum
 
-    rows = np.empty((ctl.n_samples, grid.n_points))
-    k_trace = np.empty(ctl.n_samples)
-    kept = 0
-    for sweep in range(ctl.n_sweeps):
-        uniforms = rng.random(n).tolist()
+    TRACE_NAMES = ("n_clusters",)
+
+    def __init__(self, x: np.ndarray, cfg: DpgmmConfig, rng: np.random.Generator):
+        self.cfg = cfg
+        self.rng = rng
+        self.xs = x.tolist()
+        self.labels = sample_crp_partition(cfg.alpha, x.size, rng).tolist()
+        self.counts, self.sums, self.sqs = _cluster_stats(self.xs, self.labels)
+        self.terms_of = _cluster_terms(cfg, x.size)
+        self.terms = [self.terms_of(*stats) for stats in zip(self.counts, self.sums, self.sqs)]
+        self.new_cluster = [math.exp(lw) for lw in _new_cluster_log_weights(cfg, self.xs)]
+
+    def sweep(self):
+        xs, labels, terms_of, new_cluster = self.xs, self.labels, self.terms_of, self.new_cluster
+        columns = counts, sums, sqs, terms = self.counts, self.sums, self.sqs, self.terms
+        fsum = math.fsum
+        n = len(xs)
+        uniforms = self.rng.random(n).tolist()
         for i in range(n):
             xi = xs[i]
             j = labels[i]
@@ -240,12 +241,7 @@ def _gibbs_chain(
                 sq = sqs[j] = sq_left - xi * xi
                 terms[j] = terms_of(c, s, sq)
             else:
-                last = len(counts) - 1
-                if j != last:
-                    counts[j], sums[j], sqs[j] = counts[last], sums[last], sqs[last]
-                    terms[j] = terms[last]
-                    labels = [j if li == last else li for li in labels]
-                del counts[-1], sums[-1], sqs[-1], terms[-1]
+                labels = _drop_cluster(j, columns, labels)
                 j = -1
 
             weights = [(b * (1.0 + (xi - lo) ** 2 / de)) ** pw for b, pw, lo, de in terms]
@@ -268,14 +264,16 @@ def _gibbs_chain(
                     terms[pick] = terms_left
                 else:
                     terms[pick] = terms_of(c, s, sq)
+        self.labels = labels
 
-        if sweep >= ctl.burn_in and (sweep - ctl.burn_in) % ctl.thin == 0:
-            rows[kept] = _emit_row(cfg, grid, counts, sums, sqs)
-            k_trace[kept] = len(counts)
-            kept += 1
-            if kept == ctl.n_samples:
-                break
-    return rows, k_trace
+    def emit_row(self, grid: Grid) -> np.ndarray:
+        return _emit_row(self.cfg, grid, self.counts, self.sums, self.sqs)
+
+    def trace_row(self) -> tuple:
+        return (len(self.counts),)
+
+    def diagnostics(self) -> dict:
+        return {}
 
 
 def dpgmm_posterior(
@@ -284,21 +282,6 @@ def dpgmm_posterior(
     ctl: McmcControl,
     grid: Grid | None = None,
 ) -> PosteriorSample:
-    """Collapsed Gibbs run emitting one predictive density per retained state.
-
-    The chain starts from a restaurant-process prior draw of the labels and
-    performs one full reassignment pass per sweep.
-    """
-    grid = grid or default_grid()
-    rng = make_rng(ctl.seed)
-    x = data.rescaled
-    labels = sample_crp_partition(config.alpha, data.n, rng)
-    rows, k_trace = _gibbs_chain(x, labels, config, ctl, grid, rng)
-    return PosteriorSample(
-        model="dpgmm",
-        grid=grid,
-        densities=normalize_rows(grid, rows),
-        seed=ctl.seed,
-        config=config,
-        trace={"n_clusters": k_trace},
-    )
+    """Collapsed Gibbs run emitting one predictive density per retained state."""
+    chain = _DpgmmChain(data.rescaled, config, make_rng(ctl.seed))
+    return _run_chain(chain, "dpgmm", ctl, grid, config)

@@ -41,14 +41,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InvalidPhiError, InvalidSettingError
-from ..grid import Grid, default_grid, normalize_rows
+from ..grid import Grid
 from .common import (
     Dataset,
     McmcControl,
     PosteriorSample,
     _cluster_stats,
+    _drop_cluster,
     _pick,
     _pick_linear,
+    _run_chain,
     check_settings,
     make_rng,
     sample_crp_partition,
@@ -212,19 +214,6 @@ def _gauss_row(x: np.ndarray, mean: float, var) -> np.ndarray:
     return np.exp(-0.5 * (x - mean) ** 2 / var) / np.sqrt(_TWO_PI * var)
 
 
-def _drop_cluster(j: int, columns, labels: list) -> list:
-    """Delete cluster j from each per-cluster list by moving the last
-    cluster into its slot; return the labels with that move applied."""
-    last = len(columns[0]) - 1
-    if j != last:
-        for values in columns:
-            values[j] = values[last]
-        labels = [j if li == last else li for li in labels]
-    for values in columns:
-        del values[-1]
-    return labels
-
-
 class _ChainBase:
     """State and updates shared by both model variants.
 
@@ -340,6 +329,9 @@ class _ChainBase:
     def trace_row(self) -> tuple:
         dev = max(abs(mu - self.mu0) for mu in self.mus)
         return (self.n_clusters, self.alpha, self.a, self.sigma2, self.mu0, dev)
+
+    def diagnostics(self) -> dict:
+        return {"alpha_acceptance": self.accepted / max(self.proposed, 1)}
 
 
 class _CcvChain(_ChainBase):
@@ -479,10 +471,12 @@ class _DcvChain(_ChainBase):
         slots (``_slot_draws``); mu0, sigma^2 and ``a`` do not change during
         the pass.  Observation i owns slots ``i * aux_m`` to
         ``i * aux_m + aux_m - 1``.  When it was a singleton, its own
-        parameters replace the first slot's draw, so only the last
-        ``aux_m - 1`` are fresh.  Each slot is still an independent draw
-        from the base measure, so the transition kernel is the one of the
-        scalar draws (``tests/_griffin_reference.py`` keeps both loops).
+        parameters are written over the first slot's draw (mean, zeta, log
+        weight and weight), so only the last ``aux_m - 1`` are fresh and a
+        new cluster always opens from the slot lists.  Each slot is still
+        an independent draw from the base measure, so the transition kernel
+        is the one of the scalar draws (``tests/_griffin_reference.py``
+        keeps both loops).
 
         The weights are linear.  Slot s of variance v weighs
         ``exp(log(alpha / m) - log(2 pi v) / 2 - (x_i - mu_s)**2 0.5 / v)``
@@ -525,7 +519,6 @@ class _DcvChain(_ChainBase):
         columns = (counts, sums, sqs, mus, zetas, nls, terms)
         for i, xi in enumerate(self.xs):
             base = i * m_aux
-            slots = slot_weights[base : base + m_aux]
             j = labels[i]
             c = counts[j] - 1
             _, mu, h = terms[j]
@@ -534,35 +527,29 @@ class _DcvChain(_ChainBase):
                 sums[j] -= xi
                 sqs[j] -= xi * xi
                 terms[j] = log_counts[c] + nls[j], mu, h
-                own = None
             else:
                 # The singleton's own parameters replace its first slot's draw.
-                own = mu, zetas[j], h, nls[j]
                 own_logw = log_aux_rate + nls[j] - (xi - mu) ** 2 * h
-                slots[0] = exp(own_logw)
+                slot_mus[base], slot_zetas[base] = mu, zetas[j]
+                slot_logw[base] = own_logw
+                slot_weights[base] = exp(own_logw)
                 labels = _drop_cluster(j, columns, labels)
 
             weights = [exp(la - (d := xi - mu) * d * h) for la, mu, h in terms]
-            weights += slots
+            weights += slot_weights[base : base + m_aux]
             total = fsum(weights)
             if total < _WEIGHT_FLOOR:
                 logw = [la - (xi - mu) ** 2 * h for la, mu, h in terms]
-                slot_lw = slot_logw[base : base + m_aux].tolist()
-                if own:
-                    slot_lw[0] = own_logw
-                pick = _pick(logw + slot_lw, uniforms[i])
+                pick = _pick(logw + slot_logw[base : base + m_aux].tolist(), uniforms[i])
             else:
                 pick = _pick_linear(weights, uniforms[i], total)
 
             k = len(counts)
             if pick >= k:
-                slot = pick - k
-                if slot == 0 and own:
-                    mu, zeta, h, nl = own
-                else:
-                    mu, zeta = slot_mus[base + slot], slot_zetas[base + slot]
-                    v = coef * zeta
-                    h, nl = 0.5 / v, -0.5 * log(_TWO_PI * v)
+                # coef * zeta gives a singleton's own variance back exactly.
+                mu, zeta = slot_mus[base + pick - k], slot_zetas[base + pick - k]
+                v = coef * zeta
+                h, nl = 0.5 / v, -0.5 * log(_TWO_PI * v)
                 pick = k
                 counts.append(1)
                 sums.append(xi)
@@ -614,32 +601,6 @@ class _DcvChain(_ChainBase):
         return self._quad_weights @ _gauss_row(grid.x, self.mu0, variances[:, None])
 
 
-def _run_chain(chain, model: str, ctl: McmcControl, grid: Grid, cfg) -> PosteriorSample:
-    names = chain.TRACE_NAMES
-    rows = np.empty((ctl.n_samples, grid.n_points))
-    trace = np.empty((ctl.n_samples, len(names)))
-    kept = 0
-    for sweep in range(ctl.n_sweeps):
-        chain.sweep()
-        if sweep >= ctl.burn_in and (sweep - ctl.burn_in) % ctl.thin == 0:
-            rows[kept] = chain.emit_row(grid)
-            trace[kept] = chain.trace_row()
-            kept += 1
-            if kept == ctl.n_samples:
-                break
-    return PosteriorSample(
-        model=model,
-        grid=grid,
-        densities=normalize_rows(grid, rows),
-        seed=ctl.seed,
-        config=cfg,
-        trace={name: trace[:, idx].copy() for idx, name in enumerate(names)},
-        diagnostics={
-            "alpha_acceptance": chain.accepted / max(chain.proposed, 1),
-        },
-    )
-
-
 def ccv_posterior(
     data: Dataset,
     config: CcvConfig,
@@ -647,9 +608,7 @@ def ccv_posterior(
     grid: Grid | None = None,
 ) -> PosteriorSample:
     """Gibbs sampler for the common-component-variance mixture."""
-    grid = grid or default_grid()
-    rng = make_rng(ctl.seed)
-    chain = _CcvChain(data.rescaled, config, rng)
+    chain = _CcvChain(data.rescaled, config, make_rng(ctl.seed))
     return _run_chain(chain, "ccv", ctl, grid, config)
 
 
@@ -660,7 +619,5 @@ def dcv_posterior(
     grid: Grid | None = None,
 ) -> PosteriorSample:
     """Auxiliary-slot Gibbs sampler for the distinct-component-variance mixture."""
-    grid = grid or default_grid()
-    rng = make_rng(ctl.seed)
-    chain = _DcvChain(data.rescaled, config, rng)
+    chain = _DcvChain(data.rescaled, config, make_rng(ctl.seed))
     return _run_chain(chain, "dcv", ctl, grid, config)

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, UnknownModelError, UnknownParameterError
+from .geometry import KARCHER_EPS1, KARCHER_MAX_ITER, KARCHER_STEP
 from .measures import (
     DEFAULT_N_COMPONENTS,
     MeasureTriple,
@@ -339,9 +340,9 @@ def run_sweep(
     aggregate: str = "first",
     n_workers: int = 1,
     grid=None,
-    karcher_eps1: float = 1e-6,
-    karcher_step: float = 0.5,
-    karcher_max_iter: int = 200,
+    karcher_eps1: float = KARCHER_EPS1,
+    karcher_step: float = KARCHER_STEP,
+    karcher_max_iter: int = KARCHER_MAX_ITER,
 ) -> SweepResult:
     """Run all (value, replicate) tasks and assemble curves and bands.
 

@@ -31,8 +31,8 @@ from __future__ import annotations
 import math
 
 from frsense.grid import default_grid
-from frsense.samplers.common import _pick, make_rng
-from frsense.samplers.griffin import _CcvChain, _DcvChain, _run_chain
+from frsense.samplers.common import _pick, _run_chain, make_rng
+from frsense.samplers.griffin import _CcvChain, _DcvChain
 
 
 def _norm_logpdf(x: float, mean: float, var: float) -> float:

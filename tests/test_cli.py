@@ -284,6 +284,31 @@ class TestValidateConfigCommand:
 
     @pytest.mark.parametrize("command", ["validate-config", "sweep"])
     @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0.1\n0.2\ninf\n0.4\n", "DATA_PARSE: line 3: not a finite number"),
+            ("# header\n0.1\nnan\n", "DATA_PARSE: line 3: not a finite number"),
+            ("1e308\n-1e308\n", "DATA_NONFINITE:"),
+        ],
+        ids=["inf", "nan", "range-overflow"],
+    )
+    def test_non_finite_data_fails_before_any_sampler_runs(
+        self, workdir, monkeypatch, command, text, message
+    ):
+        import frsense.cli as cli_mod
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("a sweep started")
+
+        monkeypatch.setattr(cli_mod, "run_sweep", no_sweep)
+        with open("obs.txt", "w") as fh:
+            fh.write(text)
+        rc, _, err = invoke([command, "--config", "exp.ini"])
+        assert rc == 1, err
+        assert err.startswith(message)
+
+    @pytest.mark.parametrize("command", ["validate-config", "sweep"])
+    @pytest.mark.parametrize(
         "edit, code",
         [
             (("n_points = 64", "n_points = 8"), "CONFIG_BAD_GEOMETRY"),

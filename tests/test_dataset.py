@@ -5,9 +5,10 @@ import numpy.testing as npt
 import pytest
 
 from frsense import Dataset, McmcControl
-from frsense.errors import EmptyDatasetError
+from frsense.errors import ConfigError, EmptyDatasetError
 from frsense.samplers import derived_seed, silverman_bandwidth
-from frsense.samplers.common import MARGIN
+from frsense.grid import default_grid, normalize_rows
+from frsense.samplers.common import MARGIN, _run_chain
 
 
 class TestDataset:
@@ -40,6 +41,26 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset.from_observations([0.1, np.nan, 0.3])
 
+    @pytest.mark.parametrize(
+        "obs, shift, scale",
+        [
+            ([0.2, 0.5], 0.0, np.inf),
+            ([0.2, 0.5], np.nan, 1.0),
+            ([0.2, 0.5], -np.inf, 1.0),
+            ([1e308, 1.7e308], -1e308, 1.0),  # x - shift overflows
+        ],
+    )
+    def test_non_finite_rescaling_rejected(self, obs, shift, scale):
+        with pytest.raises(ConfigError) as info:
+            Dataset(observations=np.array(obs), shift=shift, scale=scale)
+        assert info.value.code == "DATA_NONFINITE"
+
+    def test_range_beyond_double_precision_rejected(self):
+        # hi - lo overflows: the scale would be inf and the shift -inf.
+        with pytest.raises(ConfigError) as info:
+            Dataset.from_observations([-1e308, 1e308])
+        assert info.value.code == "DATA_NONFINITE"
+
     def test_observations_read_only(self):
         d = Dataset.from_observations([1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
@@ -49,7 +70,7 @@ class TestDataset:
 class TestMcmcControl:
     def test_sweep_count(self):
         ctl = McmcControl(n_samples=50, burn_in=100, thin=3, seed=1)
-        assert ctl.n_sweeps == 100 + 50 * 3
+        assert ctl.n_sweeps == 100 + 49 * 3 + 1
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -60,6 +81,50 @@ class TestMcmcControl:
             McmcControl(burn_in=-1)
         with pytest.raises(ValueError):
             McmcControl(seed=-3)
+
+
+class _StubChain:
+    """A chain whose state is the number of sweeps it has run."""
+
+    TRACE_NAMES = ("sweep", "squared")
+
+    def __init__(self):
+        self.sweeps = 0
+        self.emitted = []
+
+    def sweep(self):
+        self.sweeps += 1
+
+    def emit_row(self, grid):
+        self.emitted.append(self.sweeps - 1)
+        return 1.0 + self.sweeps * grid.x
+
+    def trace_row(self):
+        return (self.sweeps - 1, (self.sweeps - 1) ** 2)
+
+    def diagnostics(self):
+        return {"sweeps": self.sweeps}
+
+
+class TestRunChain:
+    @pytest.mark.parametrize("thin", [1, 3])
+    def test_keeps_every_thin_th_sweep_after_burn_in(self, grid, thin):
+        ctl = McmcControl(n_samples=10, burn_in=7, thin=thin, seed=5)
+        chain = _StubChain()
+        ps = _run_chain(chain, "stub", ctl, grid, "config")
+        assert chain.sweeps == ctl.n_sweeps
+        kept = [7 + k * thin for k in range(10)]
+        assert chain.emitted == kept
+        assert ps.trace.keys() == {"sweep", "squared"}
+        npt.assert_array_equal(ps.trace["sweep"], kept)
+        npt.assert_array_equal(ps.trace["squared"], np.square(kept))
+        assert ps.diagnostics == {"sweeps": ctl.n_sweeps}
+        assert (ps.model, ps.seed, ps.config, ps.grid) == ("stub", 5, "config", grid)
+        npt.assert_allclose(ps.densities, normalize_rows(grid, 1.0 + np.outer(np.add(kept, 1), grid.x)))
+
+    def test_no_grid_means_the_default_grid(self):
+        ctl = McmcControl(n_samples=10, burn_in=0, thin=1)
+        assert _run_chain(_StubChain(), "stub", ctl, None, None).grid == default_grid()
 
 
 class TestSeedDerivation:
