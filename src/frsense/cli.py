@@ -25,21 +25,7 @@ import numpy as np
 
 from . import __version__
 from .config import apply_preset, load_config
-from .errors import (
-    ConfigError,
-    DegenerateSampleError,
-    EmptyDatasetError,
-    FrsenseError,
-    GridMismatchError,
-    InsufficientSamplesError,
-    InsufficientValuesError,
-    InvalidSettingError,
-    NonPositiveForLogError,
-    ParseError,
-    TruncationTooSmallError,
-    UnknownModelError,
-    UnknownParameterError,
-)
+from .errors import ConfigError, FrsenseError, ParseError
 from .geometry import _karcher_fit, geodesic_path, tangent_pca
 from .grid import Grid, Srd, from_srd
 from .io import (
@@ -57,32 +43,15 @@ from .sweep import run_sweep
 
 __all__ = ["main"]
 
-# Checked in order; the first match decides the stderr code.  ConfigError is
-# handled separately because it carries its own code.
-_ERROR_CODES = (
-    (ParseError, "DATA_PARSE"),
-    (NonPositiveForLogError, "DATA_NONPOSITIVE_LOG"),
-    (EmptyDatasetError, "DATA_EMPTY"),
-    (GridMismatchError, "DATA_GRID_MISMATCH"),
-    (UnknownParameterError, "CONFIG_BAD_PARAM"),
-    (UnknownModelError, "CONFIG_BAD_MODEL"),
-    (TruncationTooSmallError, "SAMPLER_TRUNCATION"),
-    (InvalidSettingError, "CONFIG_BAD_VALUE"),
-    (DegenerateSampleError, "MEASURE_DEGENERATE"),
-    (InsufficientSamplesError, "MEASURE_TOO_FEW_DRAWS"),
-    (InsufficientValuesError, "MEASURE_TOO_FEW_VALUES"),
-    (FrsenseError, "USER_ERROR"),
-    (FileNotFoundError, "FILE_NOT_FOUND"),
-    (OSError, "IO_ERROR"),
-)
-
 
 def _user_code(exc: Exception):
-    if isinstance(exc, ConfigError):
+    """The stderr code of an input problem, or None for an internal failure."""
+    if isinstance(exc, FrsenseError):
         return exc.code
-    for cls, code in _ERROR_CODES:
-        if isinstance(exc, cls):
-            return code
+    if isinstance(exc, FileNotFoundError):
+        return "FILE_NOT_FOUND"
+    if isinstance(exc, OSError):
+        return "IO_ERROR"
     return None
 
 

@@ -3,6 +3,11 @@
 Everything derives from :class:`FrsenseError` so callers can catch one base
 class at pipeline boundaries.  Errors that signal bad user input additionally
 derive from ``ValueError``.
+
+Every ``FrsenseError`` carries ``code``, the stable machine-readable
+identifier that starts the command line's stderr line (exit status 1).  A
+class without a code of its own inherits its base's, ending at
+``USER_ERROR``; :class:`ConfigError` sets one per instance.
 """
 
 from __future__ import annotations
@@ -33,9 +38,13 @@ __all__ = [
 class FrsenseError(Exception):
     """Base class for all package-specific errors."""
 
+    code = "USER_ERROR"
+
 
 class GridMismatchError(FrsenseError, ValueError):
     """Two grid functions that must share a grid do not."""
+
+    code = "DATA_GRID_MISMATCH"
 
 
 class AllZeroError(FrsenseError, ValueError):
@@ -65,21 +74,31 @@ class EmptyInputError(FrsenseError, ValueError):
 class InsufficientSamplesError(FrsenseError, ValueError):
     """Too few draws for the requested computation."""
 
+    code = "MEASURE_TOO_FEW_DRAWS"
+
 
 class DegenerateSampleError(FrsenseError, ValueError):
     """A posterior sample has (numerically) zero spread."""
+
+    code = "MEASURE_DEGENERATE"
 
 
 class EmptyDatasetError(FrsenseError, ValueError):
     """A dataset with no observations."""
 
+    code = "DATA_EMPTY"
+
 
 class TruncationTooSmallError(FrsenseError, ValueError):
     """Stick-breaking truncation left unassigned mass after absorption."""
 
+    code = "SAMPLER_TRUNCATION"
+
 
 class InvalidSettingError(FrsenseError, ValueError):
     """A model hyperparameter or chain control lies outside its domain."""
+
+    code = "CONFIG_BAD_VALUE"
 
 
 class InvalidPhiError(InvalidSettingError):
@@ -89,21 +108,26 @@ class InvalidPhiError(InvalidSettingError):
 class UnknownModelError(FrsenseError, ValueError):
     """Model tag not one of dp, dpgmm, ccv, dcv."""
 
+    code = "CONFIG_BAD_MODEL"
+
 
 class UnknownParameterError(FrsenseError, ValueError):
     """Sweep parameter does not name a scalar field of the model config."""
+
+    code = "CONFIG_BAD_PARAM"
 
 
 class InsufficientValuesError(FrsenseError, ValueError):
     """Too few values for a band or a sweep grid."""
 
+    code = "MEASURE_TOO_FEW_VALUES"
+
 
 class ConfigError(FrsenseError, ValueError):
     """Experiment configuration, or the data it names, failed validation.
 
-    ``code`` is a stable machine-readable identifier (for example
-    ``CONFIG_BAD_PARAM``, or ``DATA_NONFINITE`` for observations outside
-    double precision) surfaced by the command line interface.
+    Each instance names its own ``code``, for example ``CONFIG_BAD_PARAM``,
+    or ``DATA_NONFINITE`` for observations outside double precision.
     """
 
     def __init__(self, code: str, message: str):
@@ -120,6 +144,8 @@ class ConfigError(FrsenseError, ValueError):
 class ParseError(FrsenseError, ValueError):
     """A data file failed to parse; carries the 1-based line number."""
 
+    code = "DATA_PARSE"
+
     def __init__(self, message: str, line_number: int):
         super().__init__(f"line {line_number}: {message}")
         self.message = message
@@ -134,3 +160,5 @@ class ParseError(FrsenseError, ValueError):
 
 class NonPositiveForLogError(FrsenseError, ValueError):
     """A log transform was requested for data with values <= 0."""
+
+    code = "DATA_NONPOSITIVE_LOG"

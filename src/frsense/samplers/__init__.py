@@ -1,48 +1,9 @@
 """Posterior samplers producing grid-evaluated density draws."""
 
-from .common import (
-    Dataset,
-    McmcControl,
-    PosteriorSample,
-    derived_seed,
-    make_rng,
-    sample_crp_partition,
-    silverman_bandwidth,
-)
-from .dp import (
-    BetaBase,
-    DpConfig,
-    UniformBase,
-    centering_weight,
-    dp_posterior,
-)
-from .dpgmm import DpgmmConfig, dpgmm_posterior
-from .griffin import (
-    CcvConfig,
-    DcvConfig,
-    ccv_posterior,
-    dcv_posterior,
-    sample_griffin_steel,
-)
+from . import common, dp, dpgmm, griffin
+from .common import *  # noqa: F401,F403
+from .dp import *  # noqa: F401,F403
+from .dpgmm import *  # noqa: F401,F403
+from .griffin import *  # noqa: F401,F403
 
-__all__ = [
-    "BetaBase",
-    "CcvConfig",
-    "Dataset",
-    "DcvConfig",
-    "DpConfig",
-    "DpgmmConfig",
-    "McmcControl",
-    "PosteriorSample",
-    "UniformBase",
-    "ccv_posterior",
-    "centering_weight",
-    "dcv_posterior",
-    "derived_seed",
-    "dp_posterior",
-    "dpgmm_posterior",
-    "make_rng",
-    "sample_crp_partition",
-    "sample_griffin_steel",
-    "silverman_bandwidth",
-]
+__all__ = [*common.__all__, *dp.__all__, *dpgmm.__all__, *griffin.__all__]

@@ -26,6 +26,7 @@ from frsense import (
     fr_distance,
     load_config,
 )
+from frsense import errors
 from frsense.cli import main
 from frsense.io import load_dataset, read_density_matrix, write_density_matrix
 
@@ -307,6 +308,23 @@ class TestValidateConfigCommand:
         assert rc == 1, err
         assert err.startswith(message)
 
+    @pytest.mark.parametrize(
+        "transform, text, code",
+        [
+            ("log", "0.5\n-1.0\n", "DATA_NONPOSITIVE_LOG"),
+            ("none", "# nothing but comments\n#\n", "DATA_EMPTY"),
+        ],
+        ids=["log-of-negative", "comments-only"],
+    )
+    def test_bad_data_exit_code(self, workdir, transform, text, code):
+        dataset = f"path = obs.txt\ntransform = {transform}"
+        open("bad.ini", "w").write(CONFIG.replace("path = obs.txt", dataset))
+        with open("obs.txt", "w") as fh:
+            fh.write(text)
+        rc, _, err = invoke(["validate-config", "--config", "bad.ini"])
+        assert rc == 1, err
+        assert err.startswith(code + ":")
+
     @pytest.mark.parametrize("command", ["validate-config", "sweep"])
     @pytest.mark.parametrize(
         "edit, code",
@@ -471,7 +489,68 @@ class TestMeanAndPcaCommands:
         assert err.startswith("MEASURE_TOO_FEW_DRAWS:")
 
 
+#: The stderr code for an instance of each package error class.  ConfigError
+#: carries its own code; the classes without one share USER_ERROR.
+ERROR_CODES = {
+    "FrsenseError": "USER_ERROR",
+    "GridMismatchError": "DATA_GRID_MISMATCH",
+    "AllZeroError": "USER_ERROR",
+    "NegativeValueError": "USER_ERROR",
+    "BaseMismatchError": "USER_ERROR",
+    "AntipodalOrBoundaryError": "USER_ERROR",
+    "EmptyInputError": "USER_ERROR",
+    "InsufficientSamplesError": "MEASURE_TOO_FEW_DRAWS",
+    "DegenerateSampleError": "MEASURE_DEGENERATE",
+    "EmptyDatasetError": "DATA_EMPTY",
+    "TruncationTooSmallError": "SAMPLER_TRUNCATION",
+    "InvalidSettingError": "CONFIG_BAD_VALUE",
+    "InvalidPhiError": "CONFIG_BAD_VALUE",
+    "UnknownModelError": "CONFIG_BAD_MODEL",
+    "UnknownParameterError": "CONFIG_BAD_PARAM",
+    "InsufficientValuesError": "MEASURE_TOO_FEW_VALUES",
+    "ConfigError": "CONFIG_BAD_GRID",
+    "ParseError": "DATA_PARSE",
+    "NonPositiveForLogError": "DATA_NONPOSITIVE_LOG",
+}
+
+#: Exceptions from outside the package, with their code; None is exit 2.
+FOREIGN_CODES = [
+    (ValueError("bad"), None),
+    (FileNotFoundError(2, "No such file", "ghost.csv"), "FILE_NOT_FOUND"),
+    (PermissionError(13, "Permission denied", "locked.csv"), "IO_ERROR"),
+]
+
+
+def package_error(name):
+    cls = getattr(errors, name)
+    args = {"ConfigError": ("CONFIG_BAD_GRID", "went wrong"), "ParseError": ("went wrong", 3)}
+    return cls(*args.get(name, ("went wrong",)))
+
+
 class TestExitCodes:
+    def test_every_error_class_has_an_expected_code(self):
+        assert sorted(ERROR_CODES) == sorted(errors.__all__)
+
+    @pytest.mark.parametrize(
+        "exc, code",
+        [*((package_error(name), code) for name, code in ERROR_CODES.items()), *FOREIGN_CODES],
+        ids=[*ERROR_CODES, *(type(exc).__name__ for exc, _ in FOREIGN_CODES)],
+    )
+    def test_stderr_code_of_each_error(self, workdir, monkeypatch, exc, code):
+        import frsense.cli as cli_mod
+
+        def fail(path):
+            raise exc
+
+        monkeypatch.setattr(cli_mod, "load_config", fail)
+        rc, _, err = invoke(["validate-config", "--config", "exp.ini"])
+        if code is None:
+            assert rc == 2
+            assert err.startswith("INTERNAL:")
+        else:
+            assert rc == 1
+            assert err == f"{code}: {exc}\n"
+
     def test_unknown_subcommand(self, workdir):
         rc, _, err = invoke(["frobnicate"])
         assert rc == 1
