@@ -34,23 +34,17 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import math
 import os
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ConfigError
 from .geometry import KARCHER_EPS1, KARCHER_MAX_ITER, KARCHER_STEP
 from .grid import DEFAULT_N_POINTS, MIN_POINTS
 from .samplers import BetaBase, McmcControl, UniformBase
-from .sweep import (
-    _LADDERS,
-    _MODELS,
-    AGGREGATES,
-    MODEL_TAGS,
-    SweepSpec,
-    _band_marks,
-    _preset_values,
-    get_config_value,
-)
+from .sweep import AGGREGATES, SweepSpec, get_config_value, model_config
 
 __all__ = [
     "ExperimentConfig",
@@ -269,7 +263,7 @@ def _build_g0(sections):
 
 
 def _build_baseline(kind: str, sections):
-    cls = _MODELS[kind][0]
+    cls = model_config(kind)
     block = _Block(sections, "model.baseline", "CONFIG_BAD_PARAM")
     # The baseline's own keys are read and checked before its base measure;
     # that spends the block, so _build_section below only builds.
@@ -284,18 +278,71 @@ def _build_baseline(kind: str, sections):
     return _build_section(cls, block, "CONFIG_BAD_VALUE", **fields)
 
 
-def _resnap(values, baseline: float):
-    """Move the grid point nearest to the baseline exactly onto it."""
-    vals = list(values)
-    idx = min(range(len(vals)), key=lambda i: abs(vals[i] - baseline))
-    vals[idx] = baseline
-    out = tuple(vals)
-    if any(b <= a for a, b in zip(out, out[1:])):
+#: Number of values in every preset ladder.
+_LADDER_POINTS = 15
+
+#: Preset ladders: model -> parameter -> (spacing, lo, hi).  Scale-like
+#: positive parameters are spaced geometrically, location-like ones linearly.
+_LADDERS = {
+    "dp": {"alpha": ("geometric", 0.1, 15.0)},
+    "dpgmm": {
+        "alpha": ("geometric", 0.1, 15.0),
+        "m": ("linear", -8.0, 8.0),
+        "r": ("geometric", 1.0 / 18.0, 6.0),
+        "nu": ("linear", 1.0, 15.0),
+        "s": ("geometric", 0.1, 12.0),
+    },
+    "ccv": {
+        "a0": ("linear", 1.0, 20.0),
+        "a1": ("linear", 1.0, 20.0),
+        "eta": ("linear", 1.0, 20.0),
+        "gamma": ("geometric", 1.0, 20.0),
+    },
+    "dcv": {
+        "a0": ("linear", 1.0, 20.0),
+        "a1": ("linear", 1.0, 20.0),
+        "eta": ("linear", 1.0, 20.0),
+        "gamma": ("geometric", 1.0, 20.0),
+        "phi": ("geometric", 1.5, 20.0),
+    },
+}
+
+
+def _preset(model: str, baseline, name: str) -> tuple:
+    """The preset ladder ``name`` of ``model`` as (values, band values).
+
+    The ladder's point nearest the model's default is snapped onto that
+    default, by log distance on a geometric ladder and linear distance on a
+    linear one.  If ``baseline`` sets another value, the point nearest it by
+    linear distance then moves onto it.  The band values are the ladder's
+    ends and the baseline.
+    """
+    ladders = _LADDERS[model]
+    if name not in ladders:
         raise ConfigError(
-            "CONFIG_BAD_GRID",
-            f"baseline value {baseline!r} cannot be snapped onto the preset grid",
+            "CONFIG_BAD_PRESET",
+            f"model {model!r} has no preset {name!r} (available: {', '.join(ladders)})",
         )
-    return out
+    spacing, lo, hi = ladders[name]
+    default = get_config_value(model_config(model)(), name)
+    if spacing == "geometric":
+        grid = np.geomspace(lo, hi, _LADDER_POINTS)
+        distance = np.abs(np.log(grid) - math.log(default))
+    else:
+        grid = np.linspace(lo, hi, _LADDER_POINTS)
+        distance = np.abs(grid - default)
+    grid[int(np.argmin(distance))] = default
+    values = [float(v) for v in grid]
+    base = get_config_value(baseline, name)
+    if base not in values:
+        idx = min(range(len(values)), key=lambda i: abs(values[i] - base))
+        values[idx] = base
+        if any(b <= a for a, b in zip(values, values[1:])):
+            raise ConfigError(
+                "CONFIG_BAD_GRID",
+                f"baseline value {base!r} cannot be snapped onto the preset grid",
+            )
+    return tuple(values), tuple(dict.fromkeys((values[0], base, values[-1])))
 
 
 def _build_sweep(kind: str, baseline, sections) -> tuple:
@@ -319,20 +366,10 @@ def _build_sweep(kind: str, baseline, sections) -> tuple:
                 "CONFIG_BAD_PRESET",
                 f"preset {preset_name!r} conflicts with parameter {parameter!r}",
             )
-        ladders = _LADDERS[kind]
-        if preset_name not in ladders:
-            raise ConfigError(
-                "CONFIG_BAD_PRESET",
-                f"model {kind!r} has no preset {preset_name!r} "
-                f"(available: {', '.join(ladders)})",
-            )
         parameter = preset_name
-        base_val = get_config_value(baseline, parameter)
-        values = _preset_values(kind, parameter)
-        if base_val not in values:
-            values = _resnap(values, base_val)
+        values, marks = _preset(kind, baseline, parameter)
         if band_values is None:
-            band_values = _band_marks(values, base_val)
+            band_values = marks
     else:
         if values is None:
             raise ConfigError(
@@ -354,16 +391,16 @@ def _build_sweep(kind: str, baseline, sections) -> tuple:
 def apply_preset(config: ExperimentConfig, preset_name: str) -> ExperimentConfig:
     """Swap the sweep selection for a named preset ladder.
 
-    Keeps the baseline model, chain controls, aggregate and everything else;
-    only parameter, values, replicates, band values and component count are
-    taken from the preset (resnapped onto the configured baseline).
+    Keeps the baseline model, chain controls, aggregate and everything else.
+    Parameter, values and band values come from the preset (resnapped onto
+    the configured baseline); replicates and component count go back to the
+    ``SweepSpec`` defaults.
     """
-    spec_kwargs, _ = _build_sweep(
-        config.spec.model,
-        config.spec.baseline,
-        {"sweep": {"preset": preset_name}},
+    old = config.spec
+    values, band_values = _preset(old.model, old.baseline, preset_name)
+    spec = SweepSpec(
+        old.model, old.baseline, preset_name, values, band_values=band_values, mcmc=old.mcmc
     )
-    spec = SweepSpec(mcmc=config.spec.mcmc, **spec_kwargs)
     return dataclasses.replace(config, spec=spec)
 
 
@@ -388,7 +425,7 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError("CONFIG_BAD_PATH", f"dataset file not found: {data_path}")
 
     model = _Block(sections, "model")
-    kind = model.take("kind", default=_REQUIRED, choices=MODEL_TAGS)
+    kind = model.take("kind", default=_REQUIRED)
     model.finish()
 
     baseline = _build_baseline(kind, sections)

@@ -51,19 +51,15 @@ from .samplers import (
 
 __all__ = [
     "BandTriple",
-    "GRID_POINTS",
     "MODEL_TAGS",
     "SweepResult",
     "SweepSpec",
     "get_config_value",
+    "model_config",
     "model_sampler",
     "run_sweep",
     "set_config_value",
-    "sweep_grid_presets",
 ]
-
-#: Number of grid values in every preset ladder.
-GRID_POINTS = 15
 
 _MODELS = {
     "dp": (DpConfig, dp_posterior),
@@ -85,6 +81,11 @@ def _model_entry(model: str) -> tuple:
             f"unknown model tag {model!r}; expected one of " + ", ".join(MODEL_TAGS)
         )
     return _MODELS[model]
+
+
+def model_config(model: str) -> type:
+    """The config class registered for a model tag."""
+    return _model_entry(model)[0]
 
 
 def model_sampler(model: str):
@@ -166,7 +167,7 @@ class SweepSpec:
     d_components: int = DEFAULT_N_COMPONENTS
 
     def __post_init__(self):
-        cfg_cls = _model_entry(self.model)[0]
+        cfg_cls = model_config(self.model)
         if not isinstance(self.baseline, cfg_cls):
             raise ConfigError(
                 "CONFIG_BAD_MODEL",
@@ -435,68 +436,3 @@ def run_sweep(
         baseline_sample=outcomes[(1, None)][1],
     )
 
-
-#: Preset ladders: model -> parameter -> (spacing, lo, hi).  Scale-like
-#: positive parameters are spaced geometrically, location-like ones linearly.
-_LADDERS = {
-    "dp": {"alpha": ("geometric", 0.1, 15.0)},
-    "dpgmm": {
-        "alpha": ("geometric", 0.1, 15.0),
-        "m": ("linear", -8.0, 8.0),
-        "r": ("geometric", 1.0 / 18.0, 6.0),
-        "nu": ("linear", 1.0, 15.0),
-        "s": ("geometric", 0.1, 12.0),
-    },
-    "ccv": {
-        "a0": ("linear", 1.0, 20.0),
-        "a1": ("linear", 1.0, 20.0),
-        "eta": ("linear", 1.0, 20.0),
-        "gamma": ("geometric", 1.0, 20.0),
-    },
-    "dcv": {
-        "a0": ("linear", 1.0, 20.0),
-        "a1": ("linear", 1.0, 20.0),
-        "eta": ("linear", 1.0, 20.0),
-        "gamma": ("geometric", 1.0, 20.0),
-        "phi": ("geometric", 1.5, 20.0),
-    },
-}
-
-
-def _preset_values(model: str, parameter: str) -> tuple:
-    """A preset ladder with its point nearest the model's default snapped onto it.
-
-    Nearness is log distance on a geometric ladder, linear distance on a
-    linear one.
-    """
-    spacing, lo, hi = _LADDERS[model][parameter]
-    default = get_config_value(_MODELS[model][0](), parameter)
-    if spacing == "geometric":
-        grid = np.geomspace(lo, hi, GRID_POINTS)
-        distance = np.abs(np.log(grid) - math.log(default))
-    else:
-        grid = np.linspace(lo, hi, GRID_POINTS)
-        distance = np.abs(grid - default)
-    grid[int(np.argmin(distance))] = default
-    return tuple(float(v) for v in grid)
-
-
-def _band_marks(values, baseline: float) -> tuple:
-    """Default band values: the ladder's ends and its baseline."""
-    return tuple(dict.fromkeys((values[0], baseline, values[-1])))
-
-
-def sweep_grid_presets(model: str) -> list:
-    """Standard 15-point ladders for a model, bands at min/baseline/max.
-
-    Scale-like positive parameters get geometric spacing, location-like
-    ones linear spacing.  Every ladder contains the baseline value
-    exactly (the nearest grid point is snapped onto it).
-    """
-    baseline = _model_entry(model)[0]()
-    specs = []
-    for parameter in _LADDERS[model]:
-        values = _preset_values(model, parameter)
-        marks = _band_marks(values, get_config_value(baseline, parameter))
-        specs.append(SweepSpec(model, baseline, parameter, values, band_values=marks))
-    return specs

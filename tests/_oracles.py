@@ -2,9 +2,11 @@
 
 The package does not export these, because nothing in it calls them:
 closed forms the samplers are checked against (the CRP cluster-count mean,
-the concentration prior's density, the smoothed DP centering measure), and
+the concentration prior's density, the smoothed DP centering measure),
 geometric constructions that tests build samples from (tangent projection,
-the sphere exponential, the D/V/E triple of two raw samples).
+the sphere exponential, the D/V/E triple of two raw samples), and the
+preset ladders as ``frsense.sweep`` built them before they moved to
+``frsense.config``, which the moved ladders are checked against.
 """
 
 from __future__ import annotations
@@ -16,10 +18,13 @@ from scipy.stats import beta as beta_dist
 
 from frsense import (
     BetaBase,
+    ConfigError,
     Srd,
     TangentVector,
     centering_weight,
     default_grid,
+    get_config_value,
+    model_config,
     normalize_pdf,
     silverman_bandwidth,
     summarize_sample,
@@ -91,3 +96,86 @@ def smoothed_centering_measure(data, config, grid=None):
     conv = np.trapezoid(np.exp(-0.5 * z * z) * g0[None, :], fine, axis=1)
     emp = _kernel(grid, x, bw) @ np.full(x.size, 1.0 / x.size)
     return normalize_pdf(grid, w_g0 * conv + (1.0 - w_g0) * emp)
+
+
+#: Number of grid values in every preset ladder.
+GRID_POINTS = 15
+
+#: Preset ladders: model -> parameter -> (spacing, lo, hi).  Scale-like
+#: positive parameters are spaced geometrically, location-like ones linearly.
+LADDERS = {
+    "dp": {"alpha": ("geometric", 0.1, 15.0)},
+    "dpgmm": {
+        "alpha": ("geometric", 0.1, 15.0),
+        "m": ("linear", -8.0, 8.0),
+        "r": ("geometric", 1.0 / 18.0, 6.0),
+        "nu": ("linear", 1.0, 15.0),
+        "s": ("geometric", 0.1, 12.0),
+    },
+    "ccv": {
+        "a0": ("linear", 1.0, 20.0),
+        "a1": ("linear", 1.0, 20.0),
+        "eta": ("linear", 1.0, 20.0),
+        "gamma": ("geometric", 1.0, 20.0),
+    },
+    "dcv": {
+        "a0": ("linear", 1.0, 20.0),
+        "a1": ("linear", 1.0, 20.0),
+        "eta": ("linear", 1.0, 20.0),
+        "gamma": ("geometric", 1.0, 20.0),
+        "phi": ("geometric", 1.5, 20.0),
+    },
+}
+
+
+def preset_values(model: str, parameter: str) -> tuple:
+    """A preset ladder with its point nearest the model's default snapped onto it.
+
+    Nearness is log distance on a geometric ladder, linear distance on a
+    linear one.
+    """
+    spacing, lo, hi = LADDERS[model][parameter]
+    default = get_config_value(model_config(model)(), parameter)
+    if spacing == "geometric":
+        grid = np.geomspace(lo, hi, GRID_POINTS)
+        distance = np.abs(np.log(grid) - math.log(default))
+    else:
+        grid = np.linspace(lo, hi, GRID_POINTS)
+        distance = np.abs(grid - default)
+    grid[int(np.argmin(distance))] = default
+    return tuple(float(v) for v in grid)
+
+
+def resnap(values, baseline: float):
+    """Move the grid point nearest to the baseline exactly onto it."""
+    vals = list(values)
+    idx = min(range(len(vals)), key=lambda i: abs(vals[i] - baseline))
+    vals[idx] = baseline
+    out = tuple(vals)
+    if any(b <= a for a, b in zip(out, out[1:])):
+        raise ConfigError(
+            "CONFIG_BAD_GRID",
+            f"baseline value {baseline!r} cannot be snapped onto the preset grid",
+        )
+    return out
+
+
+def band_marks(values, baseline: float) -> tuple:
+    """Default band values: the ladder's ends and its baseline."""
+    return tuple(dict.fromkeys((values[0], baseline, values[-1])))
+
+
+def preset(model: str, baseline, name: str) -> tuple:
+    """(values, band values) of a preset, as a ``[sweep] preset`` expanded them."""
+    ladders = LADDERS[model]
+    if name not in ladders:
+        raise ConfigError(
+            "CONFIG_BAD_PRESET",
+            f"model {model!r} has no preset {name!r} "
+            f"(available: {', '.join(ladders)})",
+        )
+    base_val = get_config_value(baseline, name)
+    values = preset_values(model, name)
+    if base_val not in values:
+        values = resnap(values, base_val)
+    return values, band_marks(values, base_val)

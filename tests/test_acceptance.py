@@ -33,12 +33,12 @@ from frsense import (
     run_sweep,
     sample_crp_partition,
     summarize_sample,
-    sweep_grid_presets,
     tangent_pca,
     to_srd,
     triple_from_summaries,
 )
 from frsense.cli import main
+from frsense.config import _preset
 
 TREND_BUDGET_SECONDS = 600.0
 
@@ -52,11 +52,12 @@ def dp_trend():
     settings hold discretization noise below the trends being measured.
     """
     data = Dataset.from_observations(np.random.default_rng(2024).uniform(size=100))
+    baseline = DpConfig(alpha=5.0, truncation=1000, bandwidth=0.03)
     spec = SweepSpec(
         model="dp",
-        baseline=DpConfig(alpha=5.0, truncation=1000, bandwidth=0.03),
+        baseline=baseline,
         parameter="alpha",
-        values=sweep_grid_presets("dp")[0].values,
+        values=_preset("dp", baseline, "alpha")[0],
         replicates=5,
         mcmc=McmcControl(n_samples=200, burn_in=0, thin=1, seed=424242),
     )
@@ -74,14 +75,14 @@ def dpgmm_trend():
         rng.normal(0.0, 0.7, 55),
         rng.normal(3.0, 0.5, 45),
     ])
-    template = [t for t in sweep_grid_presets("dpgmm") if t.parameter == "alpha"][0]
+    baseline = DpgmmConfig()
     spec = SweepSpec(
         model="dpgmm",
-        baseline=DpgmmConfig(),
+        baseline=baseline,
         parameter="alpha",
-        values=template.values,
+        values=_preset("dpgmm", baseline, "alpha")[0],
         replicates=5,
-        band_values=(template.baseline_value,),
+        band_values=(baseline.alpha,),
         mcmc=McmcControl(n_samples=200, burn_in=300, thin=2, seed=31415),
     )
     start = time.perf_counter()

@@ -331,6 +331,7 @@ class TestValidateConfigCommand:
         [
             (("n_points = 64", "n_points = 8"), "CONFIG_BAD_GEOMETRY"),
             (("values = 1.0,", "values = -1.0, 1.0,"), "CONFIG_BAD_VALUE"),
+            (("kind = dp", "kind = gp"), "CONFIG_BAD_MODEL"),
         ],
     )
     def test_bad_config_fails_before_any_sampler_runs(
@@ -398,6 +399,42 @@ class TestValidateConfigCommand:
                 assert outcomes == [(0, None), (1, late)], f"{key} = {value}: {outcomes}"
             else:
                 assert outcomes[0] == outcomes[1], f"{key} = {value}: {outcomes}"
+
+
+def readme_config():
+    """The example config of README.md's "Config files" section."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        (block,) = re.findall(r"^```ini\n(.*?)^```", fh.read(), flags=re.M | re.S)
+    return block
+
+
+class TestReadmeConfig:
+    @pytest.fixture
+    def readme_dir(self, workdir):
+        rng = np.random.default_rng(11)
+        with open("waiting_times.txt", "w") as fh:
+            for v in rng.uniform(40.0, 100.0, size=30):
+                fh.write(f"{float(v)!r}\n")
+        return workdir
+
+    def test_example_validates(self, readme_dir):
+        open("readme.ini", "w").write(readme_config())
+        rc, out, err = invoke(["validate-config", "--config", "readme.ini"])
+        assert rc == 0, err
+        assert "(n=30, transform=log)" in out
+        assert "sweep: alpha over 4 values" in out
+
+    def test_example_with_preset_validates(self, readme_dir):
+        text, n_removed = re.subn(
+            r"^(parameter|values|band_values) = .*\n", "", readme_config(), flags=re.M
+        )
+        assert n_removed == 3
+        open("readme.ini", "w").write(text.replace("[sweep]\n", "[sweep]\npreset = alpha\n"))
+        rc, out, err = invoke(["validate-config", "--config", "readme.ini"])
+        assert rc == 0, err
+        assert "sweep: alpha over 15 values" in out
+        assert "bands at: 0.1, 5, 15\n" in out
 
 
 class TestGeodesicCommand:

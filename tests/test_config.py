@@ -4,7 +4,9 @@ import dataclasses
 import os
 import tempfile
 
+import _oracles
 import numpy as np
+import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,10 +23,17 @@ from frsense import (
     apply_preset,
     dump_config,
     load_config,
-    sweep_grid_presets,
+    model_config,
+    set_config_value,
 )
-from frsense.config import ExperimentConfig, GeometryOptions, OutputOptions
-from frsense.errors import ConfigError
+from frsense.config import (
+    _LADDERS,
+    ExperimentConfig,
+    GeometryOptions,
+    OutputOptions,
+    _preset,
+)
+from frsense.errors import ConfigError, UnknownModelError
 from frsense.io import write_manifest
 
 MINIMAL = """\
@@ -125,9 +134,9 @@ densities = yes
         assert exc.value.code == "CONFIG_BAD_PARAM"
 
     def test_bad_model_kind(self, tmp_path):
-        with pytest.raises(ConfigError) as exc:
+        with pytest.raises(UnknownModelError) as exc:
             load_config(write_config(tmp_path, MINIMAL.replace("kind = dp", "kind = gp")))
-        assert exc.value.code == "CONFIG_BAD_VALUE"
+        assert exc.value.code == "CONFIG_BAD_MODEL"
 
     def test_non_numeric_value(self, tmp_path):
         with pytest.raises(ConfigError) as exc:
@@ -227,12 +236,106 @@ preset = alpha
 """
 
 
+def default_preset(model, name):
+    return _preset(model, model_config(model)(), name)
+
+
+class TestPresetLadders:
+    def test_structure_per_model(self):
+        for tag, n_ladders in (("dp", 1), ("dpgmm", 5), ("ccv", 4), ("dcv", 5)):
+            assert len(_LADDERS[tag]) == n_ladders
+            baseline = model_config(tag)()
+            for name in _LADDERS[tag]:
+                values, band_values = _preset(tag, baseline, name)
+                spec = SweepSpec(tag, baseline, name, values, band_values=band_values)
+                assert len(spec.values) == 15
+                assert spec.baseline_value in spec.values
+                assert np.all(np.diff(spec.values) > 0)
+                assert spec.values[0] in spec.band_values
+                assert spec.values[-1] in spec.band_values
+                assert spec.baseline_value in spec.band_values
+
+    def test_dpgmm_alpha_ladder(self):
+        values, _ = default_preset("dpgmm", "alpha")
+        assert values[0] == 0.1
+        assert values[-1] == 15.0
+        assert 1.0 in values
+
+    def test_dcv_phi_ladder(self):
+        values, _ = default_preset("dcv", "phi")
+        assert values[0] == 1.5
+        assert values[-1] == 20.0
+        assert 2.0 in values
+
+    def test_spacing_flavors(self):
+        gamma, _ = default_preset("ccv", "gamma")
+        ratios = np.diff(np.log(gamma))
+        assert ratios.min() > 0.05 and ratios.max() < 0.5
+        m_values, _ = default_preset("dpgmm", "m")
+        npt.assert_allclose(np.diff(m_values), 16.0 / 14.0, atol=1e-12)
+
+    def test_unknown_model_tag(self, tmp_path):
+        body = PRESET_BODY.format(alpha=5.0).replace("kind = dp", "kind = cpv")
+        with pytest.raises(UnknownModelError) as exc:
+            load_config(write_config(tmp_path, body))
+        assert exc.value.code == "CONFIG_BAD_MODEL"
+
+
+def preset_outcome(preset, model, baseline, name):
+    """(values, band values) of a preset, or the code of the error it raises."""
+    try:
+        return preset(model, baseline, name)
+    except ConfigError as exc:
+        return exc.code
+
+
+def ladder_baselines(model, name):
+    """Baselines at which the preset ladder ``name`` of ``model`` is checked.
+
+    The model default; a value below and one above the ladder; and, between
+    each pair of adjacent positive points, a value that is nearer the lower
+    point by linear distance but nearer the upper one by log distance.
+    """
+    values = _oracles.preset_values(model, name)
+    probes = [
+        values[0] - (values[1] - values[0]) / 4,
+        values[-1] + (values[-1] - values[-2]) / 4,
+    ]
+    for lo, hi in zip(values, values[1:]):
+        if lo > 0.0:
+            x = (np.sqrt(lo * hi) + (lo + hi) / 2) / 2
+            assert abs(x - lo) < abs(x - hi)
+            assert abs(np.log(x / lo)) > abs(np.log(x / hi))
+            probes.append(float(x))
+    default = model_config(model)()
+    return [default] + [set_config_value(default, name, x) for x in probes]
+
+
+LADDER_IDS = [(model, name) for model in _oracles.LADDERS for name in _oracles.LADDERS[model]]
+
+
+def test_ladder_table_matches_reference():
+    assert [(model, name) for model in _LADDERS for name in _LADDERS[model]] == LADDER_IDS
+
+
+@pytest.mark.parametrize("model, name", LADDER_IDS, ids=[f"{m}-{n}" for m, n in LADDER_IDS])
+def test_preset_matches_reference(model, name):
+    baselines = ladder_baselines(model, name)
+    assert len(baselines) > 3
+    cases = [(baseline, name) for baseline in baselines] + [(baselines[0], "omega")]
+    for baseline, preset_name in cases:
+        expected = preset_outcome(_oracles.preset, model, baseline, preset_name)
+        assert preset_outcome(_preset, model, baseline, preset_name) == expected, baseline
+    assert expected == "CONFIG_BAD_PRESET"
+
+
 class TestPresetConfigs:
     def test_preset_expands_to_ladder(self, tmp_path):
         cfg = load_config(write_config(tmp_path, PRESET_BODY.format(alpha=5.0)))
-        template = sweep_grid_presets("dp")[0]
-        assert cfg.spec.values == template.values
-        assert cfg.spec.replicates == template.replicates
+        values, band_values = default_preset("dp", "alpha")
+        assert cfg.spec.values == values
+        assert cfg.spec.band_values == band_values
+        assert cfg.spec.replicates == SweepSpec.replicates
         assert len(cfg.spec.band_values) == 3
         assert cfg.spec.baseline_value == 5.0
 
@@ -271,7 +374,7 @@ class TestPresetConfigs:
         swapped = apply_preset(cfg, "alpha")
         assert swapped.spec.mcmc.seed == 321
         assert swapped.aggregate == cfg.aggregate
-        assert swapped.spec.values == sweep_grid_presets("dp")[0].values
+        assert swapped.spec.values == default_preset("dp", "alpha")[0]
         assert swapped.spec.baseline == cfg.spec.baseline
 
 

@@ -22,6 +22,8 @@ REMOVED = (
     "crp_expected_clusters",
     "griffin_steel_pdf",
     "smoothed_centering_measure",
+    "sweep_grid_presets",
+    "GRID_POINTS",
 )
 
 

@@ -1,4 +1,4 @@
-"""Sweep harness tests: SweepSpec validation, determinism, bands, presets."""
+"""Sweep harness tests: SweepSpec validation, determinism, bands."""
 
 import concurrent.futures
 
@@ -24,12 +24,12 @@ from frsense.samplers import (
     McmcControl,
 )
 from frsense.sweep import (
-    GRID_POINTS,
     SweepSpec,
     get_config_value,
+    model_config,
+    model_sampler,
     run_sweep,
     set_config_value,
-    sweep_grid_presets,
 )
 
 
@@ -156,8 +156,16 @@ class TestParameterAccess:
 
 class TestSpecValidation:
     def test_unknown_model(self):
-        with pytest.raises(UnknownModelError):
-            small_dp_spec(model="mixture")
+        with pytest.raises(UnknownModelError) as exc:
+            small_dp_spec(model="gp")
+        assert exc.value.code == "CONFIG_BAD_MODEL"
+
+    def test_model_registry_lookups(self):
+        assert model_config("dcv") is DcvConfig
+        assert model_sampler("dp") is frsense.sweep.dp_posterior
+        for lookup in (model_config, model_sampler):
+            with pytest.raises(UnknownModelError):
+                lookup("gp")
 
     def test_config_class_must_match_model(self):
         with pytest.raises(ConfigError):
@@ -366,47 +374,3 @@ class TestRunSweep:
         assert max(d_curve) < 0.1
         assert v_curve[0] > v_curve[-1]
 
-
-class TestPresets:
-    def test_structure_per_model(self):
-        for tag, n_specs in (("dp", 1), ("dpgmm", 5), ("ccv", 4), ("dcv", 5)):
-            specs = sweep_grid_presets(tag)
-            assert len(specs) == n_specs
-            for spec in specs:
-                assert spec.model == tag
-                assert len(spec.values) == GRID_POINTS
-                assert spec.baseline_value in spec.values
-                assert spec.replicates == 25
-                assert np.all(np.diff(spec.values) > 0)
-                assert spec.values[0] in spec.band_values
-                assert spec.values[-1] in spec.band_values
-                assert spec.baseline_value in spec.band_values
-
-    def test_dpgmm_alpha_ladder(self):
-        spec = next(
-            s for s in sweep_grid_presets("dpgmm") if s.parameter == "alpha"
-        )
-        assert spec.values[0] == 0.1
-        assert spec.values[-1] == 15.0
-        assert 1.0 in spec.values
-
-    def test_dcv_phi_ladder(self):
-        spec = next(s for s in sweep_grid_presets("dcv") if s.parameter == "phi")
-        assert spec.values[0] == 1.5
-        assert spec.values[-1] == 20.0
-        assert 2.0 in spec.values
-
-    def test_spacing_flavors(self):
-        gamma = next(
-            s for s in sweep_grid_presets("ccv") if s.parameter == "gamma"
-        )
-        ratios = np.diff(np.log(gamma.values))
-        assert ratios.min() > 0.05 and ratios.max() < 0.5
-        m_spec = next(
-            s for s in sweep_grid_presets("dpgmm") if s.parameter == "m"
-        )
-        npt.assert_allclose(np.diff(m_spec.values), 16.0 / 14.0, atol=1e-12)
-
-    def test_unknown_tag(self):
-        with pytest.raises(UnknownModelError):
-            sweep_grid_presets("cpv")
