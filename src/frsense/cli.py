@@ -26,8 +26,8 @@ import numpy as np
 from . import __version__
 from .config import apply_preset, load_config
 from .errors import ConfigError, FrsenseError, ParseError
-from .geometry import _karcher_fit, geodesic_path, tangent_pca
-from .grid import Grid, Srd, from_srd
+from .geometry import geodesic_path, karcher_mean, karcher_variance, tangent_pca
+from .grid import Grid, from_srd
 from .io import (
     NUMBER_FORMAT,
     _write_lines,
@@ -105,6 +105,8 @@ def _cmd_sweep(args) -> int:
     out_dir = args.out if args.out is not None else config.output.directory
 
     data = load_dataset(config.dataset_path, config.transform)
+    # A destination that cannot be a directory fails before any sampler runs.
+    os.makedirs(out_dir, exist_ok=True)
     geo = config.geometry
     result = run_sweep(
         data,
@@ -117,7 +119,6 @@ def _cmd_sweep(args) -> int:
         karcher_max_iter=geo.karcher_max_iter,
     )
 
-    os.makedirs(out_dir, exist_ok=True)
     write_sweep_csv(os.path.join(out_dir, "sweep.csv"), result)
     write_bands_csv(os.path.join(out_dir, "bands.csv"), result)
     run_info = {
@@ -188,11 +189,10 @@ def _cmd_geodesic(args) -> int:
 
 def _cmd_mean(args) -> int:
     densities = _read_densities(args.densities)
-    fit = _karcher_fit(densities)
-    write_density_matrix(args.out, [from_srd(Srd(fit.grid, fit.mean))])
+    mean, info = karcher_mean(densities, full_output=True)
+    write_density_matrix(args.out, [from_srd(mean)])
     print(f"n = {len(densities)}")
-    print("karcher_variance = " + NUMBER_FORMAT % fit.variance)
-    info = fit.info
+    print("karcher_variance = " + NUMBER_FORMAT % karcher_variance(densities, mean))
     state = "converged" if info.converged else "did not converge"
     print(
         f"{state} after {info.n_iter} iteration(s), "

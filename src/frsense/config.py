@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .geometry import KARCHER_EPS1, KARCHER_MAX_ITER, KARCHER_STEP
-from .grid import DEFAULT_N_POINTS, MIN_POINTS
+from .grid import DEFAULT_N_POINTS, MIN_POINTS, Grid
 from .samplers import BetaBase, McmcControl, UniformBase
 from .sweep import AGGREGATES, SweepSpec, get_config_value, model_config
 
@@ -128,6 +128,21 @@ class ExperimentConfig:
                 f"d_components={self.spec.d_components} exceeds the "
                 f"{self.geometry.n_points} grid points",
             )
+        # A dp kernel narrower than this is below 1e-300 at both grid points
+        # around an atom halfway between them, so its draws cannot be
+        # normalized.  Every swept value is checked: bandwidth may be swept.
+        if self.spec.model == "dp":
+            floor = Grid(self.geometry.n_points).spacing / (
+                2.0 * math.sqrt(2.0 * math.log(1e300))
+            )
+            for value in self.spec.values:
+                bandwidth = self.spec.config_for(value).bandwidth
+                if bandwidth is not None and bandwidth < floor:
+                    raise ConfigError(
+                        "CONFIG_BAD_VALUE",
+                        f"bandwidth = {bandwidth!r} is below {floor:.3g}, too narrow "
+                        f"for the {self.geometry.n_points}-point grid",
+                    )
 
 
 def _parse_bool(text: str) -> bool:

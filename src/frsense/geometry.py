@@ -9,7 +9,9 @@ quantity here has a closed form on the sphere:
 * inverse exp map   (u / sin u) (psi2 - cos(u) psi1)   with u the distance
 
 The exponential map is private: the Karcher iteration and
-``geodesic_path`` shoot along it, clamped back into the orthant.
+``geodesic_path`` shoot along it, clamped back into the orthant.  Distances
+and log maps are computed over the rows of a matrix, by ``_distances`` and
+``_log_rows``; ``fr_distance`` and ``inv_exp_map`` are their one-row case.
 
 Intrinsic means are computed by gradient descent on the sum of squared
 distances (tangent averaging), and principal modes of a sample come from the
@@ -62,7 +64,8 @@ __all__ = [
     "TpcaResult",
 ]
 
-#: Tangent norms below this take the small-angle branch (exp is the identity).
+#: Tangent norms below this take the small-angle branch: exp is the identity
+#: and log is zero.
 SMALL_ANGLE = 1e-12
 
 #: Log maps are refused within this margin of the orthant boundary at pi/2.
@@ -102,8 +105,7 @@ def fr_distance(p1, p2) -> float:
     """
     psi1, psi2 = _as_srd(p1), _as_srd(p2)
     check_same_grid(psi1, psi2)
-    diff = psi1.values - psi2.values
-    return float(_angle_from_chord(psi1.grid.inner(diff, diff)))
+    return float(_distances(psi1.grid, psi1.values, psi2.values[None])[0])
 
 
 def _exp_values(grid: Grid, base: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -131,16 +133,8 @@ def inv_exp_map(psi1: Srd, psi2: Srd) -> TangentVector:
         of the orthant stops being well defined.
     """
     check_same_grid(psi1, psi2)
-    grid = psi1.grid
-    dot = float(np.clip(grid.inner(psi1.values, psi2.values), -1.0, 1.0))
-    diff = psi1.values - psi2.values
-    u = float(_angle_from_chord(grid.inner(diff, diff)))
-    if u >= np.pi / 2.0 - BOUNDARY_MARGIN:
-        raise AntipodalOrBoundaryError(f"points are {u:.6f} apart, log map undefined")
-    if u < SMALL_ANGLE:
-        return TangentVector(psi1, np.zeros(grid.n_points))
-    v = (u / np.sin(u)) * (psi2.values - dot * psi1.values)
-    return TangentVector(psi1, v)
+    tangents, _ = _log_rows(psi1.grid, psi1.values, psi2.values[None])
+    return TangentVector(psi1, tangents[0])
 
 
 def geodesic_path(p1: GridPdf, p2: GridPdf, n_steps: int) -> list[GridPdf]:
@@ -213,14 +207,18 @@ def _distances(grid: Grid, base: np.ndarray, psi: np.ndarray) -> np.ndarray:
 def _log_rows(grid: Grid, base: np.ndarray, psi: np.ndarray):
     """Inverse exp map of every row of ``psi`` at ``base``, vectorized.
 
-    Returns the tangent matrix and the vector of distances.
+    Returns the tangent matrix and the vector of distances.  A row closer
+    than SMALL_ANGLE to the base gets the zero tangent, as ``_exp_values``
+    takes a step that short as no step.
     """
     cosines = np.clip(psi @ (grid.weights * base), -1.0, 1.0)
     u = _distances(grid, base, psi)
     if np.any(u >= np.pi / 2.0 - BOUNDARY_MARGIN):
-        raise AntipodalOrBoundaryError("a sample point is a quarter circle from the base")
+        raise AntipodalOrBoundaryError(
+            f"a point is {u.max():.6f} from the base, log map undefined"
+        )
     with np.errstate(invalid="ignore", divide="ignore"):
-        factor = np.where(u < SMALL_ANGLE, 1.0, u / np.sin(u))
+        factor = np.where(u < SMALL_ANGLE, 0.0, u / np.sin(u))
     tangents = np.multiply(cosines[:, None], base)
     np.subtract(psi, tangents, out=tangents)
     tangents *= factor[:, None]
@@ -329,9 +327,13 @@ def karcher_mean(
     return mean
 
 
-def karcher_variance(samples, mean: Srd) -> float:
-    """Average squared Fisher-Rao distance of ``samples`` from ``mean``."""
+def karcher_variance(samples, mean) -> float:
+    """Average squared Fisher-Rao distance of ``samples`` from ``mean``.
+
+    ``mean`` is an Srd or a GridPdf, lifted as ``fr_distance`` lifts it.
+    """
     grid, psi = _srd_matrix(samples)
+    mean = _as_srd(mean)
     check_same_grid(samples[0], mean)
     return float(np.mean(_distances(grid, mean.values, psi) ** 2))
 

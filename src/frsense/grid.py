@@ -251,11 +251,6 @@ class Srd(_ReadOnlyArrays):
     def x(self) -> np.ndarray:
         return self.grid.x
 
-    def allclose(self, other: "Srd", tol: float = 1e-12) -> bool:
-        return self.grid == other.grid and bool(
-            np.max(np.abs(self.values - other.values)) <= tol
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class TangentVector(_ReadOnlyArrays):

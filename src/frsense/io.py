@@ -8,6 +8,7 @@ byte-identical files.
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import math
 import warnings
 
@@ -29,6 +30,9 @@ __all__ = [
 ]
 
 NUMBER_FORMAT = "%.12g"
+
+#: Column labels of the three measures, in ``MeasureTriple.astuple`` order.
+_MEASURES = ("D", "V", "E")
 
 #: Tolerance for matching a density-matrix header against the uniform grid.
 _HEADER_TOL = 1e-9
@@ -171,11 +175,9 @@ def _line_number(path: str, index: int) -> int:
 
 def write_sweep_csv(path: str, result: SweepResult) -> None:
     """One row per grid value: param_value, D, V, E."""
-    lines = ["param_value,D,V,E"]
+    lines = [",".join(("param_value", *_MEASURES))]
     for value, t in zip(result.spec.values, result.triples):
-        lines.append(
-            ",".join(_fmt(v) for v in (value, t.d_shift, t.v_spread, t.e_covshape))
-        )
+        lines.append(",".join(_fmt(v) for v in (value, *t.astuple())))
     _write_lines(path, lines)
 
 
@@ -183,12 +185,8 @@ def write_bands_csv(path: str, result: SweepResult) -> None:
     """Three rows (D, V, E) per declared band value."""
     lines = ["param_value,measure,lo,hi"]
     for value in result.spec.band_values:
-        band = result.bands[value]
-        for label, (lo, hi) in (
-            ("D", band.d_shift),
-            ("V", band.v_spread),
-            ("E", band.e_covshape),
-        ):
+        band = dataclasses.astuple(result.bands[value])
+        for label, (lo, hi) in zip(_MEASURES, band):
             lines.append(f"{_fmt(value)},{label},{_fmt(lo)},{_fmt(hi)}")
     _write_lines(path, lines)
 

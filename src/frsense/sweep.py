@@ -240,10 +240,6 @@ class SweepSpec:
     def baseline_value(self) -> float:
         return get_config_value(self.baseline, self.parameter)
 
-    @property
-    def baseline_index(self) -> int:
-        return self.values.index(self.baseline_value)
-
     def config_for(self, value: float):
         """Baseline config with the swept field set to `value`."""
         if value == self.baseline_value:
@@ -284,13 +280,9 @@ class SweepResult:
         return self.bands[float(value)]
 
 
-def _mean_triple(column: Sequence, d: int) -> MeasureTriple:
-    return MeasureTriple(
-        d_shift=float(np.mean([t.d_shift for t in column])),
-        v_spread=float(np.mean([t.v_spread for t in column])),
-        e_covshape=float(np.mean([t.e_covshape for t in column])),
-        d_components=d,
-    )
+def _measure_columns(per_replicate: Sequence, idx: int) -> tuple:
+    """The replicates' D, V and E values at grid index ``idx``, one tuple each."""
+    return tuple(zip(*(row[idx].astuple() for row in per_replicate)))
 
 
 def _annotate(exc: Exception, where: str) -> None:
@@ -313,20 +305,11 @@ def _run_task(
     grid position in its message.
     """
     r, idx = job
-    if idx is None:
-        label = "the baseline"
-    else:
-        label = f"{spec.parameter}={spec.values[idx]:g}"
+    value = spec.baseline_value if idx is None else spec.values[idx]
+    label = "the baseline" if idx is None else f"{spec.parameter}={value:g}"
     try:
-        if idx is None:
-            config = spec.baseline
-            ctl = dataclasses.replace(spec.mcmc, seed=derived_seed(spec.mcmc.seed, r))
-        else:
-            config = spec.config_for(spec.values[idx])
-            ctl = dataclasses.replace(
-                spec.mcmc, seed=derived_seed(spec.mcmc.seed, r, idx)
-            )
-        sample = _MODELS[spec.model][1](data, config, ctl, grid=grid)
+        ctl = dataclasses.replace(spec.mcmc, seed=derived_seed(spec.mcmc.seed, r, idx))
+        sample = model_sampler(spec.model)(data, spec.config_for(value), ctl, grid=grid)
         summary = summarize_sample(sample, spec.d_components, **karcher)
     except Exception as exc:
         _annotate(exc, f"sweep task failed at {label}, replicate {r}")
@@ -411,19 +394,19 @@ def run_sweep(
         triples = per_replicate[0]
     else:
         triples = tuple(
-            _mean_triple([row[idx] for row in per_replicate], spec.d_components)
+            MeasureTriple(
+                *(float(np.mean(m)) for m in _measure_columns(per_replicate, idx)),
+                spec.d_components,
+            )
             for idx in range(len(spec.values))
         )
 
-    bands = {}
-    for value in spec.band_values:
-        idx = spec.values.index(value)
-        column = [row[idx] for row in per_replicate]
-        bands[value] = BandTriple(
-            d_shift=replicate_band([t.d_shift for t in column]),
-            v_spread=replicate_band([t.v_spread for t in column]),
-            e_covshape=replicate_band([t.e_covshape for t in column]),
+    bands = {
+        value: BandTriple(
+            *map(replicate_band, _measure_columns(per_replicate, spec.values.index(value)))
         )
+        for value in spec.band_values
+    }
 
     return SweepResult(
         spec=spec,

@@ -232,7 +232,7 @@ def test_7c_dpgmm_shift_minimized_at_baseline(dpgmm_trend):
     assert elapsed < TREND_BUDGET_SECONDS
     spec = result.spec
     d_curve = [t.d_shift for t in result.triples]
-    at_base = d_curve[spec.baseline_index]
+    at_base = d_curve[spec.values.index(spec.baseline_value)]
     lo, hi = result.band_at(spec.baseline_value).d_shift
     assert lo <= at_base <= hi
     assert at_base < d_curve[0]

@@ -58,6 +58,14 @@ seed = 5
 n_points = 64
 """
 
+#: CONFIG edited to sweep a set bandwidth down to 1e-6.
+BANDWIDTH_SWEEP = (
+    "truncation = 60\n\n[sweep]\nparameter = alpha\nvalues = 1.0, 3.0, 8.0\n"
+    "replicates = 2\nband_values = 1.0, 8.0\n",
+    "truncation = 60\nbandwidth = 0.05\n\n[sweep]\nparameter = bandwidth\n"
+    "values = 1e-6, 0.05\nreplicates = 2\nband_values = 0.05\n",
+)
+
 
 #: A tiny dpgmm sweep whose numeric keys the mutation test overwrites.
 DPGMM_CONFIG = """\
@@ -232,6 +240,15 @@ class TestSweepCommand:
             f"{code}: {make_error()} [sweep task failed at alpha=8, replicate 1]\n"
         )
 
+    def test_out_naming_a_file_fails_before_any_task_runs(self, workdir, monkeypatch):
+        calls = []
+        monkeypatch.setattr(frsense.sweep, "_run_task", lambda *args: calls.append(args))
+        open("taken", "w").close()
+        rc, _, err = invoke(["sweep", "--config", "exp.ini", "--out", "taken"])
+        assert rc == 1
+        assert err.startswith("IO_ERROR:")
+        assert calls == []
+
     def test_densities_flag_adds_density_matrix(self, workdir):
         with open("exp.ini", "a") as fh:
             fh.write("\n[output]\ndensities = true\n")
@@ -332,7 +349,12 @@ class TestValidateConfigCommand:
             (("n_points = 64", "n_points = 8"), "CONFIG_BAD_GEOMETRY"),
             (("values = 1.0,", "values = -1.0, 1.0,"), "CONFIG_BAD_VALUE"),
             (("kind = dp", "kind = gp"), "CONFIG_BAD_MODEL"),
+            # Kernels this narrow vanish between the 64 grid points.
+            (("truncation = 60", "truncation = 60\nbandwidth = 1e-6"), "CONFIG_BAD_VALUE"),
+            (("truncation = 60", "truncation = 60\nbandwidth = 1e-300"), "CONFIG_BAD_VALUE"),
+            (BANDWIDTH_SWEEP, "CONFIG_BAD_VALUE"),
         ],
+        ids=["geometry", "value", "model", "bandwidth", "bandwidth-tiny", "bandwidth-swept"],
     )
     def test_bad_config_fails_before_any_sampler_runs(
         self, workdir, monkeypatch, command, edit, code
@@ -491,16 +513,18 @@ class TestMeanAndPcaCommands:
         return draws
 
     def test_mean_output_matches_library(self, workdir, rng):
-        from frsense import karcher_mean, from_srd, to_srd
+        from frsense import from_srd, karcher_mean, karcher_variance
+        from frsense.io import NUMBER_FORMAT
 
-        draws = self.write_draws(rng)
+        self.write_draws(rng)
         rc, out, err = invoke(["mean", "--densities", "draws.csv", "--out", "mean.csv"])
         assert rc == 0, err
-        written = read_density_matrix("mean.csv")
-        assert len(written) == 1
-        direct = from_srd(karcher_mean([to_srd(p) for p in draws]))
-        npt.assert_allclose(written[0].values, direct.values, atol=1e-9)
-        assert "karcher_variance = " in out
+        draws = read_density_matrix("draws.csv")
+        mean = karcher_mean(draws)
+        write_density_matrix("direct.csv", [from_srd(mean)])
+        assert open("mean.csv", "rb").read() == open("direct.csv", "rb").read()
+        variance = NUMBER_FORMAT % karcher_variance(draws, mean)
+        assert f"\nkarcher_variance = {variance}\n" in out
 
     def test_pca_writes_spectrum_and_mean(self, workdir, rng):
         self.write_draws(rng)

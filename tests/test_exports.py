@@ -49,6 +49,8 @@ def test_test_only_names_are_gone():
     assert not hasattr(frsense.TangentVector, "scaled")
     assert not hasattr(frsense.UniformBase, "density")
     assert not hasattr(frsense.BetaBase, "density")
+    assert not hasattr(frsense.Srd, "allclose")
+    assert not hasattr(frsense.SweepSpec, "baseline_index")
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")

@@ -125,10 +125,16 @@ class TestExpLogMaps:
         v = inv_exp_map(psi1, psi2)
         assert abs(psi1.grid.inner(v.values, psi1.values)) < 1e-10
 
+    def test_log_of_base_is_exactly_zero(self, grid, rng):
+        # One small-angle rule: a point within SMALL_ANGLE of the base maps
+        # to the zero tangent, as a step that short maps to the base.
+        psi = random_srd(grid, rng)
+        assert np.array_equal(inv_exp_map(psi, psi).values, np.zeros(grid.n_points))
+
     def test_exp_of_zero_vector_is_base(self, grid, rng):
         psi = random_srd(grid, rng)
         v = tangent_project(psi, np.zeros(grid.n_points))
-        assert exp_map(psi, v.values).allclose(psi, tol=0.0)
+        assert np.array_equal(exp_map(psi, v.values).values, psi.values)
 
     def test_exp_result_stays_on_orthant(self, grid, rng):
         # A long shot leaves the nonnegative orthant; the clamp must bring it

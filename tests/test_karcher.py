@@ -5,14 +5,16 @@ import pytest
 
 from frsense import (
     EmptyInputError,
+    Grid,
     fr_distance,
+    from_srd,
     inv_exp_map,
     karcher_mean,
     karcher_variance,
 )
 
 from _oracles import exp_map
-from conftest import random_srd
+from conftest import mixture_density, random_srd
 
 
 class TestKarcherMean:
@@ -91,3 +93,15 @@ class TestKarcherVariance:
         mean = karcher_mean(samples)
         direct = np.mean([fr_distance(s, mean) ** 2 for s in samples])
         assert karcher_variance(samples, mean) == pytest.approx(direct, abs=1e-12)
+
+    def test_density_mean_is_lifted_to_its_srd(self, rng):
+        # A GridPdf mean is square-rooted as fr_distance lifts it; its
+        # density values read as SRD values would give another number.
+        grid = Grid(128)
+        samples = [
+            mixture_density(grid, [c], [0.08], [1.0]) for c in rng.uniform(0.2, 0.8, 20)
+        ]
+        mean = karcher_mean(samples)
+        assert karcher_variance(samples, from_srd(mean)) == pytest.approx(
+            karcher_variance(samples, mean), abs=1e-12
+        )

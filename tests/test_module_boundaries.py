@@ -12,7 +12,6 @@ SOURCE = pathlib.Path(__file__).resolve().parents[1] / "src" / "frsense"
 
 #: (importing module, defining module, name) of each allowed private import.
 ALLOWED = {
-    ("cli", "geometry", "_karcher_fit"),
     ("cli", "io", "_write_lines"),
     ("measures", "geometry", "_karcher_fit"),
     ("measures", "geometry", "_tangent_spectrum"),

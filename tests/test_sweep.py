@@ -215,7 +215,7 @@ class TestSpecValidation:
     def test_baseline_lookup_and_config_for(self):
         spec = small_dp_spec()
         assert spec.baseline_value == 5.0
-        assert spec.baseline_index == 1
+        assert spec.values.index(spec.baseline_value) == 1
         assert spec.config_for(5.0) is spec.baseline
         moved = spec.config_for(0.5)
         assert moved.alpha == 0.5
@@ -234,7 +234,8 @@ class TestRunSweep:
         )
         spec = small_dp_spec(replicates=1)
         res = run_sweep(uniform_dataset(), spec)
-        assert res.triples[spec.baseline_index].astuple() == (0.0, 0.0, 0.0)
+        at_base = spec.values.index(spec.baseline_value)
+        assert res.triples[at_base].astuple() == (0.0, 0.0, 0.0)
 
     def test_identical_reruns(self):
         data = uniform_dataset()
