@@ -9,4 +9,4 @@ from .sweep import *  # noqa: F401,F403
 from .config import *  # noqa: F401,F403
 from .io import *  # noqa: F401,F403
 
-__version__ = "0.5.1"
+__version__ = "0.6.0"

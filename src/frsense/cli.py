@@ -39,6 +39,7 @@ from .io import (
     write_manifest,
     write_sweep_csv,
 )
+from .samplers.dp import expected_remainder
 from .sweep import run_sweep
 
 __all__ = ["main"]
@@ -165,6 +166,12 @@ def _cmd_validate(args) -> int:
     if spec.model == "dp":
         # dp draws are iid stick-breaking realizations: no burn-in, no thinning.
         print(f"mcmc: keep {mcmc.n_samples} iid draws, seed {mcmc.seed}")
+        remainder = {v: expected_remainder(spec.config_for(v), data.n) for v in spec.values}
+        largest = max(spec.values, key=remainder.get)
+        print(
+            f"expected absorbed remainder: {remainder[spec.baseline_value]:.3g} at the "
+            f"baseline, largest {remainder[largest]:.3g} at {spec.parameter} = {largest:g}"
+        )
     else:
         print(
             f"mcmc: keep {mcmc.n_samples}, burn-in {mcmc.burn_in}, "

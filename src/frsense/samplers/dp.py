@@ -35,6 +35,7 @@ __all__ = [
     "DpConfig",
     "dp_posterior",
     "centering_weight",
+    "expected_remainder",
 ]
 
 #: After remainder absorption the stick weights must sum to one within this.
@@ -47,7 +48,7 @@ _MIN_TRUNCATION = 50
 class UniformBase:
     """Uniform(0, 1) base measure."""
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, size: int | tuple[int, ...]) -> np.ndarray:
         return rng.random(size)
 
 
@@ -61,7 +62,7 @@ class BetaBase:
     def __post_init__(self):
         check_settings(self, positive=("a", "b"))
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, size: int | tuple[int, ...]) -> np.ndarray:
         return rng.beta(self.a, self.b, size)
 
 
@@ -99,31 +100,49 @@ def centering_weight(alpha: float, n: int) -> float:
     return alpha / (alpha + n)
 
 
-def _draw_atoms_and_weights(rng, config: DpConfig, n: int, w_g0: float):
-    """One truncated stick-breaking realization of the posterior DP.
+def expected_remainder(config: DpConfig, n: int) -> float:
+    """Expected stick mass a draw's last atom absorbs with n observations.
 
-    Returns the stick weights, the absorbed remainder, and for each of the
-    ``truncation`` atoms whether it comes from G0, its G0 draw and its data
-    index; atom ``j`` is ``g0_atoms[j]`` where ``from_g0[j]`` and data point
-    ``data_idx[j]`` elsewhere.  The final weight absorbs all remaining stick
-    mass, so the weights sum to one exactly; the conservation guard catches
-    the (pathological) case where they do not.
+    ((alpha + n) / (alpha + n + 1))^(truncation - 1), the mean of the product
+    of ``truncation - 1`` independent Beta(alpha + n, 1) variables.
+    """
+    return math.exp((config.truncation - 1) * math.log1p(-1.0 / (config.alpha + n + 1.0)))
+
+
+def _draw_atoms_and_weights(rng, config: DpConfig, n: int, w_g0: float, m: int):
+    """``m`` truncated stick-breaking realizations of the posterior DP.
+
+    Each kind of variate is drawn for all ``m`` draws as one block, in the
+    order sticks, G0 coins, G0 atoms, data indices; row ``i`` of every
+    returned array belongs to draw ``i``.  Returns the stick weights, the
+    absorbed remainders, and for each of the ``truncation`` atoms whether it
+    comes from G0, its G0 draw and its data index; atom ``j`` of draw ``i``
+    is ``g0_atoms[i, j]`` where ``from_g0[i, j]`` and data point
+    ``data_idx[i, j]`` elsewhere.  The final weight of a draw absorbs all of
+    its remaining stick mass, so its weights sum to one exactly; the
+    conservation guard catches the (pathological) draws where they do not.
     """
     k = config.truncation
-    sticks = rng.beta(1.0, config.alpha + n, size=k - 1)
-    weights = np.empty(k)
-    weights[:-1] = sticks * np.cumprod(np.concatenate(([1.0], 1.0 - sticks[:-1])))
-    remainder = 1.0 - float(weights[:-1].sum())
-    if abs(1.0 - (weights[:-1].sum() + max(remainder, 0.0))) > MASS_TOL:
+    sticks = rng.beta(1.0, config.alpha + n, size=(m, k - 1))
+    weights = np.empty((m, k))
+    weights[:, 0] = 1.0
+    np.cumprod(1.0 - sticks[:, :-1], axis=1, out=weights[:, 1:-1])
+    weights[:, :-1] *= sticks
+    taken = weights[:, :-1].sum(axis=1)
+    remainders = 1.0 - taken
+    weights[:, -1] = np.maximum(remainders, 0.0)
+    broken = np.flatnonzero(~(np.abs(1.0 - (taken + weights[:, -1])) <= MASS_TOL))
+    if broken.size:
+        first = int(broken[0])
         raise TruncationTooSmallError(
-            f"stick mass not conserved at truncation {k}; residual {remainder!r}"
+            f"stick mass not conserved at truncation {k} in draw {first}; "
+            f"residual {float(remainders[first])!r}"
         )
-    weights[-1] = max(remainder, 0.0)
 
-    from_g0 = rng.random(k) < w_g0
-    g0_atoms = config.g0.sample(rng, k)
-    data_idx = rng.integers(0, n, size=k)
-    return weights, remainder, from_g0, g0_atoms, data_idx
+    from_g0 = rng.random((m, k)) < w_g0
+    g0_atoms = config.g0.sample(rng, (m, k))
+    data_idx = rng.integers(0, n, size=(m, k))
+    return weights, remainders, from_g0, g0_atoms, data_idx
 
 
 def _kernel(grid: Grid, atoms: np.ndarray, bw: float) -> np.ndarray:
@@ -141,6 +160,54 @@ def _smooth(grid: Grid, atoms: np.ndarray, weights: np.ndarray, bw: float) -> np
     return _kernel(grid, atoms, bw) @ weights
 
 
+def _data_atom_rows(
+    grid: Grid, x: np.ndarray, bw: float, weights: np.ndarray, data_idx: np.ndarray
+) -> np.ndarray:
+    """Each draw's data atoms smoothed on the grid, one row per draw.
+
+    A share n / (alpha + n) of the atoms are copies of data points: their
+    kernels are columns of one table, weighted by each draw's summed sticks
+    per point (``weights`` must be zero on the G0 atoms).  One bincount sums
+    a block of draws and one product emits it; a block holds at most
+    ``n_points`` draws, so its summed sticks never outgrow the table.
+    """
+    m = weights.shape[0]
+    table = _kernel(grid, x, bw)
+    rows = np.empty((m, grid.n_points))
+    for start in range(0, m, grid.n_points):
+        block = slice(start, min(start + grid.n_points, m))
+        size = block.stop - start
+        cells = data_idx[block] + x.size * np.arange(size)[:, None]
+        summed = np.bincount(
+            cells.ravel(), weights=weights[block].ravel(), minlength=size * x.size
+        )
+        np.matmul(summed.reshape(size, x.size), table.T, out=rows[block])
+    return rows
+
+
+def _draw_rows(rng, config: DpConfig, x: np.ndarray, m: int, grid: Grid, bw: float):
+    """The unnormalized density rows and absorbed remainders of ``m`` draws.
+
+    The variate blocks live only in this call and the data kernel table only
+    in ``_data_atom_rows``, so neither is held while the next step runs.
+    """
+    weights, remainders, from_g0, g0_atoms, data_idx = _draw_atoms_and_weights(
+        rng, config, x.size, centering_weight(config.alpha, x.size), m
+    )
+    # Row-major order groups the G0 atoms by draw.
+    atoms, atom_weights = g0_atoms[from_g0], weights[from_g0]
+    weights[from_g0] = 0.0
+    rows = _data_atom_rows(grid, x, bw, weights, data_idx)
+
+    # Only G0 atoms are smoothed draw by draw.
+    counts = from_g0.sum(axis=1)
+    bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
+    for i in np.flatnonzero(counts).tolist():
+        own = slice(bounds[i], bounds[i + 1])
+        rows[i] += _smooth(grid, atoms[own], atom_weights[own], bw)
+    return rows, remainders
+
+
 def dp_posterior(
     data: Dataset,
     config: DpConfig,
@@ -154,26 +221,9 @@ def dp_posterior(
     apply and do not change the output.
     """
     grid = grid or default_grid()
-    rng = make_rng(ctl.seed)
     x = data.rescaled
-    w_g0 = centering_weight(config.alpha, data.n)
     bw = config.bandwidth if config.bandwidth is not None else silverman_bandwidth(x, grid)
-
-    # A share n / (alpha + n) of the atoms are copies of data points: their
-    # kernels are columns of one table, weighted by each point's summed sticks.
-    table = _kernel(grid, x, bw)
-    rows = np.empty((ctl.n_samples, grid.n_points))
-    remainders = np.empty(ctl.n_samples)
-    for i in range(ctl.n_samples):
-        weights, remainders[i], from_g0, g0_atoms, data_idx = _draw_atoms_and_weights(
-            rng, config, x.size, w_g0
-        )
-        from_data = ~from_g0
-        rows[i] = table @ np.bincount(
-            data_idx[from_data], weights=weights[from_data], minlength=x.size
-        )
-        if from_g0.any():
-            rows[i] += _smooth(grid, g0_atoms[from_g0], weights[from_g0], bw)
+    rows, remainders = _draw_rows(make_rng(ctl.seed), config, x, ctl.n_samples, grid, bw)
     return PosteriorSample(
         model="dp",
         grid=grid,

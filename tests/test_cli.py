@@ -280,12 +280,25 @@ class TestValidateConfigCommand:
         assert "mcmc: keep 16 iid draws, seed 5\n" in out
         assert "burn-in" not in out
 
+    def test_dp_plan_prints_the_expected_absorbed_remainder(self, workdir):
+        # n = 30 and truncation 60: ((alpha + 30) / (alpha + 31))^59 is largest
+        # at the largest alpha
+        rc, out, err = invoke(["validate-config", "--config", "exp.ini"])
+        assert rc == 0, err
+        baseline, largest = (((a + 30.0) / (a + 31.0)) ** 59 for a in (3.0, 8.0))
+        assert (
+            f"expected absorbed remainder: {baseline:.3g} at the baseline, "
+            f"largest {largest:.3g} at alpha = 8\n"
+        ) in out
+        assert (baseline, largest) == pytest.approx((0.1718, 0.2160), abs=1e-4)
+
     def test_plan_names_burn_in_and_thinning_for_chains(self, workdir):
         open("gm.ini", "w").write(DPGMM_CONFIG)
         rc, out, err = invoke(["validate-config", "--config", "gm.ini"])
         assert rc == 0, err
         assert "mcmc: keep 12, burn-in 0, thin 1, seed 5\n" in out
         assert "sampler runs: 3" in out
+        assert "absorbed remainder" not in out
 
     def test_unknown_parameter_exit_code(self, workdir):
         bad = CONFIG.replace("parameter = alpha", "parameter = alhpa")

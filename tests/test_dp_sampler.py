@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from _dp_reference import LAW_CASES, LAW_GRID, law_data, same_law_statistics
 from _law import assert_same_law
 from _oracles import smoothed_centering_measure
 
@@ -12,7 +13,6 @@ from frsense import (
     Dataset,
     DpConfig,
     Grid,
-    GridPdf,
     McmcControl,
     UniformBase,
     centering_weight,
@@ -58,31 +58,39 @@ class TestBaseMeasures:
 class TestStickWeights:
     def test_weights_sum_to_one(self, rng):
         cfg = DpConfig(alpha=5.0, truncation=200)
-        x = rng.uniform(0.05, 0.95, size=100)
-        for _ in range(10):
-            weights, remainder, from_g0, g0_atoms, data_idx = _draw_atoms_and_weights(
-                rng, cfg, x.size, 0.05
-            )
-            assert abs(weights.sum() - 1.0) < 1e-12
-            assert weights.min() >= 0.0
-            for piece in (weights, from_g0, g0_atoms, data_idx):
-                assert piece.shape == (200,)
-            assert remainder == pytest.approx(weights[-1], abs=1e-15)
+        weights, remainders, from_g0, g0_atoms, data_idx = _draw_atoms_and_weights(
+            rng, cfg, 100, 0.05, 10
+        )
+        npt.assert_allclose(weights.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        assert weights.min() >= 0.0
+        for piece in (weights, from_g0, g0_atoms, data_idx):
+            assert piece.shape == (10, 200)
+        assert remainders.shape == (10,)
+        npt.assert_allclose(remainders, weights[:, -1], rtol=0, atol=1e-15)
 
     def test_conservation_guard_fires_on_broken_sticks(self):
-        # sticks outside [0, 1] destroy mass conservation; the guard must catch it
-        class BrokenRng:
-            def beta(self, a, b, size=None):
-                return np.full(size, 2.0)
+        # sticks outside [0, 1] destroy mass conservation; the guard must
+        # catch it and name the first draw it fails in
+        with pytest.raises(TruncationTooSmallError, match=r"in draw 2; residual -1\.0$"):
+            _draw_atoms_and_weights(BrokenRng(broken_draws=[2, 4]), DpConfig(alpha=1.0), 1, 0.5, 5)
 
-            def random(self, size=None):
-                return np.zeros(size) if size is not None else 0.0
 
-            def integers(self, lo, hi, size=None):
-                return np.zeros(size, dtype=np.int64)
+class BrokenRng:
+    """Sticks of 0.5, except in ``broken_draws``, whose sticks are all 2."""
 
-        with pytest.raises(TruncationTooSmallError):
-            _draw_atoms_and_weights(BrokenRng(), DpConfig(alpha=1.0), 1, 0.5)
+    def __init__(self, broken_draws):
+        self.broken_draws = broken_draws
+
+    def beta(self, a, b, size=None):
+        sticks = np.full(size, 0.5)
+        sticks[self.broken_draws] = 2.0
+        return sticks
+
+    def random(self, size=None):
+        return np.zeros(size)
+
+    def integers(self, lo, hi, size=None):
+        return np.zeros(size, dtype=np.int64)
 
 
 class TestDpConfig:
@@ -206,34 +214,27 @@ def skipping_draws(data, cfg, ctl, grid):
     """The rows and remainders of a dp run that, like earlier versions of
     ``dp_posterior``, makes a draw for every chain sweep (burn-in and
     thinning included) and keeps every ``thin``-th one after ``burn_in``.
-    Each kept draw is smoothed atom by atom, without the data kernel table."""
-    rng = make_rng(ctl.seed)
-    w_g0 = centering_weight(cfg.alpha, data.n)
-    rows, remainders = [], []
+    The draws are one block of ``_draw_atoms_and_weights``; each kept draw
+    is smoothed atom by atom, without the data kernel table."""
     x = data.rescaled
-    for sweep in range(ctl.n_sweeps):
-        weights, remainder, from_g0, g0_atoms, data_idx = _draw_atoms_and_weights(
-            rng, cfg, x.size, w_g0
-        )
-        if sweep >= ctl.burn_in and (sweep - ctl.burn_in) % ctl.thin == 0:
-            atoms = np.where(from_g0, g0_atoms, x[data_idx])
-            rows.append(_smooth(grid, atoms, weights, cfg.bandwidth))
-            remainders.append(remainder)
-    return normalize_rows(grid, np.array(rows)), np.array(remainders)
+    weights, remainders, from_g0, g0_atoms, data_idx = _draw_atoms_and_weights(
+        make_rng(ctl.seed), cfg, x.size, centering_weight(cfg.alpha, data.n), ctl.n_sweeps
+    )
+    kept = slice(ctl.burn_in, None, ctl.thin)
+    atoms = np.where(from_g0, g0_atoms, x[data_idx])[kept]
+    rows = [_smooth(grid, a, w, cfg.bandwidth) for a, w in zip(atoms, weights[kept])]
+    return normalize_rows(grid, np.array(rows)), remainders[kept]
 
 
 class TestSameLawAsSkippingDraws:
-    """The kept draws follow the law of the draws a skipping run kept."""
+    """Block draws follow the law of the per-draw sampler they replaced."""
 
-    GRID = Grid(128)
-    CFG = DpConfig(alpha=5.0, truncation=60, bandwidth=0.05)
+    GRID = LAW_GRID
+    CFG = LAW_CASES["uniform-alpha-5"]
 
     @pytest.fixture(scope="class")
     def data(self):
-        crng = np.random.default_rng(41)
-        return Dataset.from_observations(
-            np.concatenate([crng.normal(-2.0, 0.7, 50), crng.normal(2.5, 1.0, 50)])
-        )
+        return law_data()
 
     def test_rebuild_is_the_sampler_at_burn_in_zero(self, data):
         ctl = McmcControl(n_samples=20, burn_in=0, thin=1, seed=4)
@@ -244,24 +245,11 @@ class TestSameLawAsSkippingDraws:
         npt.assert_allclose(ps.densities, rows, rtol=1e-13, atol=0)
         npt.assert_array_equal(ps.trace["absorbed_remainder"], remainders)
 
-    def test_two_sample_ks(self, data):
-        # Same seed; the skipping run's kept positions (400, 402, ...) lie
-        # past the 400 draws the sampler keeps, so the samples are independent.
-        n = 400
-        ps = dp_posterior(
-            data, self.CFG, McmcControl(n_samples=n, burn_in=0, thin=1, seed=12), grid=self.GRID
-        )
-        old_rows, old_remainders = skipping_draws(
-            data, self.CFG, McmcControl(n_samples=n, burn_in=n, thin=2, seed=12), self.GRID
-        )
-        center = smoothed_centering_measure(data, self.CFG, self.GRID)
-
-        def dist(rows):
-            return [fr_distance(GridPdf(self.GRID, row), center) for row in rows]
-
-        new = {"absorbed_remainder": ps.trace["absorbed_remainder"], "fr": dist(ps.densities)}
-        old = {"absorbed_remainder": old_remainders, "fr": dist(old_rows)}
-        assert_same_law(new, old)
+    @pytest.mark.parametrize("case", list(LAW_CASES))
+    def test_two_sample_ks(self, data, case):
+        # 400 iid draws from each sampler; tests/dp_law_repeat.py repeats
+        # this over many seeds and reports how often p < 0.05
+        assert_same_law(*same_law_statistics(data, LAW_CASES[case], 400, 12, 13))
 
 
 class TestTableEmission:
@@ -285,12 +273,22 @@ class TestTableEmission:
         cfg = DpConfig(alpha=alpha, g0=g0, truncation=60, bandwidth=0.05)
         ctl = McmcControl(n_samples=30, burn_in=0, thin=1, seed=6)
 
-        rng = make_rng(ctl.seed)
         w_g0 = centering_weight(alpha, data.n)
-        from_g0 = [_draw_atoms_and_weights(rng, cfg, data.n, w_g0)[2] for _ in range(ctl.n_samples)]
+        from_g0 = _draw_atoms_and_weights(make_rng(ctl.seed), cfg, data.n, w_g0, ctl.n_samples)[2]
         assert g0_share[0] <= np.mean(from_g0) <= g0_share[1]
 
         rows, remainders = skipping_draws(data, cfg, ctl, self.GRID)
         ps = dp_posterior(data, cfg, ctl, grid=self.GRID)
+        npt.assert_allclose(ps.densities, rows, rtol=1e-13, atol=0)
+        npt.assert_array_equal(ps.trace["absorbed_remainder"], remainders)
+
+    def test_rows_match_direct_smoothing_across_product_blocks(self):
+        # 40 draws on a 16-point grid are emitted as blocks of 16, 16 and 8
+        grid = Grid(16)
+        data = Dataset.from_observations(np.random.default_rng(8).normal(0.0, 1.0, 100))
+        cfg = DpConfig(alpha=5.0, truncation=60, bandwidth=0.1)
+        ctl = McmcControl(n_samples=40, burn_in=0, thin=1, seed=6)
+        rows, remainders = skipping_draws(data, cfg, ctl, grid)
+        ps = dp_posterior(data, cfg, ctl, grid=grid)
         npt.assert_allclose(ps.densities, rows, rtol=1e-13, atol=0)
         npt.assert_array_equal(ps.trace["absorbed_remainder"], remainders)
