@@ -10,8 +10,8 @@ quantity here has a closed form on the sphere:
 
 The exponential map is private: the Karcher iteration and
 ``geodesic_path`` shoot along it, clamped back into the orthant.  Distances
-and log maps are computed over the rows of a matrix, by ``_distances`` and
-``_log_rows``; ``fr_distance`` and ``inv_exp_map`` are their one-row case.
+and log-map terms are computed over the rows of a matrix, by ``_distances``
+and ``_log_terms``; ``fr_distance`` and ``inv_exp_map`` are their one-row case.
 
 Intrinsic means are computed by gradient descent on the sum of squared
 distances (tangent averaging), and principal modes of a sample come from the
@@ -20,10 +20,10 @@ so eigenvalues approximate those of the continuum covariance operator.
 
 Every sample statistic goes through one private core, ``_karcher_fit``: the
 sample becomes one SRD matrix (validated, square-rooted and put in canonical
-row order once), and the Karcher iteration returns the tangents and the
-distances at the mean it returns, from which the variance and the spectrum
-follow without another pass.  ``_tangent_spectrum`` is the one place a
-tangent covariance is decomposed, for ``summarize_sample`` (eigenvalues) and
+row order once).  A Karcher step needs only the mean log map (two
+matrix-vector products); at the returned mean the distances give the variance
+and the weight-scaled tangents, formed once, the spectrum, which
+``_tangent_spectrum`` decomposes for ``summarize_sample`` (eigenvalues) and
 ``tangent_pca`` (eigenvalues and eigenfunctions) alike.
 """
 
@@ -133,8 +133,8 @@ def inv_exp_map(psi1: Srd, psi2: Srd) -> TangentVector:
         of the orthant stops being well defined.
     """
     check_same_grid(psi1, psi2)
-    tangents, _ = _log_rows(psi1.grid, psi1.values, psi2.values[None])
-    return TangentVector(psi1, tangents[0])
+    cosines, _, factor = _log_terms(psi1.grid, psi1.values, psi2.values[None])
+    return TangentVector(psi1, factor[0] * (psi2.values - cosines[0] * psi1.values))
 
 
 def geodesic_path(p1: GridPdf, p2: GridPdf, n_steps: int) -> list[GridPdf]:
@@ -204,12 +204,12 @@ def _distances(grid: Grid, base: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return _angle_from_chord(sq @ grid.weights)
 
 
-def _log_rows(grid: Grid, base: np.ndarray, psi: np.ndarray):
-    """Inverse exp map of every row of ``psi`` at ``base``, vectorized.
+def _log_terms(grid: Grid, base: np.ndarray, psi: np.ndarray):
+    """Terms of the inverse exp map of every row of ``psi`` at ``base``.
 
-    Returns the tangent matrix and the vector of distances.  A row closer
-    than SMALL_ANGLE to the base gets the zero tangent, as ``_exp_values``
-    takes a step that short as no step.
+    Returns the cosines c, the distances u and the factors f = u / sin u, with
+    f = 0 below SMALL_ANGLE as ``_exp_values`` takes a step that short as no
+    step; the log map of row i is ``f[i] * (psi[i] - c[i] * base)``.
     """
     cosines = np.clip(psi @ (grid.weights * base), -1.0, 1.0)
     u = _distances(grid, base, psi)
@@ -219,18 +219,15 @@ def _log_rows(grid: Grid, base: np.ndarray, psi: np.ndarray):
         )
     with np.errstate(invalid="ignore", divide="ignore"):
         factor = np.where(u < SMALL_ANGLE, 0.0, u / np.sin(u))
-    tangents = np.multiply(cosines[:, None], base)
-    np.subtract(psi, tangents, out=tangents)
-    tangents *= factor[:, None]
-    return tangents, u
+    return cosines, u, factor
 
 
 @dataclass(frozen=True)
 class _KarcherFit:
     """One Karcher pass over a sample, with what it leaves at the mean.
 
-    ``tangents`` and ``distances`` are the log maps and the Fisher-Rao
-    distances of the (canonically ordered) draws at ``mean``.
+    ``tangents`` are the weight-scaled log maps of the (canonically ordered)
+    draws at ``mean``, and ``distances`` their Fisher-Rao distances from it.
     """
 
     grid: Grid
@@ -259,7 +256,7 @@ def _karcher_fit(
     eps2: float = KARCHER_STEP,
     max_iter: int = KARCHER_MAX_ITER,
 ) -> _KarcherFit:
-    """The Karcher iteration of ``karcher_mean``, keeping its last tangents."""
+    """The Karcher iteration of ``karcher_mean``, with the tangents at its mean."""
     grid, psi = _srd_matrix(samples)
     vals = psi.mean(axis=0)
     vals = vals / grid.norm(vals)
@@ -269,12 +266,13 @@ def _karcher_fit(
     converged = False
     n_iter = 0
     for n_iter in range(max_iter + 1):
-        tangents, u = _log_rows(grid, vals, psi)
-        dbar = tangents.mean(axis=0)
+        cosines, u, factor = _log_terms(grid, vals, psi)
+        # The mean of the log maps f_i (psi_i - c_i vals), without forming them.
+        dbar = (factor @ psi - (factor @ cosines) * vals) / len(psi)
         gnorm = grid.norm(dbar)
         if best is None or gnorm < best_gnorm:
             best_gnorm = gnorm
-            best = (vals, tangents, u)
+            best = (vals, cosines, u, factor)
         if gnorm < eps1:
             converged = True
             break
@@ -282,8 +280,10 @@ def _karcher_fit(
             break
         vals = _exp_values(grid, vals, eps2 * dbar)
 
+    vals, cosines, u, factor = best
+    scaled = factor[:, None] * (psi - cosines[:, None] * vals) * np.sqrt(grid.weights)
     info = KarcherInfo(converged=converged, n_iter=n_iter, grad_norm=float(best_gnorm))
-    return _KarcherFit(grid, *best, info)
+    return _KarcherFit(grid, vals, scaled, u, info)
 
 
 def karcher_mean(
@@ -341,8 +341,8 @@ def karcher_variance(samples, mean) -> float:
 def _tangent_spectrum(fit: _KarcherFit, vectors: bool = False):
     """Spectrum of the weighted tangent covariance, nonincreasing.
 
-    The tangents scaled by the square roots of the quadrature weights form an
-    n x p matrix S.  The nonzero spectrum of the p x p covariance
+    The fit's tangents, scaled by the square roots of the quadrature weights,
+    form an n x p matrix S.  The nonzero spectrum of the p x p covariance
     ``S^T S / (n - 1)`` equals that of the n x n Gram matrix
     ``S S^T / (n - 1)`` (the method of snapshots), so the smaller of the two
     is decomposed and the result has ``min(n, p)`` entries.
@@ -352,9 +352,8 @@ def _tangent_spectrum(fit: _KarcherFit, vectors: bool = False):
     orthonormalized by one QR, which keeps null directions orthonormal too,
     where dividing by ``sqrt((n - 1) lambda)`` would blow up rounding noise.
     """
-    n, p = fit.tangents.shape
-    sqrt_w = np.sqrt(fit.grid.weights)
-    scaled = fit.tangents * sqrt_w
+    scaled = fit.tangents
+    n, p = scaled.shape
     gram = n <= p
     small = (scaled @ scaled.T if gram else scaled.T @ scaled) / (n - 1)
     if not vectors:
@@ -363,7 +362,7 @@ def _tangent_spectrum(fit: _KarcherFit, vectors: bool = False):
     evecs = evecs[:, ::-1]
     if gram:
         evecs = np.linalg.qr(scaled.T @ evecs)[0]
-    funcs = evecs / sqrt_w[:, None]
+    funcs = evecs / np.sqrt(fit.grid.weights)[:, None]
     flip = funcs[np.argmax(np.abs(funcs), axis=0), np.arange(funcs.shape[1])] < 0
     funcs[:, flip] *= -1.0
     return _checked_spectrum(evals[::-1]), funcs

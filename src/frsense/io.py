@@ -163,7 +163,7 @@ def _read_table(path: str) -> np.ndarray:
                     lineno,
                 )
             rows.append(values)
-    return np.array(rows, dtype=float).reshape(len(rows), -1)
+    return np.array(rows, dtype=float) if rows else np.empty((0, 0))
 
 
 def _line_number(path: str, index: int) -> int:

@@ -197,18 +197,13 @@ def sample_crp_partition(alpha: float, n: int, rng: np.random.Generator) -> np.n
     labels = np.zeros(n, dtype=np.int64)
     counts = [1]
     for i in range(1, n):
-        u = rng.random() * (alpha + i)
-        if u < alpha:
+        j = _pick_linear([alpha, *counts], rng.random(), alpha + i)
+        if j == 0:
             labels[i] = len(counts)
             counts.append(1)
         else:
-            acc = alpha
-            for j, c in enumerate(counts):
-                acc += c
-                if u < acc:
-                    labels[i] = j
-                    counts[j] += 1
-                    break
+            labels[i] = j - 1
+            counts[j - 1] += 1
     return labels
 
 

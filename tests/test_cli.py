@@ -562,6 +562,22 @@ class TestMeanAndPcaCommands:
         assert rc == 1
         assert err.startswith("MEASURE_TOO_FEW_DRAWS:")
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["mean", "--densities", "blank.csv", "--out", "mean.csv"],
+            ["pca", "--densities", "blank.csv", "--out", "modes"],
+            ["geodesic", "--from", "blank.csv", "--to", "blank.csv"],
+        ],
+        ids=["mean", "pca", "geodesic"],
+    )
+    @pytest.mark.parametrize("text", ["", "\n  \n\t\n"], ids=["empty", "blank-lines"])
+    def test_density_file_without_rows_is_a_parse_error(self, workdir, args, text):
+        open("blank.csv", "w").write(text)
+        rc, _, err = invoke(args)
+        assert rc == 1, err
+        assert err == "DATA_PARSE: line 1: empty density matrix\n"
+
 
 #: The stderr code for an instance of each package error class.  ConfigError
 #: carries its own code; the classes without one share USER_ERROR.

@@ -6,12 +6,15 @@ import pytest
 from frsense import (
     EmptyInputError,
     Grid,
+    Srd,
     fr_distance,
     from_srd,
     inv_exp_map,
     karcher_mean,
     karcher_variance,
 )
+from frsense import geometry
+from frsense.geometry import KARCHER_STEP
 
 from _oracles import exp_map
 from conftest import mixture_density, random_srd
@@ -66,6 +69,23 @@ class TestKarcherMean:
         assert info.n_iter == 2
         with pytest.warns(RuntimeWarning):
             karcher_mean(samples, eps1=1e-13, max_iter=2)
+
+    def test_step_is_the_mean_of_the_explicit_tangents(self, grid, rng, monkeypatch):
+        # A step takes the mean log map from two matrix-vector products; at
+        # every iterate it must be the average of the draws' own log maps.
+        samples = [random_srd(grid, rng) for _ in range(25)]
+        shoot, steps = geometry._exp_values, []
+
+        def recording(g, base, v):
+            steps.append((base.copy(), v.copy()))
+            return shoot(g, base, v)
+
+        monkeypatch.setattr(geometry, "_exp_values", recording)
+        karcher_mean(samples, eps1=0.0, max_iter=4, full_output=True)
+        assert len(steps) == 4
+        for base, v in steps:
+            explicit = np.mean([inv_exp_map(Srd(grid, base), s).values for s in samples], axis=0)
+            np.testing.assert_allclose(v / KARCHER_STEP, explicit, rtol=0.0, atol=1e-14)
 
     def test_symmetric_pair_about_known_center(self, grid, rng):
         # exp(psi, v) and exp(psi, -v) must average back to psi.  Densities
