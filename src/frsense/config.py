@@ -43,6 +43,7 @@ import numpy as np
 from .errors import ConfigError
 from .geometry import KARCHER_EPS1, KARCHER_MAX_ITER, KARCHER_STEP
 from .grid import DEFAULT_N_POINTS, MIN_POINTS, Grid
+from .io import TRANSFORMS
 from .samplers import BetaBase, McmcControl, UniformBase
 from .sweep import AGGREGATES, SweepSpec, get_config_value, model_config
 
@@ -54,8 +55,6 @@ __all__ = [
     "dump_config",
     "load_config",
 ]
-
-TRANSFORMS = ("none", "log")
 
 _KNOWN_SECTIONS = (
     "dataset",
@@ -246,6 +245,8 @@ def _read_sections(path: str) -> dict:
             parser.read_file(fh)
     except configparser.Error as exc:
         raise ConfigError("CONFIG_PARSE", f"{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError("CONFIG_PARSE", f"{path}: not UTF-8 text ({exc.reason})") from exc
     sections = {name: dict(parser.items(name)) for name in parser.sections()}
     unknown = sorted(set(sections) - set(_KNOWN_SECTIONS))
     if unknown:

@@ -7,18 +7,20 @@ byte-identical files.
 
 from __future__ import annotations
 
-import configparser
 import dataclasses
 import math
 import warnings
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .config import ExperimentConfig, TRANSFORMS, dump_config
 from .errors import ConfigError, NonPositiveForLogError, ParseError
 from .grid import DensityMatrix, Grid, first_invalid_row
-from .samplers import Dataset
-from .sweep import SweepResult
+
+if TYPE_CHECKING:
+    from .config import ExperimentConfig
+    from .samplers import Dataset
+    from .sweep import SweepResult
 
 __all__ = [
     "load_dataset",
@@ -30,6 +32,9 @@ __all__ = [
 ]
 
 NUMBER_FORMAT = "%.12g"
+
+#: Transforms ``load_dataset`` applies before rescaling the observations.
+TRANSFORMS = ("none", "log")
 
 #: Column labels of the three measures, in ``MeasureTriple.astuple`` order.
 _MEASURES = ("D", "V", "E")
@@ -58,19 +63,20 @@ def load_dataset(path: str, transform: str = "none") -> Dataset:
             "CONFIG_BAD_VALUE",
             f"transform must be one of {', '.join(TRANSFORMS)}, got {transform!r}",
         )
+    from .samplers import Dataset
+
     values = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            try:
-                value = float(text)
-            except ValueError:
-                raise ParseError(f"not a number: {text!r}", lineno) from None
-            if not math.isfinite(value):
-                raise ParseError(f"not a finite number: {text!r}", lineno)
-            values.append(value)
+    for lineno, line in _numbered_lines(path):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        try:
+            value = float(text)
+        except ValueError:
+            raise ParseError(f"not a number: {text!r}", lineno) from None
+        if not math.isfinite(value):
+            raise ParseError(f"not a finite number: {text!r}", lineno)
+        values.append(value)
     observations = np.asarray(values, dtype=float)
     if transform == "log":
         if observations.size and observations.min() <= 0.0:
@@ -149,27 +155,44 @@ def _read_table(path: str) -> np.ndarray:
     except ValueError:
         pass
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                values = [float(p) for p in line.split(",")]
-            except ValueError:
-                raise ParseError("row is not comma-separated numbers", lineno) from None
-            if rows and len(values) != len(rows[0]):
-                raise ParseError(
-                    f"values of length {len(values)} on a grid of {len(rows[0])} points",
-                    lineno,
-                )
-            rows.append(values)
+    for lineno, line in _numbered_lines(path):
+        if not line.strip():
+            continue
+        try:
+            values = [float(p) for p in line.split(",")]
+        except ValueError:
+            raise ParseError("row is not comma-separated numbers", lineno) from None
+        if rows and len(values) != len(rows[0]):
+            raise ParseError(
+                f"values of length {len(values)} on a grid of {len(rows[0])} points",
+                lineno,
+            )
+        rows.append(values)
     return np.array(rows, dtype=float) if rows else np.empty((0, 0))
+
+
+def _numbered_lines(path: str):
+    """``(line number, line)`` of a UTF-8 text file, numbered from 1.
+
+    Bytes that are not UTF-8 raise ParseError with the line they sit on.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield from enumerate(fh, start=1)
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            data = data[: exc.start]
+        # The appended byte makes a trailing newline count the line it starts.
+        raise ParseError("not UTF-8 text", len((data + b".").splitlines())) from None
 
 
 def _line_number(path: str, index: int) -> int:
     """1-based line number of the ``index``-th non-blank line (header is 0)."""
-    with open(path, encoding="utf-8") as fh:
-        nonblank = [lineno for lineno, line in enumerate(fh, start=1) if line.strip()]
+    nonblank = [lineno for lineno, line in _numbered_lines(path) if line.strip()]
     return nonblank[index]
 
 
@@ -193,6 +216,10 @@ def write_bands_csv(path: str, result: SweepResult) -> None:
 
 def write_manifest(path: str, config: ExperimentConfig, run_info: dict) -> None:
     """Config echo plus a [run] section; loadable again as a config."""
+    import configparser
+
+    from .config import dump_config
+
     sections = dump_config(config)
     sections["run"] = {key: str(value) for key, value in run_info.items()}
     parser = configparser.ConfigParser(interpolation=None)

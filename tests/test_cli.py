@@ -355,6 +355,22 @@ class TestValidateConfigCommand:
         assert rc == 1, err
         assert err.startswith(code + ":")
 
+    def test_config_that_is_not_utf8_is_a_parse_error(self, workdir):
+        with open("bad.ini", "wb") as fh:
+            fh.write(b"# caf\xe9\n" + CONFIG.encode())
+        rc, _, err = invoke(["validate-config", "--config", "bad.ini"])
+        assert rc == 1, err
+        assert err.startswith("CONFIG_PARSE:")
+
+    @pytest.mark.parametrize("command", ["validate-config", "sweep"])
+    def test_observations_that_are_not_utf8_are_a_parse_error(self, workdir, command):
+        lines = open("obs.txt", "rb").read().splitlines(keepends=True)
+        lines.insert(11, b"# caf\xe9\n")
+        open("obs.txt", "wb").write(b"".join(lines))
+        rc, _, err = invoke([command, "--config", "exp.ini"])
+        assert rc == 1, err
+        assert err == "DATA_PARSE: line 12: not UTF-8 text\n"
+
     @pytest.mark.parametrize("command", ["validate-config", "sweep"])
     @pytest.mark.parametrize(
         "edit, code",
@@ -518,6 +534,18 @@ class TestGeodesicCommand:
         assert err.splitlines()[-1].startswith("CLI_USAGE:")
 
 
+#: Each command that reads density files, given ``in.csv``.
+DENSITY_COMMANDS = pytest.mark.parametrize(
+    "args",
+    [
+        ["mean", "--densities", "in.csv", "--out", "mean.csv"],
+        ["pca", "--densities", "in.csv", "--out", "modes"],
+        ["geodesic", "--from", "in.csv", "--to", "in.csv"],
+    ],
+    ids=["mean", "pca", "geodesic"],
+)
+
+
 class TestMeanAndPcaCommands:
     def write_draws(self, rng, n=12):
         g = Grid(64)
@@ -562,21 +590,25 @@ class TestMeanAndPcaCommands:
         assert rc == 1
         assert err.startswith("MEASURE_TOO_FEW_DRAWS:")
 
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ["mean", "--densities", "blank.csv", "--out", "mean.csv"],
-            ["pca", "--densities", "blank.csv", "--out", "modes"],
-            ["geodesic", "--from", "blank.csv", "--to", "blank.csv"],
-        ],
-        ids=["mean", "pca", "geodesic"],
-    )
+    @DENSITY_COMMANDS
     @pytest.mark.parametrize("text", ["", "\n  \n\t\n"], ids=["empty", "blank-lines"])
     def test_density_file_without_rows_is_a_parse_error(self, workdir, args, text):
-        open("blank.csv", "w").write(text)
+        open("in.csv", "w").write(text)
         rc, _, err = invoke(args)
         assert rc == 1, err
         assert err == "DATA_PARSE: line 1: empty density matrix\n"
+
+    @DENSITY_COMMANDS
+    def test_density_file_that_is_not_utf8_is_a_parse_error(self, workdir, rng, args):
+        # Twelve rows on 64 points outgrow one 8 KiB decoding chunk, so the
+        # line number cannot come from the decoder's position.
+        self.write_draws(rng)
+        lines = open("draws.csv", "rb").read().split(b"\n")
+        lines[9] = lines[9].replace(b",", b",\xe9", 1)
+        open("in.csv", "wb").write(b"\n".join(lines))
+        rc, _, err = invoke(args)
+        assert rc == 1, err
+        assert err == "DATA_PARSE: line 10: not UTF-8 text\n"
 
 
 #: The stderr code for an instance of each package error class.  ConfigError

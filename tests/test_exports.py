@@ -1,11 +1,18 @@
-"""Every name a module declares public exists and the package re-exports it."""
+"""Every name a module declares public exists and the package re-exports it.
+
+``import frsense`` loads only the geometry core; the names of the samplers,
+the sweep driver and the config reader resolve on first use.
+"""
 
 import importlib
+import json
 import os
 import pkgutil
+import subprocess
 import sys
 
 import pytest
+from conftest import random_mixture_pdf
 
 import frsense
 
@@ -13,6 +20,9 @@ import frsense
 ENTRY_POINT = "frsense.cli"
 
 MODULES = sorted(info.name for info in pkgutil.walk_packages(frsense.__path__, "frsense."))
+
+#: Modules whose names ``import frsense`` leaves to load on first use.
+DEFERRED = ("frsense.samplers", "frsense.sweep", "frsense.config")
 
 #: Names that only tests called; their oracles live in ``tests/_oracles.py``.
 REMOVED = (
@@ -25,6 +35,27 @@ REMOVED = (
     "sweep_grid_presets",
     "GRID_POINTS",
 )
+
+
+def run_fresh(code: str, *args: str):
+    """The JSON that ``code`` prints when run in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(frsense.__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    result = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(result.stdout)
+
+
+def public_names() -> set:
+    """Every name a library module declares public, and the top-level modules."""
+    library = [name for name in MODULES if name != ENTRY_POINT]
+    exports = {e for name in library for e in importlib.import_module(name).__all__}
+    return exports | {name.split(".")[1] for name in library}
 
 
 def test_every_module_is_found():
@@ -51,6 +82,57 @@ def test_test_only_names_are_gone():
     assert not hasattr(frsense.BetaBase, "density")
     assert not hasattr(frsense.Srd, "allclose")
     assert not hasattr(frsense.SweepSpec, "baseline_index")
+
+
+def test_summaries_do_not_load_samplers_sweep_or_config(tmp_path, rng):
+    grid = frsense.Grid(64)
+    paths = [str(tmp_path / f"{name}.csv") for name in ("base", "pert")]
+    for path in paths:
+        frsense.write_density_matrix(path, [random_mixture_pdf(grid, rng) for _ in range(8)])
+    code = (
+        "import json, sys\n"
+        "import frsense\n"
+        "summaries = [\n"
+        "    frsense.summarize_sample(frsense.read_density_matrix(path), 4)\n"
+        "    for path in sys.argv[1:]\n"
+        "]\n"
+        "frsense.triple_from_summaries(*summaries)\n"
+        f"print(json.dumps([name for name in {DEFERRED!r} if name in sys.modules]))"
+    )
+    assert run_fresh(code, *paths) == []
+
+
+def test_star_import_and_dir_list_every_public_name():
+    code = (
+        "import json\n"
+        "import frsense\n"
+        "listed = dir(frsense)\n"
+        "namespace = {}\n"
+        "exec('from frsense import *', namespace)\n"
+        "print(json.dumps([listed, sorted(set(namespace) - {'__builtins__'})]))"
+    )
+    listed, star = run_fresh(code)
+    assert set(star) == public_names()
+    assert set(listed) >= public_names()
+
+
+def test_deferred_modules_resolve_without_an_import():
+    code = (
+        "import json\n"
+        "import frsense\n"
+        "print(json.dumps([\n"
+        "    frsense.samplers.__name__, frsense.sweep.__name__, frsense.config.__name__,\n"
+        "    frsense.run_sweep.__module__, frsense.DpConfig.__module__,\n"
+        "]))"
+    )
+    assert run_fresh(code) == [*DEFERRED, "frsense.sweep", "frsense.samplers.dp"]
+
+
+def test_unknown_names_raise_attribute_error():
+    for name in ("no_such_name", "_no_such_name", *REMOVED):
+        assert not hasattr(frsense, name)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        frsense.no_such_name
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")

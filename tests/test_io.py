@@ -70,6 +70,16 @@ class TestLoadDataset:
         assert exc.value.line_number == 3
         assert str(exc.value).startswith("line 3:")
 
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize(
+        "bad", [b"2.\xe9", b"# caf\xe9", b"3.0 \xc3"], ids=["value", "comment", "cut"]
+    )
+    def test_non_utf8_line_is_a_parse_error_with_its_line_number(self, tmp_path, newline, bad):
+        path = tmp_path / "obs.txt"
+        path.write_bytes(newline.join([b"1.0", b"", bad, b"4.0"]))
+        with pytest.raises(ParseError, match="^line 3: not UTF-8 text$"):
+            load_dataset(str(path))
+
     def test_log_transform_applies_before_rescale(self, tmp_path):
         values = np.exp(np.linspace(-1.0, 2.0, 40))
         data = load_dataset(
