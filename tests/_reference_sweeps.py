@@ -1,10 +1,10 @@
 """Pinned archives of small Gibbs sweeps, and the script that regenerates them.
 
 The cases are small versions of the ``sweep-dpgmm`` and ``sweep-dcv-t2``
-benchmark sweeps, at seeds 1, 2 and 7.  Each case directory under
-``tests/reference_sweeps/`` holds the dataset, the INI config and the files
-that ``frsense sweep`` wrote from them: ``sweep.csv``, ``bands.csv`` and,
-for dcv, ``densities.csv``.  ``test_reference_sweeps.py`` reruns every case
+benchmark sweeps and a small ``ccv`` sweep, at seeds 1, 2 and 7.  Each case
+directory under ``tests/reference_sweeps/`` holds the dataset, the INI config
+and the files that ``frsense sweep`` wrote from them: ``sweep.csv``,
+``bands.csv`` and ``densities.csv``.  ``test_reference_sweeps.py`` reruns every case
 and compares.
 
 A change that is meant to move these outputs regenerates them with
@@ -72,10 +72,29 @@ thin = 1
 seed = {seed}
 """
 
+_CCV = """\
+[model]
+kind = ccv
+
+[sweep]
+parameter = eta
+values = 1.5, 3.0, 6.0
+replicates = 2
+band_values = 3.0
+d_components = 10
+
+[mcmc]
+n_samples = 20
+burn_in = 20
+thin = 1
+seed = {seed}
+"""
+
 #: Case name: (worker count, archive files pinned, config after [dataset]).
 CASES = {
-    "dpgmm": (1, ("sweep.csv", "bands.csv"), _DPGMM),
+    "dpgmm": (1, ("sweep.csv", "bands.csv", "densities.csv"), _DPGMM),
     "dcv-t2": (2, ("sweep.csv", "bands.csv", "densities.csv"), _DCV),
+    "ccv": (1, ("sweep.csv", "bands.csv", "densities.csv"), _CCV),
 }
 
 #: Shared by every case; coarser than the package default to keep the
