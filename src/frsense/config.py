@@ -241,7 +241,7 @@ def _read_sections(path: str) -> dict:
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             parser.read_file(fh)
     except configparser.Error as exc:
         raise ConfigError("CONFIG_PARSE", f"{path}: {exc}") from exc

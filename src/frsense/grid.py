@@ -135,8 +135,10 @@ def _check_shape(grid: Grid, values: np.ndarray):
 def first_invalid_row(grid: Grid, rows: np.ndarray):
     """Index and error of the first row of ``rows`` that is no density on ``grid``.
 
-    A density row is nonnegative and integrates to one within
-    INTEGRAL_TOL; NaN fails both.  Returns None when every row passes.
+    A density row is finite, nonnegative and integrates to one within
+    INTEGRAL_TOL.  Only the first bad row is checked for finiteness, to name
+    its fault, so a valid matrix takes no extra pass.  Returns None when
+    every row passes.
     GridPdf and DensityMatrix both validate through this check.
     """
     negative = ~np.all(rows >= 0.0, axis=1)
@@ -145,6 +147,8 @@ def first_invalid_row(grid: Grid, rows: np.ndarray):
     if not bad.any():
         return None
     i = int(np.argmax(bad))
+    if not np.isfinite(rows[i]).all():
+        return i, ValueError("density values must be finite")
     if negative[i]:
         return i, NegativeValueError("density values must be >= 0")
     return i, ValueError(f"density integrates to {float(totals[i])!r}, not 1")

@@ -150,7 +150,7 @@ def _read_table(path: str) -> np.ndarray:
             # An empty file is reported by the caller.
             warnings.simplefilter("ignore", UserWarning)
             return np.loadtxt(
-                path, delimiter=",", ndmin=2, comments=None, encoding="utf-8"
+                path, delimiter=",", ndmin=2, comments=None, encoding="utf-8-sig"
             )
     except ValueError:
         pass
@@ -172,12 +172,12 @@ def _read_table(path: str) -> np.ndarray:
 
 
 def _numbered_lines(path: str):
-    """``(line number, line)`` of a UTF-8 text file, numbered from 1.
+    """``(line number, line)`` of a UTF-8 text file, numbered from 1, BOM dropped.
 
     Bytes that are not UTF-8 raise ParseError with the line they sit on.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             yield from enumerate(fh, start=1)
     except UnicodeDecodeError:
         with open(path, "rb") as fh:

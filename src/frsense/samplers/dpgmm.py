@@ -8,9 +8,9 @@ one-dimensional Wishart reduction Gamma(shape nu/2, rate nu*S/2), so its
 prior mean is 1/S; the component mean given the precision R is normal with
 precision r*R around location m.
 
-Each retained state is emitted as the conditional predictive density: occupied
-clusters contribute their Student-t predictives weighted n_j / (n + alpha),
-and the prior predictive enters with weight alpha / (n + alpha).
+Each retained state is emitted as the function its Gibbs step weighs, taken
+on the grid: n_j times each occupied cluster's Student-t predictive plus
+alpha times the prior predictive, which ``_run_chain`` normalizes.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InvalidSettingError
-from ..grid import Grid
+from ..grid import Grid, default_grid
 from .common import (
     Dataset,
     McmcControl,
@@ -61,7 +61,7 @@ class DpgmmConfig:
         if not math.isfinite(gap * gap):
             raise InvalidSettingError(f"m = {self.m!r} is too far from [0, 1]")
         try:
-            finite = all(map(math.isfinite, _predictive_params(self, 0, 0.0, 0.0)))
+            finite = all(map(math.isfinite, _predictive_params(self)))
         except (OverflowError, ValueError, ZeroDivisionError):  # lgamma overflow,
             finite = False  # log of zero, an underflowed nu * r
         if not finite:
@@ -97,36 +97,20 @@ class DpgmmConfig:
             )
 
 
-def _predictive_params(cfg: DpgmmConfig, count: int, total: float, total_sq: float):
-    """Student-t posterior predictive for a cluster with the given stats.
-
-    Returns (df, location, log-normalizer, squared-scale times df).  With
-    ``count=0`` this is the prior predictive.
-    """
+def _predictive_params(cfg: DpgmmConfig):
+    """Student-t prior predictive: (df, location, log-normalizer, squared-scale
+    times df)."""
     a0 = 0.5 * cfg.nu
     b0 = 0.5 * cfg.nu * cfg.s
-    rn = cfg.r + count
-    an = a0 + 0.5 * count
-    if count > 0:
-        mean = total / count
-        ssd = total_sq - total * total / count
-        shift = 0.5 * cfg.r * count * (mean - cfg.m) ** 2 / rn
-        bn = b0 + 0.5 * ssd + shift
-        if bn <= 0.0:  # ssd < 0 is rounding error, here of tied data
-            bn = b0 + shift
-        loc = (cfg.r * cfg.m + total) / rn
-    else:
-        bn = b0
-        loc = cfg.m
-    df = 2.0 * an
-    scale_sq = bn * (rn + 1.0) / (an * rn)
+    df = 2.0 * a0
+    scale_sq = b0 * (cfg.r + 1.0) / (a0 * cfg.r)
     denom = df * scale_sq
     log_norm = (
         math.lgamma(0.5 * (df + 1.0))
         - math.lgamma(0.5 * df)
         - 0.5 * (math.log(df) + _LOG_PI + math.log(scale_sq))
     )
-    return df, loc, log_norm, denom
+    return df, cfg.m, log_norm, denom
 
 
 def _t_logpdf(x: float, params) -> float:
@@ -134,25 +118,10 @@ def _t_logpdf(x: float, params) -> float:
     return log_norm - 0.5 * (df + 1.0) * math.log1p((x - loc) ** 2 / denom)
 
 
-def _t_pdf_rows(x: np.ndarray, params) -> np.ndarray:
-    df, loc, log_norm, denom = params
-    return np.exp(log_norm - 0.5 * (df + 1.0) * np.log1p((x - loc) ** 2 / denom))
-
-
-def _emit_row(cfg: DpgmmConfig, grid: Grid, counts, sums, sqs) -> np.ndarray:
-    """Conditional predictive density of one state, unnormalized on the grid."""
-    alpha = cfg.alpha
-    total = sum(counts) + alpha
-    row = (alpha / total) * _t_pdf_rows(grid.x, _predictive_params(cfg, 0, 0.0, 0.0))
-    for count, s, sq in zip(counts, sums, sqs):
-        row += (count / total) * _t_pdf_rows(grid.x, _predictive_params(cfg, count, s, sq))
-    return row
-
-
 def _new_cluster_log_weights(cfg: DpgmmConfig, xs) -> list:
     """``log(alpha * t0(x))`` for each x, where t0 is the prior predictive."""
     log_alpha = math.log(cfg.alpha)
-    prior = _predictive_params(cfg, 0, 0.0, 0.0)
+    prior = _predictive_params(cfg)
     return [log_alpha + _t_logpdf(x, prior) for x in xs]
 
 
@@ -166,9 +135,9 @@ def _cluster_terms(cfg: DpgmmConfig, n: int):
     times its Student-t predictive density.  Raising the whole product to
     the power, not ``1 + z`` alone, keeps a tight cluster's weight from
     underflowing before ``n_j * exp(log_norm)`` would scale it back up.
-    ``loc``, ``denom`` and ``log_norm`` are ``_predictive_params``'s, made by
-    the same operations in the same order, with its count-only parts (the
-    lgamma ratio, log df) tabulated once.
+    ``loc``, ``denom`` and ``log_norm`` are those of the cluster's Student-t
+    posterior predictive, with its count-only parts (the lgamma ratio,
+    log df) tabulated once.
     """
     log, exp = math.log, math.exp
     r, m, rm = cfg.r, cfg.m, cfg.r * cfg.m
@@ -209,13 +178,13 @@ class _DpgmmChain:
     cluster weight can exceed ``n * e**373``, so the total neither
     underflows nor overflows.  The uniforms come as one block per sweep,
     which numpy draws exactly as the same number of scalar ``rng.random()``
-    calls.
+    calls.  A kept state is emitted as the same weights on the grid, which
+    lies in [0, 1] as the data do.
     """
 
     TRACE_NAMES = ("n_clusters",)
 
-    def __init__(self, x: np.ndarray, cfg: DpgmmConfig, rng: np.random.Generator):
-        self.cfg = cfg
+    def __init__(self, x: np.ndarray, cfg: DpgmmConfig, rng: np.random.Generator, grid: Grid):
         self.rng = rng
         self.xs = x.tolist()
         self.labels = sample_crp_partition(cfg.alpha, x.size, rng).tolist()
@@ -223,6 +192,7 @@ class _DpgmmChain:
         self.terms_of = _cluster_terms(cfg, x.size)
         self.terms = [self.terms_of(*stats) for stats in zip(self.counts, self.sums, self.sqs)]
         self.new_cluster = [math.exp(lw) for lw in _new_cluster_log_weights(cfg, self.xs)]
+        self.new_cluster_row = np.exp(_new_cluster_log_weights(cfg, grid.x.tolist()))
 
     def sweep(self):
         xs, labels, terms_of, new_cluster = self.xs, self.labels, self.terms_of, self.new_cluster
@@ -267,7 +237,10 @@ class _DpgmmChain:
         self.labels = labels
 
     def emit_row(self, grid: Grid) -> np.ndarray:
-        return _emit_row(self.cfg, grid, self.counts, self.sums, self.sqs)
+        """``sum_j n_j t_j(x) + alpha t0(x)`` on the grid the chain was built for."""
+        b, power, loc, denom = np.array(self.terms).T[:, :, None]
+        weights = (b * (1.0 + (grid.x - loc) ** 2 / denom)) ** power
+        return weights.sum(axis=0) + self.new_cluster_row
 
     def trace_row(self) -> tuple:
         return (len(self.counts),)
@@ -283,5 +256,6 @@ def dpgmm_posterior(
     grid: Grid | None = None,
 ) -> PosteriorSample:
     """Collapsed Gibbs run emitting one predictive density per retained state."""
-    chain = _DpgmmChain(data.rescaled, config, make_rng(ctl.seed))
+    grid = grid or default_grid()
+    chain = _DpgmmChain(data.rescaled, config, make_rng(ctl.seed), grid)
     return _run_chain(chain, "dpgmm", ctl, grid, config)

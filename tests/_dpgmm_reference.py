@@ -2,10 +2,12 @@
 
 This is the straightforward kernel that ``frsense.samplers.dpgmm`` replaced
 with a faster one: per-cluster predictive parameters rebuilt through
-``_predictive_params`` and one scalar uniform per observation-step.  The
+``_predictive_params`` and one scalar uniform per observation-step, and
+each kept state emitted as the normalized sum of its Student-t rows.  The
 fast kernel must make the same floating-point operations in the same order,
-so ``reference_posterior`` and ``dpgmm_posterior`` agree bit for bit.
-Kept only as the oracle for that comparison.
+so ``reference_posterior`` and ``dpgmm_posterior`` visit the same states bit
+for bit; the fast chain emits them in its own form, equal to these rows to
+rounding.  Kept only as the oracle for that comparison.
 """
 
 from __future__ import annotations
@@ -171,11 +173,12 @@ def reference_posterior(
     ctl: McmcControl,
     grid: Grid | None = None,
 ):
-    """``(densities, n_clusters trace, relabels)`` of the reference chain.
+    """``(densities, n_clusters trace, relabels, states)`` of the reference chain.
 
     ``relabels`` counts the steps that emptied a cluster other than the
     last one: the path that moves the last cluster into the freed slot and
-    relabels its members.
+    relabels its members.  ``states`` holds each kept state's cluster
+    ``(counts, sums, sums of squares)``.
     """
     grid = grid or default_grid()
     rng = make_rng(ctl.seed)
@@ -185,13 +188,15 @@ def reference_posterior(
 
     rows = np.empty((ctl.n_samples, grid.n_points))
     k_trace = np.empty(ctl.n_samples)
+    states = []
     kept = 0
     for sweep in range(ctl.n_sweeps):
         _gibbs_sweep(state, config.alpha, rng)
         if sweep >= ctl.burn_in and (sweep - ctl.burn_in) % ctl.thin == 0:
             rows[kept] = _emit_row(state, config.alpha, grid)
             k_trace[kept] = state.n_clusters
+            states.append((state.counts.copy(), state.sums.copy(), state.sqs.copy()))
             kept += 1
             if kept == ctl.n_samples:
                 break
-    return normalize_rows(grid, rows), k_trace, state.relabels
+    return normalize_rows(grid, rows), k_trace, state.relabels, states

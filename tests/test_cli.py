@@ -1,5 +1,6 @@
 """Command line interface: exit codes, archives and reproducibility."""
 
+import codecs
 import contextlib
 import dataclasses
 import io
@@ -362,6 +363,17 @@ class TestValidateConfigCommand:
         assert rc == 1, err
         assert err.startswith("CONFIG_PARSE:")
 
+    @pytest.mark.parametrize("name", ["exp.ini", "obs.txt"], ids=["config", "observations"])
+    def test_file_with_a_byte_order_mark_reads_alike(self, workdir, name):
+        # Spreadsheet "CSV UTF-8" exports start with one.
+        rc, plain, err = invoke(["validate-config", "--config", "exp.ini"])
+        assert rc == 0, err
+        text = open(name, "rb").read()
+        open(name, "wb").write(codecs.BOM_UTF8 + text)
+        rc, marked, err = invoke(["validate-config", "--config", "exp.ini"])
+        assert rc == 0, err
+        assert marked == plain
+
     @pytest.mark.parametrize("command", ["validate-config", "sweep"])
     def test_observations_that_are_not_utf8_are_a_parse_error(self, workdir, command):
         lines = open("obs.txt", "rb").read().splitlines(keepends=True)
@@ -597,6 +609,26 @@ class TestMeanAndPcaCommands:
         rc, _, err = invoke(args)
         assert rc == 1, err
         assert err == "DATA_PARSE: line 1: empty density matrix\n"
+
+    def test_density_file_with_a_byte_order_mark_reads_alike(self, workdir, rng):
+        self.write_draws(rng)
+        open("in.csv", "wb").write(codecs.BOM_UTF8 + open("draws.csv", "rb").read())
+        rc, marked, err = invoke(["mean", "--densities", "in.csv", "--out", "marked.csv"])
+        assert rc == 0, err
+        rc, plain, err = invoke(["mean", "--densities", "draws.csv", "--out", "plain.csv"])
+        assert rc == 0, err
+        assert marked == plain
+        assert open("marked.csv", "rb").read() == open("plain.csv", "rb").read()
+
+    def test_density_row_of_nan_is_named_non_finite(self, workdir):
+        rng = np.random.default_rng(3)
+        write_density_matrix("in.csv", [random_mixture_pdf(Grid(16), rng) for _ in range(3)])
+        lines = open("in.csv").read().splitlines()
+        lines[1] = ",".join(["nan"] * 16)
+        open("in.csv", "w").write("\n".join(lines) + "\n")
+        rc, _, err = invoke(["mean", "--densities", "in.csv", "--out", "mean.csv"])
+        assert rc == 1, err
+        assert err == "DATA_PARSE: line 2: density values must be finite\n"
 
     @DENSITY_COMMANDS
     def test_density_file_that_is_not_utf8_is_a_parse_error(self, workdir, rng, args):

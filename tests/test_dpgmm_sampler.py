@@ -10,22 +10,30 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.integrate import quad
 
-from _dpgmm_reference import reference_posterior
+from _dpgmm_reference import _predictive_params, _t_logpdf, _t_pdf_rows, reference_posterior
 from _law import assert_same_law
 from _oracles import crp_expected_clusters
 
 from frsense import Dataset, DpgmmConfig, Grid, McmcControl, dpgmm_posterior
 from frsense.errors import FrsenseError, InvalidSettingError
+from frsense.grid import default_grid, normalize_rows
 from frsense.samplers import make_rng, sample_crp_partition
+from frsense.samplers import dpgmm
 from frsense.samplers.common import _cluster_stats, _pick, _pick_linear
-from frsense.samplers.dpgmm import (
-    _cluster_terms,
-    _emit_row,
-    _new_cluster_log_weights,
-    _predictive_params,
-    _t_logpdf,
-    _t_pdf_rows,
-)
+from frsense.samplers.dpgmm import _cluster_terms, _DpgmmChain, _new_cluster_log_weights
+
+
+def _emit(config, grid, counts, sums, sqs):
+    """A state with these cluster stats, emitted as the chain emits it."""
+    chain = _DpgmmChain(np.array([0.5]), config, make_rng(0), grid)
+    terms_of = _cluster_terms(config, sum(counts))
+    chain.terms = [terms_of(*stats) for stats in zip(counts, sums, sqs)]
+    return chain.emit_row(grid)
+
+
+def _student_t_pdf(x, params):
+    df, loc, _, denom = params
+    return stats.t.pdf(x, df, loc=loc, scale=np.sqrt(denom / df))
 
 
 class TestPick:
@@ -69,8 +77,8 @@ class TestPredictive:
     def test_prior_predictive_is_student_t(self, grid):
         cfg = DpgmmConfig(alpha=1.0, m=0.3, r=0.5, nu=4.0, s=0.8)
         params = _predictive_params(cfg, 0, 0.0, 0.0)
-        df, loc, _, denom = params
-        ref = stats.t.pdf(grid.x, df, loc=loc, scale=np.sqrt(denom / df))
+        assert dpgmm._predictive_params(cfg) == params
+        ref = _student_t_pdf(grid.x, params)
         npt.assert_allclose(_t_pdf_rows(grid.x, params), ref, rtol=1e-10)
 
     def test_posterior_predictive_df_and_location(self):
@@ -91,18 +99,35 @@ class TestEmission:
         x = rng.uniform(0.1, 0.9, size=30)
         labels = rng.integers(0, 3, size=30)
         perm = np.array([2, 0, 1])
-        row_a = _emit_row(DpgmmConfig(alpha=1.0), grid, *_cluster_stats(x, labels))
-        row_b = _emit_row(DpgmmConfig(alpha=1.0), grid, *_cluster_stats(x, perm[labels]))
-        npt.assert_allclose(row_a, row_b, rtol=0, atol=1e-12)
+        row_a = _emit(DpgmmConfig(alpha=1.0), grid, *_cluster_stats(x, labels))
+        row_b = _emit(DpgmmConfig(alpha=1.0), grid, *_cluster_stats(x, perm[labels]))
+        npt.assert_allclose(row_a, row_b, rtol=1e-12, atol=0)
 
     def test_prior_weight_grows_with_alpha(self, grid, rng):
         # larger alpha pushes the emitted density toward the broad prior
         # predictive, lowering the peak over the data clump
         x = rng.normal(0.5, 0.02, size=50)
         labels = np.zeros(50, dtype=np.int64)
-        lo = _emit_row(DpgmmConfig(alpha=0.1), grid, *_cluster_stats(x, labels))
-        hi = _emit_row(DpgmmConfig(alpha=25.0), grid, *_cluster_stats(x, labels))
-        assert hi.max() < lo.max()
+        cluster = _cluster_stats(x, labels)
+        lo = _emit(DpgmmConfig(alpha=0.1), grid, *cluster)
+        hi = _emit(DpgmmConfig(alpha=25.0), grid, *cluster)
+        assert (hi / grid.integrate(hi)).max() < (lo / grid.integrate(lo)).max()
+
+    def test_normalized_row_is_the_student_t_mixture(self, grid, rng):
+        # Independent of the terms: scipy's t densities, weighted n_j and alpha.
+        cfg = DpgmmConfig(alpha=0.7, m=0.4, r=0.3, nu=3.0, s=0.05)
+        x = rng.uniform(0.1, 0.9, size=30)
+        counts, sums, sqs = _cluster_stats(x, rng.integers(0, 4, size=30))
+        mixture = cfg.alpha * _student_t_pdf(grid.x, _predictive_params(cfg, 0, 0.0, 0.0))
+        for cluster in zip(counts, sums, sqs):
+            mixture += cluster[0] * _student_t_pdf(grid.x, _predictive_params(cfg, *cluster))
+        row = _emit(cfg, grid, counts, sums, sqs)
+        npt.assert_allclose(
+            normalize_rows(grid, row[None])[0],
+            normalize_rows(grid, mixture[None])[0],
+            rtol=1e-10,
+            atol=0,
+        )
 
 
 class TestChainBehavior:
@@ -169,6 +194,9 @@ class TestKernelMatchesReference:
         "default-config": (60, {}, (20, 10, 2)),
         "one-observation": (1, {}, (12, 5, 1)),
         "no-burn-in-thinned": (40, {"alpha": 2.0}, (12, 0, 3)),
+        # alpha * t0 peaks at 1e294 with a power near -1/2: a four-term base
+        # (alpha * t0) ** (1 / power) would be 1e-588, below double range.
+        "tiny-nu-huge-alpha": (60, {"nu": 1e-10, "alpha": 1e300}, (20, 10, 2)),
     }
 
     @pytest.mark.parametrize("seed", [3, 17, 2024])
@@ -179,9 +207,14 @@ class TestKernelMatchesReference:
         config = DpgmmConfig(**kwargs)
         ctl = McmcControl(n_samples=n_samples, burn_in=burn_in, thin=thin, seed=seed)
         fast = dpgmm_posterior(data, config, ctl)
-        densities, k_trace, relabels = reference_posterior(data, config, ctl)
-        assert np.array_equal(fast.densities, densities)
+        densities, k_trace, relabels, states = reference_posterior(data, config, ctl)
         assert np.array_equal(fast.trace["n_clusters"], k_trace)
+        # The chains visit the same states; the fast one emits them from its
+        # cached terms, which equal the reference's rows to rounding.
+        grid = default_grid()
+        emitted = np.array([_emit(config, grid, *state) for state in states])
+        assert np.array_equal(fast.densities, normalize_rows(grid, emitted))
+        npt.assert_allclose(fast.densities, densities, rtol=1e-12, atol=0)
         if case == "alpha-16":
             # The swap-with-last deletion and its relabelling were exercised.
             assert relabels > 0
@@ -362,3 +395,6 @@ class TestLinearWeightsProperty:
         params = _predictive_params(config, count, total, total_sq)
         exact = math.exp(math.log(count) + _t_logpdf(x, params))
         assert abs(weight - exact) <= 1e-9 * max(exact, 1e-300)
+        # The state's row, the same weights on a grid, is finite and positive.
+        row = _emit(config, Grid(16), [count], [total], [total_sq])
+        assert np.isfinite(row).all() and (row > 0.0).all()

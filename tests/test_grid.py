@@ -155,7 +155,7 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="integrates to"):
             DensityMatrix(grid, raw)
         raw[2] = np.nan
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must be finite"):
             DensityMatrix(grid, raw)
         raw[2] = -raw[0]
         with pytest.raises(NegativeValueError):
