@@ -125,7 +125,7 @@ def _cmd_sweep(args) -> int:
     run_info = {
         "package_version": __version__,
         "numpy_version": np.__version__,
-        "base_seed": result.base_seed,
+        "base_seed": config.spec.mcmc.seed,
         "n_workers": args.threads,
         "wall_clock_seconds": "%.3f" % result.wall_clock,
     }

@@ -383,17 +383,13 @@ class TpcaResult:
     the continuum covariance operator's spectrum; ``eigenvectors`` holds one
     grid eigenfunction per column, orthonormal under the trapezoidal inner
     product.  Each eigenfunction's sign is fixed so its largest-magnitude
-    entry is positive (earliest such entry on ties).
+    entry is positive (earliest such entry on ties).  The grid is
+    ``mean.grid``; the sample and its size stay with the caller.
     """
 
     mean: Srd
     eigenvalues: np.ndarray = field(repr=False)
     eigenvectors: np.ndarray = field(repr=False)
-    n_samples: int
-
-    @property
-    def grid(self) -> Grid:
-        return self.mean.grid
 
 
 def tangent_pca(
@@ -418,4 +414,4 @@ def tangent_pca(
     fit.warn_unconverged("; principal modes may be unreliable")
     evals, funcs = _tangent_spectrum(fit, vectors=True)
     mean = Srd(fit.grid, fit.mean)
-    return TpcaResult(mean=mean, eigenvalues=evals, eigenvectors=funcs, n_samples=len(samples))
+    return TpcaResult(mean=mean, eigenvalues=evals, eigenvectors=funcs)

@@ -193,10 +193,6 @@ class GridPdf(_ReadOnlyArrays):
         object.__setattr__(pdf, "values", values)
         return pdf
 
-    @property
-    def x(self) -> np.ndarray:
-        return self.grid.x
-
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix(_ReadOnlyArrays):
@@ -250,10 +246,6 @@ class Srd(_ReadOnlyArrays):
         sq = self.grid.integrate(self.values**2)
         if abs(sq - 1.0) > INTEGRAL_TOL:
             raise ValueError(f"squared integral is {sq!r}, not 1")
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.grid.x
 
 
 @dataclass(frozen=True, eq=False)

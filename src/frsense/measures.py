@@ -160,13 +160,13 @@ class SampleSummary:
     cumulative spectrum from tangent PCA, and the convergence report of the
     one Karcher pass that produced them.  Two summaries are all a
     MeasureTriple needs, so a sweep can summarize each sampler run once and
-    compare the small summaries instead of re-running PCA per pair.
+    compare the small summaries instead of re-running PCA per pair.  The
+    draws themselves, and their count, stay with the caller.
     """
 
     mean: Srd
     variance: float
     spectrum: CumulativeSpectrum
-    n_draws: int
     karcher: KarcherInfo
 
     @property
@@ -195,7 +195,6 @@ def summarize_sample(
         mean=Srd(fit.grid, fit.mean),
         variance=fit.variance,
         spectrum=cumulative_spectrum(_tangent_spectrum(fit), d),
-        n_draws=len(sample),
         karcher=fit.info,
     )
 

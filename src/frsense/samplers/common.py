@@ -46,7 +46,6 @@ class Dataset(_ReadOnlyArrays):
     observations: np.ndarray = field(repr=False)
     shift: float
     scale: float
-    name: str = ""
 
     def __post_init__(self):
         obs = np.asarray(self.observations, dtype=float)
@@ -71,7 +70,7 @@ class Dataset(_ReadOnlyArrays):
             raise ValueError("rescaled observations leave the margin envelope")
 
     @classmethod
-    def from_observations(cls, values, name: str = "") -> "Dataset":
+    def from_observations(cls, values) -> "Dataset":
         """Build a dataset whose range lands exactly on the margin envelope.
 
         Degenerate samples (all values equal) are centered at 1/2 with unit
@@ -87,7 +86,7 @@ class Dataset(_ReadOnlyArrays):
         else:
             scale = 1.0
             shift = lo - 0.5
-        return cls(observations=obs, shift=shift, scale=scale, name=name)
+        return cls(observations=obs, shift=shift, scale=scale)
 
     @property
     def n(self) -> int:
@@ -145,12 +144,10 @@ class PosteriorSample(DensityMatrix):
     draws in emission order; ``pdfs`` and indexing give GridPdf views of its
     rows.  ``trace`` holds one scalar series per monitored quantity (cluster
     count, sampled hyperparameters, ...) aligned with the rows;
-    ``diagnostics`` holds whole-run scalars such as acceptance rates.
+    ``diagnostics`` holds whole-run scalars such as acceptance rates.  The
+    caller holds the model, seed and config that made the run.
     """
 
-    model: str
-    seed: int
-    config: object = None
     trace: dict = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)
 
@@ -259,9 +256,10 @@ def _drop_cluster(j: int, columns, labels: list) -> list:
     return labels
 
 
-def _run_chain(chain, model: str, ctl: McmcControl, grid: Grid | None, cfg) -> PosteriorSample:
-    """Run ``chain`` for ``ctl.n_sweeps`` sweeps and keep every ``thin``-th
-    state after ``burn_in``; ``grid=None`` means the default grid."""
+def _run_chain(chain, ctl: McmcControl, grid: Grid | None) -> PosteriorSample:
+    """Run ``chain``, built from its config and ``ctl.seed``, for
+    ``ctl.n_sweeps`` sweeps and keep every ``thin``-th state after
+    ``burn_in``; ``grid=None`` means the default grid."""
     grid = grid or default_grid()
     names = chain.TRACE_NAMES
     rows = np.empty((ctl.n_samples, grid.n_points))
@@ -273,11 +271,8 @@ def _run_chain(chain, model: str, ctl: McmcControl, grid: Grid | None, cfg) -> P
             rows[kept] = chain.emit_row(grid)
             trace[kept] = chain.trace_row()
     return PosteriorSample(
-        model=model,
         grid=grid,
         densities=normalize_rows(grid, rows),
-        seed=ctl.seed,
-        config=cfg,
         trace={name: trace[:, idx].copy() for idx, name in enumerate(names)},
         diagnostics=chain.diagnostics(),
     )

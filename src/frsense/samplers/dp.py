@@ -225,11 +225,8 @@ def dp_posterior(
     bw = config.bandwidth if config.bandwidth is not None else silverman_bandwidth(x, grid)
     rows, remainders = _draw_rows(make_rng(ctl.seed), config, x, ctl.n_samples, grid, bw)
     return PosteriorSample(
-        model="dp",
         grid=grid,
         densities=normalize_rows(grid, rows),
-        seed=ctl.seed,
-        config=config,
         trace={"absorbed_remainder": remainders},
         diagnostics={"bandwidth": bw},
     )

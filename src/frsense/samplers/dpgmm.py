@@ -258,4 +258,4 @@ def dpgmm_posterior(
     """Collapsed Gibbs run emitting one predictive density per retained state."""
     grid = grid or default_grid()
     chain = _DpgmmChain(data.rescaled, config, make_rng(ctl.seed), grid)
-    return _run_chain(chain, "dpgmm", ctl, grid, config)
+    return _run_chain(chain, ctl, grid)

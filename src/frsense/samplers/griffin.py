@@ -609,7 +609,7 @@ def ccv_posterior(
 ) -> PosteriorSample:
     """Gibbs sampler for the common-component-variance mixture."""
     chain = _CcvChain(data.rescaled, config, make_rng(ctl.seed))
-    return _run_chain(chain, "ccv", ctl, grid, config)
+    return _run_chain(chain, ctl, grid)
 
 
 def dcv_posterior(
@@ -620,4 +620,4 @@ def dcv_posterior(
 ) -> PosteriorSample:
     """Auxiliary-slot Gibbs sampler for the distinct-component-variance mixture."""
     chain = _DcvChain(data.rescaled, config, make_rng(ctl.seed))
-    return _run_chain(chain, "dcv", ctl, grid, config)
+    return _run_chain(chain, ctl, grid)

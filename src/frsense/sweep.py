@@ -258,21 +258,20 @@ class BandTriple:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Measured curves plus provenance for one sweep.
+    """Measured curves of one sweep.
 
     `triples` holds one MeasureTriple per grid value: replicate 1's when
-    aggregate is "first", the field-wise replicate mean when "mean".
+    the aggregate was "first", the field-wise replicate mean when "mean".
     `replicate_triples[r - 1]` is the full curve of replicate r.  `bands`
     maps each declared band value to its BandTriple.  `baseline_sample` is
     replicate 1's baseline posterior sample, the one `densities.csv` holds.
+    The base seed is `spec.mcmc.seed`; each task's seed derives from it.
     """
 
     spec: SweepSpec
-    aggregate: str
     triples: tuple
     replicate_triples: tuple
     bands: dict
-    base_seed: int
     wall_clock: float
     baseline_sample: PosteriorSample
 
@@ -347,7 +346,6 @@ def run_sweep(
     if n_workers < 1:
         raise ValueError(f"n_workers must be >= 1, got {n_workers}")
     start = time.perf_counter()
-    base_seed = spec.mcmc.seed
 
     jobs = []
     for r in range(1, spec.replicates + 1):
@@ -410,11 +408,9 @@ def run_sweep(
 
     return SweepResult(
         spec=spec,
-        aggregate=aggregate,
         triples=triples,
         replicate_triples=tuple(per_replicate),
         bands=bands,
-        base_seed=base_seed,
         wall_clock=time.perf_counter() - start,
         baseline_sample=outcomes[(1, None)][1],
     )

@@ -77,11 +77,8 @@ def reference_posterior(
         if from_g0.any():
             rows[i] += _smooth(grid, g0_atoms[from_g0], weights[from_g0], bw)
     return PosteriorSample(
-        model="dp",
         grid=grid,
         densities=normalize_rows(grid, rows),
-        seed=ctl.seed,
-        config=config,
         trace={"absorbed_remainder": remainders},
         diagnostics={"bandwidth": bw},
     )

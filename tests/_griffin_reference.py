@@ -215,4 +215,4 @@ def reference_posterior(model: str, data, config, ctl, grid=None) -> tuple:
     """
     grid = grid or default_grid()
     chain = _CHAINS[model](data.rescaled, config, make_rng(ctl.seed))
-    return _run_chain(chain, model, ctl, grid, config), chain
+    return _run_chain(chain, ctl, grid), chain

@@ -1,6 +1,7 @@
 """Command line interface: exit codes, archives and reproducibility."""
 
 import codecs
+import configparser
 import contextlib
 import dataclasses
 import io
@@ -200,6 +201,15 @@ class TestSweepCommand:
         invoke(["sweep", "--config", "exp.ini", "--out", "r4", "--seed", "123"])
         assert open("r1/sweep.csv", "rb").read() != open("r4/sweep.csv", "rb").read()
         assert "seed = 123" in open("r4/manifest.ini").read()
+
+    def test_run_section_keeps_the_seed_through_a_manifest_rerun(self, workdir):
+        assert invoke(["sweep", "--config", "exp.ini", "--out", "r4", "--seed", "123"])[0] == 0
+        assert invoke(["sweep", "--config", "r4/manifest.ini", "--out", "r5"])[0] == 0
+        for out in ("r4", "r5"):
+            manifest = configparser.ConfigParser(interpolation=None)
+            manifest.read(f"{out}/manifest.ini", encoding="utf-8")
+            assert manifest["run"]["base_seed"] == "123", out
+        assert open("r4/sweep.csv", "rb").read() == open("r5/sweep.csv", "rb").read()
 
     def test_out_flag_is_not_echoed_in_manifest(self, workdir):
         invoke(["sweep", "--config", "exp.ini", "--out", "elsewhere"])

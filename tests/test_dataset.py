@@ -111,7 +111,7 @@ class TestRunChain:
     def test_keeps_every_thin_th_sweep_after_burn_in(self, grid, thin):
         ctl = McmcControl(n_samples=10, burn_in=7, thin=thin, seed=5)
         chain = _StubChain()
-        ps = _run_chain(chain, "stub", ctl, grid, "config")
+        ps = _run_chain(chain, ctl, grid)
         assert chain.sweeps == ctl.n_sweeps
         kept = [7 + k * thin for k in range(10)]
         assert chain.emitted == kept
@@ -119,12 +119,12 @@ class TestRunChain:
         npt.assert_array_equal(ps.trace["sweep"], kept)
         npt.assert_array_equal(ps.trace["squared"], np.square(kept))
         assert ps.diagnostics == {"sweeps": ctl.n_sweeps}
-        assert (ps.model, ps.seed, ps.config, ps.grid) == ("stub", 5, "config", grid)
+        assert ps.grid == grid
         npt.assert_allclose(ps.densities, normalize_rows(grid, 1.0 + np.outer(np.add(kept, 1), grid.x)))
 
     def test_no_grid_means_the_default_grid(self):
         ctl = McmcControl(n_samples=10, burn_in=0, thin=1)
-        assert _run_chain(_StubChain(), "stub", ctl, None, None).grid == default_grid()
+        assert _run_chain(_StubChain(), ctl, None).grid == default_grid()
 
 
 class TestSeedDerivation:

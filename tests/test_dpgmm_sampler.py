@@ -8,8 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
-from scipy.integrate import quad
+from scipy.integrate import dblquad, quad
 
+from _dpgmm_posterior import CONFIG, X, log_evidence, posterior_pvalues, set_partitions
 from _dpgmm_reference import _predictive_params, _t_logpdf, _t_pdf_rows, reference_posterior
 from _law import assert_same_law
 from _oracles import crp_expected_clusters
@@ -269,6 +270,54 @@ class TestSameLawAsLogSpace:
             for seed in range(n_chains, 2 * n_chains)
         ]
         assert_same_law({"n_clusters": fast}, {"n_clusters": ref})
+
+
+def _doubled_new_cluster_weights(chain):
+    chain.new_cluster = [2.0 * w for w in chain.new_cluster]
+
+
+def _dropped_count_term(chain):
+    """Scale each cluster's ``b`` so that ``b ** power`` loses its n_j."""
+    terms_of = chain.terms_of
+
+    def terms(c, s, sq):
+        b, power, loc, denom = terms_of(c, s, sq)
+        return b * c ** (-1.0 / power), power, loc, denom
+
+    chain.terms_of = terms
+    chain.terms = [terms(*cluster) for cluster in zip(chain.counts, chain.sums, chain.sqs)]
+
+
+class TestExactPosterior:
+    """The chain against the exact partition posterior of six points
+    (``tests/_dpgmm_posterior.py``), not against an earlier kernel."""
+
+    def test_partitions_are_the_bell_number(self):
+        partitions = [tuple(map(tuple, blocks)) for blocks in set_partitions(6)]
+        assert len(partitions) == len(set(partitions)) == 203
+        assert all(sorted(i for b in blocks for i in b) == list(range(6)) for blocks in partitions)
+
+    def test_evidence_is_the_integral_over_mean_and_precision(self):
+        points = [X[0], X[1], X[5]]
+        a0, b0 = 0.5 * CONFIG.nu, 0.5 * CONFIG.nu * CONFIG.s
+
+        def normal(x, mean, precision):
+            return math.sqrt(precision / (2.0 * math.pi)) * math.exp(-0.5 * precision * (x - mean) ** 2)
+
+        def joint(mu, precision):
+            prior = b0**a0 * precision ** (a0 - 1.0) * math.exp(-b0 * precision) / math.gamma(a0)
+            prior *= normal(mu, CONFIG.m, CONFIG.r * precision)
+            return prior * math.prod(normal(p, mu, precision) for p in points)
+
+        value, _ = dblquad(joint, 0.0, 2000.0, -3.0, 4.0, epsrel=1e-10)
+        assert math.log(value) == pytest.approx(log_evidence(points, CONFIG), abs=1e-6)
+
+    def test_last_states_follow_the_posterior_and_mutants_do_not(self):
+        pvalues = posterior_pvalues(seed=1, n_chains=3000)
+        assert min(pvalues.values()) > 1e-3, pvalues
+        for mutant in (_doubled_new_cluster_weights, _dropped_count_term):
+            pvalues = posterior_pvalues(seed=2, n_chains=1000, tamper=mutant)
+            assert max(pvalues.values()) < 1e-6, (mutant.__name__, pvalues)
 
 
 class TestDpgmmConfig:

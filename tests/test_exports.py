@@ -36,6 +36,23 @@ REMOVED = (
     "GRID_POINTS",
 )
 
+#: (class, attribute) pairs that nothing outside the tests read.  A sample
+#: run's model, seed and config stay with its caller, and a sweep's base
+#: seed and aggregate are its spec's and its caller's.
+REMOVED_ATTRIBUTES = (
+    ("PosteriorSample", "model"),
+    ("PosteriorSample", "seed"),
+    ("PosteriorSample", "config"),
+    ("SweepResult", "base_seed"),
+    ("SweepResult", "aggregate"),
+    ("Dataset", "name"),
+    ("GridPdf", "x"),
+    ("Srd", "x"),
+    ("TpcaResult", "grid"),
+    ("TpcaResult", "n_samples"),
+    ("SampleSummary", "n_draws"),
+)
+
 
 def run_fresh(code: str, *args: str):
     """The JSON that ``code`` prints when run in a fresh interpreter."""
@@ -82,6 +99,35 @@ def test_test_only_names_are_gone():
     assert not hasattr(frsense.BetaBase, "density")
     assert not hasattr(frsense.Srd, "allclose")
     assert not hasattr(frsense.SweepSpec, "baseline_index")
+
+
+def test_removed_attributes_are_gone_from_built_instances(rng):
+    data = frsense.Dataset.from_observations(rng.uniform(size=20))
+    spec = frsense.SweepSpec(
+        model="dp",
+        baseline=frsense.DpConfig(alpha=2.0, truncation=50),
+        parameter="alpha",
+        values=(1.0, 2.0),
+        replicates=1,
+        mcmc=frsense.McmcControl(n_samples=12, burn_in=0, thin=1, seed=3),
+        d_components=3,
+    )
+    result = frsense.run_sweep(data, spec, grid=frsense.Grid(32))
+    sample = result.baseline_sample
+    built = {
+        "PosteriorSample": sample,
+        "SweepResult": result,
+        "Dataset": data,
+        "GridPdf": sample[0],
+        "Srd": frsense.to_srd(sample[0]),
+        "TpcaResult": frsense.tangent_pca(sample),
+        "SampleSummary": frsense.summarize_sample(sample, 3),
+    }
+    for cls, attribute in REMOVED_ATTRIBUTES:
+        assert isinstance(built[cls], getattr(frsense, cls))
+        assert not hasattr(built[cls], attribute), f"{cls}.{attribute}"
+    with pytest.raises(TypeError, match="name"):
+        frsense.Dataset.from_observations([0.1, 0.2], name="data")
 
 
 def test_summaries_do_not_load_samplers_sweep_or_config(tmp_path, rng):

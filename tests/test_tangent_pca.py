@@ -76,10 +76,6 @@ class TestTangentPca:
         with pytest.raises(InsufficientSamplesError):
             tangent_pca([random_srd(grid, rng)])
 
-    def test_reports_sample_count(self, grid, rng):
-        res = tangent_pca([random_srd(grid, rng) for _ in range(5)])
-        assert res.n_samples == 5
-
 
 class TestSharedSpectrum:
     """summarize_sample and tangent_pca share one spectrum routine, which
