@@ -46,7 +46,7 @@ spec = SweepSpec(
     d_components=10,
 )
 result = run_sweep(data, spec, aggregate="mean", n_workers=4)
-print(f"ran {spec.replicates * (len(spec.values) + 1)} chains "
+print(f"ran {len(spec.runs())} chains "
       f"in {result.wall_clock:.1f} s\n")
 
 print("alpha      D          V          E")

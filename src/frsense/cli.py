@@ -177,7 +177,7 @@ def _cmd_validate(args) -> int:
             f"mcmc: keep {mcmc.n_samples}, burn-in {mcmc.burn_in}, "
             f"thin {mcmc.thin}, seed {mcmc.seed}"
         )
-    print(f"sampler runs: {spec.replicates * (len(spec.values) + 1)}")
+    print(f"sampler runs: {len(spec.runs())}")
     return 0
 
 

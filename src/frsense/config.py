@@ -407,15 +407,13 @@ def _build_sweep(kind: str, baseline, sections) -> tuple:
 def apply_preset(config: ExperimentConfig, preset_name: str) -> ExperimentConfig:
     """Swap the sweep selection for a named preset ladder.
 
-    Keeps the baseline model, chain controls, aggregate and everything else.
-    Parameter, values and band values come from the preset (resnapped onto
-    the configured baseline); replicates and component count go back to the
-    ``SweepSpec`` defaults.
+    Parameter, values and band values come from the preset, resnapped onto
+    the configured baseline; every other setting stays as configured.
     """
-    old = config.spec
-    values, band_values = _preset(old.model, old.baseline, preset_name)
-    spec = SweepSpec(
-        old.model, old.baseline, preset_name, values, band_values=band_values, mcmc=old.mcmc
+    spec = config.spec
+    values, band_values = _preset(spec.model, spec.baseline, preset_name)
+    spec = dataclasses.replace(
+        spec, parameter=preset_name, values=values, band_values=band_values
     )
     return dataclasses.replace(config, spec=spec)
 

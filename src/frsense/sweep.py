@@ -6,11 +6,9 @@ replaced, and reduces every run to a SampleSummary.  Comparing the
 baseline summary of a replicate against each perturbed summary of the
 same replicate yields one MeasureTriple per grid value; quantile bands
 over replicates quantify the Monte Carlo noise of the measures at
-selected grid values.
-
-Seeds are derived from the base seed so that replicate r depends only on
-(base seed, r).  Adding replicates or grid values never changes results
-already computed for earlier replicates.
+selected grid values.  ``SweepSpec.runs()`` plans the runs and keys each
+seed by replicate and value index: appending replicates or grid values
+keeps every earlier row, inserting a value reseeds the values after it.
 """
 
 from __future__ import annotations
@@ -246,6 +244,19 @@ class SweepSpec:
             return self.baseline
         return set_config_value(self.baseline, self.parameter, value)
 
+    def runs(self) -> tuple:
+        """Every sampler run as (replicate, value index, seed), in run order.
+
+        Replicates run in turn, each baseline (index None) first.  Seeds are
+        keyed by replicate and index: appending replicates or values keeps
+        every earlier run; inserting a value reseeds the values after it.
+        """
+        return tuple(
+            (r, idx, derived_seed(self.mcmc.seed, r, idx))
+            for r in range(1, self.replicates + 1)
+            for idx in (None, *range(len(self.values)))
+        )
+
 
 @dataclass(frozen=True)
 class BandTriple:
@@ -265,7 +276,6 @@ class SweepResult:
     `replicate_triples[r - 1]` is the full curve of replicate r.  `bands`
     maps each declared band value to its BandTriple.  `baseline_sample` is
     replicate 1's baseline posterior sample, the one `densities.csv` holds.
-    The base seed is `spec.mcmc.seed`; each task's seed derives from it.
     """
 
     spec: SweepSpec
@@ -294,26 +304,24 @@ def _annotate(exc: Exception, where: str) -> None:
 
 
 def _run_task(
-    data: Dataset, spec: SweepSpec, grid, karcher: dict, job: tuple
+    data: Dataset, spec: SweepSpec, grid, karcher: dict, run: tuple
 ) -> tuple[SampleSummary, PosteriorSample | None]:
-    """One sweep task: run the sampler for `job` and summarize its sample.
+    """One sweep task: the sampler run `run` of ``spec.runs()``, summarized.
 
-    `job` is (replicate, value index), with index None for the replicate's
-    baseline run.  Only job (1, None) hands back its sample, the one
-    `densities.csv` holds.  A failure keeps its type and gains the task's
-    grid position in its message.
+    Only replicate 1's baseline run hands back its sample, for densities.csv.
+    A failure keeps its type and gains the task's grid position in its message.
     """
-    r, idx = job
+    r, idx, seed = run
     value = spec.baseline_value if idx is None else spec.values[idx]
     label = "the baseline" if idx is None else f"{spec.parameter}={value:g}"
     try:
-        ctl = dataclasses.replace(spec.mcmc, seed=derived_seed(spec.mcmc.seed, r, idx))
+        ctl = dataclasses.replace(spec.mcmc, seed=seed)
         sample = model_sampler(spec.model)(data, spec.config_for(value), ctl, grid=grid)
         summary = summarize_sample(sample, spec.d_components, **karcher)
     except Exception as exc:
         _annotate(exc, f"sweep task failed at {label}, replicate {r}")
         raise
-    return summary, (sample if job == (1, None) else None)
+    return summary, (sample if (r, idx) == (1, None) else None)
 
 
 def run_sweep(
@@ -327,17 +335,16 @@ def run_sweep(
     karcher_step: float = KARCHER_STEP,
     karcher_max_iter: int = KARCHER_MAX_ITER,
 ) -> SweepResult:
-    """Run all (value, replicate) tasks and assemble curves and bands.
+    """Run every task of ``spec.runs()`` and assemble curves and bands.
 
-    The task matrix is embarrassingly parallel.  With n_workers > 1 it runs
-    on a pool of min(n_workers, number of tasks) worker processes, forked
-    where the platform offers fork; errors come back with their type and
-    message.  A fork copies only the calling thread, so a multi-worker
-    call should come from a process that runs no other threads.  With
-    n_workers == 1 every task runs in this process.  Results are assembled
-    in grid order regardless of completion order, so output is a pure
-    function of (data, spec, aggregate) and the geometry settings; the
-    worker count never changes it.
+    With n_workers > 1 the tasks run on a pool of min(n_workers, number of
+    tasks) worker processes, forked where the platform offers fork; errors
+    come back with their type and message.  A fork copies only the calling
+    thread, so a multi-worker call should come from a process that runs no
+    other threads.  With n_workers == 1 every task runs in this process.
+    Results are assembled in run order regardless of completion order, so
+    output is a pure function of (data, spec, aggregate) and the geometry
+    settings; the worker count never changes it.
     """
     if aggregate not in AGGREGATES:
         raise ValueError(
@@ -346,17 +353,12 @@ def run_sweep(
     if n_workers < 1:
         raise ValueError(f"n_workers must be >= 1, got {n_workers}")
     start = time.perf_counter()
-
-    jobs = []
-    for r in range(1, spec.replicates + 1):
-        jobs.append((r, None))
-        for idx in range(len(spec.values)):
-            jobs.append((r, idx))
+    runs = spec.runs()
 
     karcher = dict(eps1=karcher_eps1, eps2=karcher_step, max_iter=karcher_max_iter)
     task = functools.partial(_run_task, data, spec, grid, karcher)
     if n_workers == 1:
-        outcomes = dict(zip(jobs, map(task, jobs)))
+        outcomes = list(map(task, runs))
     else:
         # Imported here, so that importing the package does not load them.
         import multiprocessing
@@ -368,10 +370,10 @@ def run_sweep(
         fork = "fork" in multiprocessing.get_all_start_methods()
         context = multiprocessing.get_context("fork" if fork else None)
         with ProcessPoolExecutor(
-            max_workers=min(n_workers, len(jobs)), mp_context=context
+            max_workers=min(n_workers, len(runs)), mp_context=context
         ) as pool:
-            outcomes = dict(zip(jobs, pool.map(task, jobs)))
-    summaries = {job: summary for job, (summary, _) in outcomes.items()}
+            outcomes = list(pool.map(task, runs))
+    summaries = {(r, idx): summary for (r, idx, _), (summary, _) in zip(runs, outcomes)}
 
     per_replicate = []
     for r in range(1, spec.replicates + 1):
@@ -412,6 +414,6 @@ def run_sweep(
         replicate_triples=tuple(per_replicate),
         bands=bands,
         wall_clock=time.perf_counter() - start,
-        baseline_sample=outcomes[(1, None)][1],
+        baseline_sample=outcomes[0][1],
     )
 

@@ -280,6 +280,36 @@ class TestSweepCommand:
         assert open("res/densities.csv", "rb").read() == open("rerun.csv", "rb").read()
 
 
+class TestPresetFlag:
+    def test_flag_runs_the_sweep_that_the_preset_key_gives(self, workdir):
+        # --preset swaps only the parameter, values and band values, so the
+        # other [sweep] keys (2 replicates, 6 components) survive it.
+        text = CONFIG.replace("d_components = 4", "d_components = 6")
+        open("exp.ini", "w").write(text)
+        keyed, n_removed = re.subn(r"^(parameter|values|band_values) = .*\n", "", text, flags=re.M)
+        assert n_removed == 3
+        open("keyed.ini", "w").write(keyed.replace("[sweep]\n", "[sweep]\npreset = alpha\n"))
+        for argv in (
+            ["--config", "exp.ini", "--out", "flag", "--preset", "alpha"],
+            ["--config", "keyed.ini", "--out", "key"],
+            ["--config", "flag/manifest.ini", "--out", "rerun"],
+        ):
+            rc, _, err = invoke(["sweep", *argv])
+            assert rc == 0, err
+        sections = []
+        for out in ("flag", "key"):
+            manifest = configparser.ConfigParser(interpolation=None)
+            manifest.read(f"{out}/manifest.ini", encoding="utf-8")
+            sections.append(dict(manifest["sweep"]))
+        assert sections[0] == sections[1]
+        assert sections[0]["replicates"] == "2" and sections[0]["d_components"] == "6"
+        assert len(sections[0]["values"].split(",")) == 15
+        for name in ("sweep.csv", "bands.csv"):
+            flag = open(f"flag/{name}", "rb").read()
+            assert open(f"key/{name}", "rb").read() == flag, name
+            assert open(f"rerun/{name}", "rb").read() == flag, name
+
+
 class TestValidateConfigCommand:
     def test_prints_plan_and_exits_zero(self, workdir):
         rc, out, _ = invoke(["validate-config", "--config", "exp.ini"])
@@ -290,6 +320,28 @@ class TestValidateConfigCommand:
         # dp draws are iid: burn-in and thinning do not apply
         assert "mcmc: keep 16 iid draws, seed 5\n" in out
         assert "burn-in" not in out
+
+    @pytest.mark.parametrize("replicates", [1, 3])
+    @pytest.mark.parametrize("values", ["3.0", "1.0, 3.0, 8.0, 12.0"], ids=["1value", "4values"])
+    def test_plan_counts_the_runs_a_sweep_makes(self, workdir, monkeypatch, replicates, values):
+        dp_sampler = frsense.sweep._MODELS["dp"][1]
+        seeds = []
+
+        def counting(data, config, ctl, grid=None):
+            seeds.append(ctl.seed)
+            return dp_sampler(data, config, ctl, grid=grid)
+
+        monkeypatch.setitem(frsense.sweep._MODELS, "dp", (DpConfig, counting))
+        open("plan.ini", "w").write(CONFIG.replace(
+            "values = 1.0, 3.0, 8.0\nreplicates = 2\nband_values = 1.0, 8.0\n",
+            f"values = {values}\nreplicates = {replicates}\n",
+        ))
+        rc, out, err = invoke(["validate-config", "--config", "plan.ini"])
+        assert rc == 0, err
+        assert seeds == []
+        assert invoke(["sweep", "--config", "plan.ini", "--out", "res"])[0] == 0
+        assert f"sampler runs: {len(seeds)}\n" in out
+        assert seeds == [seed for _, _, seed in load_config("plan.ini").spec.runs()]
 
     def test_dp_plan_prints_the_expected_absorbed_remainder(self, workdir):
         # n = 30 and truncation 60: ((alpha + 30) / (alpha + 31))^59 is largest

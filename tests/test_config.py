@@ -363,11 +363,15 @@ class TestPresetConfigs:
             load_config(write_config(tmp_path, body))
         assert exc.value.code == "CONFIG_BAD_PRESET"
 
-    def test_apply_preset_checks_components_against_grid(self, tmp_path):
-        cfg = load_minimal(tmp_path, extra="d_components = 6\n\n[geometry]\nn_points = 16\n")
-        with pytest.raises(ConfigError) as exc:
-            apply_preset(cfg, "alpha")
-        assert exc.value.code == "CONFIG_BAD_COMPONENTS"
+    def test_apply_preset_keeps_replicates_and_components(self, tmp_path):
+        # Only the parameter, values and band values change, so the result
+        # is the config that names the preset in its [sweep] section.
+        extra = "replicates = 4\nd_components = 6\n\n[geometry]\nn_points = 16\n"
+        swapped = apply_preset(load_minimal(tmp_path, extra=extra), "alpha")
+        assert swapped.spec.replicates == 4
+        assert swapped.spec.d_components == 6
+        keyed = load_config(write_config(tmp_path, PRESET_BODY.format(alpha=5.0) + extra))
+        assert swapped == keyed
 
     def test_apply_preset_keeps_mcmc_and_aggregate(self, tmp_path):
         cfg = load_minimal(tmp_path, extra="\n[mcmc]\nseed = 321\n")

@@ -8,6 +8,7 @@ import importlib
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 
@@ -181,10 +182,9 @@ def test_unknown_names_raise_attribute_error():
         frsense.no_such_name
 
 
-@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
 def test_version_matches_pyproject():
-    import tomllib
-
+    # Read by pattern, not with tomllib, so that Python 3.10 checks it too.
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
-        assert tomllib.load(fh)["project"]["version"] == frsense.__version__
+    with open(os.path.join(root, "pyproject.toml"), encoding="utf-8") as fh:
+        versions = re.findall(r'^version = "([^"]*)"$', fh.read(), flags=re.M)
+    assert versions == [frsense.__version__]

@@ -22,6 +22,7 @@ from frsense.samplers import (
     DpConfig,
     DpgmmConfig,
     McmcControl,
+    derived_seed,
 )
 from frsense.sweep import (
     SweepSpec,
@@ -314,6 +315,17 @@ class TestRunSweep:
             for ta, tb in zip(row_s, row_l):
                 assert ta.astuple() == tb.astuple()
 
+    def test_appended_values_keep_old_rows(self):
+        # Seeds are keyed by value index, so appending a value moves no
+        # earlier row (inserting one would reseed the values after it).
+        data = uniform_dataset()
+        short = run_sweep(data, small_dp_spec(replicates=2))
+        long = run_sweep(data, small_dp_spec(replicates=2, values=(0.5, 5.0, 12.0, 20.0)))
+        for row_s, row_l in zip(short.replicate_triples, long.replicate_triples, strict=True):
+            assert len(row_l) == len(row_s) + 1
+            for ta, tb in zip(row_s, row_l):
+                assert ta.astuple() == tb.astuple()
+
     def test_mean_aggregate_is_fieldwise_mean(self):
         data = uniform_dataset()
         spec = small_dp_spec(replicates=3)
@@ -380,3 +392,35 @@ class TestRunSweep:
         assert max(d_curve) < 0.1
         assert v_curve[0] > v_curve[-1]
 
+
+class TestRunPlan:
+    @pytest.mark.parametrize("replicates", [1, 3])
+    @pytest.mark.parametrize("values", [(5.0,), (0.5, 5.0, 12.0, 20.0)], ids=["1value", "4values"])
+    def test_sweep_makes_exactly_the_planned_runs(self, monkeypatch, replicates, values):
+        dp_sampler = frsense.sweep._MODELS["dp"][1]
+        calls = []
+
+        def counting(data, config, ctl, grid=None):
+            calls.append((config.alpha, ctl.seed))
+            return dp_sampler(data, config, ctl, grid=grid)
+
+        monkeypatch.setitem(frsense.sweep._MODELS, "dp", (DpConfig, counting))
+        spec = small_dp_spec(replicates=replicates, values=values)
+        run_sweep(uniform_dataset(), spec, n_workers=1)
+        expected = [
+            (r, idx, derived_seed(spec.mcmc.seed, r, idx))
+            for r in range(1, replicates + 1)
+            for idx in (None, *range(len(values)))
+        ]
+        assert list(spec.runs()) == expected
+        assert len(calls) == len(spec.runs()) == replicates * (len(values) + 1)
+        assert calls == [
+            (spec.baseline_value if idx is None else values[idx], seed)
+            for _, idx, seed in expected
+        ]
+
+    def test_added_replicate_extends_the_plan(self):
+        short = small_dp_spec(replicates=2).runs()
+        long = small_dp_spec(replicates=3).runs()
+        assert long[: len(short)] == short
+        assert [r for r, _, _ in long[len(short):]] == [3] * 4
