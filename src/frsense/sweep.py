@@ -295,12 +295,14 @@ def _measure_columns(per_replicate: Sequence, idx: int) -> tuple:
 
 
 def _annotate(exc: Exception, where: str) -> None:
-    # Keep the original exception type; just extend its message so the
-    # failing grid point is visible wherever the error surfaces.
+    # Keep the original exception type and the number of its arguments, so
+    # that a worker's error is rebuilt in the parent as type(exc)(*args).
+    # A message gains the failing grid point; an error whose arguments are
+    # not a message carries it as a note, which a traceback prints.
     if exc.args and isinstance(exc.args[0], str):
         exc.args = (f"{exc.args[0]} [{where}]",) + exc.args[1:]
     else:
-        exc.args = exc.args + (where,)
+        exc.__notes__ = [*getattr(exc, "__notes__", ()), where]
 
 
 def _run_task(

@@ -14,6 +14,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 from conftest import random_mixture_pdf
+from numpy._core._exceptions import _ArrayMemoryError
 
 import frsense
 from frsense import (
@@ -250,6 +251,20 @@ class TestSweepCommand:
         assert one[2] == two[2] == (
             f"{code}: {make_error()} [sweep task failed at alpha=8, replicate 1]\n"
         )
+
+    def test_memory_error_exits_alike_at_any_thread_count(self, workdir, monkeypatch):
+        # numpy's array MemoryError is rebuilt from (shape, dtype) alone, so
+        # a worker's error must cross the pool with its arguments unchanged.
+        def failing(data, config, ctl, grid=None):
+            raise _ArrayMemoryError((40, 10**11), np.dtype(float))
+
+        monkeypatch.setitem(frsense.sweep._MODELS, "dp", (DpConfig, failing))
+        one = invoke(["sweep", "--config", "exp.ini", "--out", "r1", "--threads", "1"])
+        two = invoke(["sweep", "--config", "exp.ini", "--out", "r2", "--threads", "2"])
+        assert one[0] == two[0] == 2
+        first = one[2].splitlines()[0]
+        assert first == two[2].splitlines()[0]
+        assert first == "INTERNAL: MemoryError((40, 100000000000), dtype('float64'))"
 
     def test_out_naming_a_file_fails_before_any_task_runs(self, workdir, monkeypatch):
         calls = []
@@ -800,18 +815,23 @@ class TestExitCodes:
         assert err.startswith("INTERNAL:")
 
 
+def _run_child(code: str) -> str:
+    """Run ``python -c code`` on this package's source; return its stdout."""
+    src = os.path.dirname(os.path.dirname(frsense.__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return result.stdout.strip()
+
+
 def test_cli_import_does_not_load_scipy_special(workdir):
     # scipy.special is slow to import, and nothing on the CLI or chain paths
     # needs it: the dcv quadrature rule is built with numpy.  scipy is a test
     # dependency only, so a whole `sweep` must not load it either.
-    src = os.path.dirname(os.path.dirname(frsense.__file__))
-    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    env = dict(os.environ, PYTHONPATH=path)
     code = "import sys, frsense.cli; print('scipy.special' in sys.modules, 'scipy' in sys.modules)"
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert result.stdout.strip() == "False False"
+    assert _run_child(code) == "False False"
     code = (
         "import sys, numpy as np\n"
         "from frsense import Dataset, DcvConfig, McmcControl, dcv_posterior\n"
@@ -819,10 +839,7 @@ def test_cli_import_does_not_load_scipy_special(workdir):
         "dcv_posterior(data, DcvConfig(), McmcControl(n_samples=10, burn_in=0, thin=1))\n"
         "print('scipy.special' in sys.modules)"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert result.stdout.strip() == "False"
+    assert _run_child(code) == "False"
     code = (
         "import sys, contextlib, io\n"
         "from frsense.cli import main\n"
@@ -830,7 +847,28 @@ def test_cli_import_does_not_load_scipy_special(workdir):
         "    rc = main(['sweep', '--config', 'exp.ini', '--out', 'res'])\n"
         "print(rc, 'scipy' in sys.modules)"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    assert _run_child(code) == "0 False"
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["validate-config", "--config", "exp.ini"], False),
+        (["sweep", "--config", "exp.ini", "--out", "res", "--threads", "2"], False),
+        (["sweep", "--config", "exp.ini", "--out", "res", "--threads", "1"], True),
+    ],
+    ids=["validate-config", "sweep-threads-2", "sweep-threads-1"],
+)
+def test_only_a_sampling_process_loads_numpy_random(workdir, argv, loaded):
+    # Seeds are derived in Python integers, so neither validate-config nor
+    # the parent of a worker pool imports numpy.random (about 5 MB and
+    # 15 ms); only the samplers' generators need it.  A --threads 1 sweep
+    # samples in this process, which shows that the check sees the import.
+    code = (
+        "import sys, contextlib, io\n"
+        "from frsense.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    rc = main({argv!r})\n"
+        "print(rc, 'numpy.random' in sys.modules)"
     )
-    assert result.stdout.strip() == "0 False"
+    assert _run_child(code) == f"0 {loaded}"

@@ -1,8 +1,12 @@
 """Shared sampler plumbing: data rescaling, chain controls, seed derivation."""
 
+import itertools
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frsense import Dataset, McmcControl
 from frsense.errors import ConfigError, EmptyDatasetError
@@ -147,6 +151,37 @@ class TestSeedDerivation:
     def test_range(self):
         s = derived_seed(2**63, 4, 11)
         assert 0 <= s < 2**64
+
+    @pytest.mark.parametrize(
+        "seed, replicate, index",
+        itertools.product((0, 1, 2**63, 2**64 - 1), (1, 2**32 + 5), (None, 0, 2**40)),
+    )
+    def test_edge_cases_match_numpy(self, seed, replicate, index):
+        assert derived_seed(seed, replicate, index) == numpy_seed(seed, replicate, index)
+
+    @settings(max_examples=2000, deadline=None)
+    @given(
+        seed=st.integers(0, 2**160),
+        replicate=st.integers(0, 2**40),
+        index=st.none() | st.integers(0, 2**40),
+    )
+    def test_matches_numpy(self, seed, replicate, index):
+        # Seeds past 128 bits fill the 4-word pool and mix in the rest.
+        assert derived_seed(seed, replicate, index) == numpy_seed(seed, replicate, index)
+
+    @pytest.mark.parametrize("args", [(-1, 1), (1, -1), (1, 1, -1)], ids=["seed", "replicate", "index"])
+    def test_negative_input_raises_as_numpy_does(self, args):
+        with pytest.raises(ValueError):
+            numpy_seed(*args)
+        with pytest.raises(ValueError):
+            derived_seed(*args)
+
+
+def numpy_seed(seed, replicate, index=None):
+    """The seed derived_seed must give, computed by numpy itself."""
+    slot = 0xFFFFFFFF if index is None else index
+    ss = np.random.SeedSequence(seed, spawn_key=(replicate, slot))
+    return int(ss.generate_state(1, np.uint64)[0])
 
 
 class TestSilvermanBandwidth:

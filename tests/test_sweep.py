@@ -5,6 +5,7 @@ import concurrent.futures
 import numpy as np
 import numpy.testing as npt
 import pytest
+from numpy._core._exceptions import _ArrayMemoryError
 
 import frsense.sweep
 from frsense.errors import (
@@ -305,6 +306,25 @@ class TestRunSweep:
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][0] is type(make_error())
         assert outcomes[0][2].endswith("[sweep task failed at alpha=12, replicate 1]")
+
+    def test_error_whose_arguments_are_not_a_message_is_the_same_at_any_worker_count(
+        self, monkeypatch
+    ):
+        # numpy raises this, unallocated, when an array does not fit in
+        # memory; its constructor takes exactly (shape, dtype).
+        def failing(data, config, ctl, grid=None):
+            raise _ArrayMemoryError((40, 10**11), np.dtype(float))
+
+        monkeypatch.setitem(frsense.sweep._MODELS, "dp", (DpConfig, failing))
+        outcomes = []
+        for n_workers in (1, 2):
+            with pytest.raises(MemoryError) as info:
+                run_sweep(uniform_dataset(), small_dp_spec(), n_workers=n_workers)
+            exc = info.value
+            outcomes.append((type(exc), exc.args, str(exc), exc.__notes__))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][:2] == (_ArrayMemoryError, ((40, 10**11), np.dtype(float)))
+        assert outcomes[0][3] == ["sweep task failed at the baseline, replicate 1"]
 
     def test_added_replicates_keep_old_ones(self):
         data = uniform_dataset()
