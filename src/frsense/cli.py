@@ -2,7 +2,7 @@
 
 Subcommands::
 
-    frsense sweep --config exp.ini [--out DIR] [--seed N] [--threads N] [--preset NAME]
+    frsense sweep --config exp.ini [--out DIR] [--threads N]
     frsense validate-config --config exp.ini
     frsense geodesic --from a.csv --to b.csv [--steps N] [--out FILE]
     frsense mean --densities draws.csv --out mean.csv
@@ -16,7 +16,6 @@ starts with a stable machine-readable code, e.g. ``CONFIG_BAD_PARAM: ...``.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 import traceback
@@ -24,8 +23,8 @@ import traceback
 import numpy as np
 
 from . import __version__
-from .config import apply_preset, load_config
-from .errors import ConfigError, FrsenseError, ParseError
+from .config import load_config
+from .errors import FrsenseError, ParseError
 from .geometry import geodesic_path, karcher_mean, karcher_variance, tangent_pca
 from .grid import Grid, from_srd
 from .io import (
@@ -91,16 +90,6 @@ def _read_densities(path: str):
 
 def _cmd_sweep(args) -> int:
     config = load_config(args.config)
-    if args.preset is not None:
-        config = apply_preset(config, args.preset)
-    if args.seed is not None:
-        try:
-            mcmc = dataclasses.replace(config.spec.mcmc, seed=args.seed)
-        except ValueError as exc:
-            raise ConfigError("CONFIG_BAD_MCMC", str(exc)) from exc
-        config = dataclasses.replace(
-            config, spec=dataclasses.replace(config.spec, mcmc=mcmc)
-        )
     # --out is a runtime destination only; the manifest echoes the config's
     # own directory so reruns from the manifest are destination-independent.
     out_dir = args.out if args.out is not None else config.output.directory
@@ -125,7 +114,6 @@ def _cmd_sweep(args) -> int:
     run_info = {
         "package_version": __version__,
         "numpy_version": np.__version__,
-        "base_seed": config.spec.mcmc.seed,
         "n_workers": args.threads,
         "wall_clock_seconds": "%.3f" % result.wall_clock,
     }
@@ -251,12 +239,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run a perturbation sweep from a config file")
     p.add_argument("--config", required=True, metavar="INI")
     p.add_argument("--out", metavar="DIR", help="output directory (default: from the config)")
-    p.add_argument("--seed", type=int, help="override the chain base seed")
     p.add_argument(
         "--threads", type=_positive_int, default=1, metavar="N",
         help="worker processes for the sweep's tasks (default: 1, no pool)",
     )
-    p.add_argument("--preset", metavar="NAME", help="swap in a preset value ladder")
     p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("validate-config", help="check a config and print the run plan")
@@ -297,13 +283,24 @@ def main(argv=None) -> int:
         # argparse exits directly for --help/--version
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.handler(args)
+        status = args.handler(args)
+        # Flush here so that a reader that closed the pipe is seen below.
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader has gone: exit 1 quietly, with the unwritten output
+        # sent to devnull so that the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except Exception as exc:
         code = _user_code(exc)
         if code is not None:
             print(f"{code}: {exc}", file=sys.stderr)
             return 1
-        print(f"INTERNAL: {exc!r}", file=sys.stderr)
+        # A sweep task's position rides as a note when the arguments are
+        # not a message; print it on the first line as a message carries it.
+        notes = "".join(f" [{note}]" for note in getattr(exc, "__notes__", ()))
+        print(f"INTERNAL: {exc!r}{notes}", file=sys.stderr)
         traceback.print_exc()
         return 2
 

@@ -51,7 +51,6 @@ __all__ = [
     "ExperimentConfig",
     "GeometryOptions",
     "OutputOptions",
-    "apply_preset",
     "dump_config",
     "load_config",
 ]
@@ -402,20 +401,6 @@ def _build_sweep(kind: str, baseline, sections) -> tuple:
     spec_kwargs = {key: value for key, value in given.items() if value is not None}
     spec_kwargs.update(model=kind, baseline=baseline, parameter=parameter, values=values)
     return spec_kwargs, aggregate
-
-
-def apply_preset(config: ExperimentConfig, preset_name: str) -> ExperimentConfig:
-    """Swap the sweep selection for a named preset ladder.
-
-    Parameter, values and band values come from the preset, resnapped onto
-    the configured baseline; every other setting stays as configured.
-    """
-    spec = config.spec
-    values, band_values = _preset(spec.model, spec.baseline, preset_name)
-    spec = dataclasses.replace(
-        spec, parameter=preset_name, values=values, band_values=band_values
-    )
-    return dataclasses.replace(config, spec=spec)
 
 
 def load_config(path: str) -> ExperimentConfig:

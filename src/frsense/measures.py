@@ -216,18 +216,17 @@ def triple_from_summaries(base: SampleSummary, pert: SampleSummary) -> MeasureTr
     return MeasureTriple(d_shift, v_spread, e_covshape, base.d)
 
 
-def replicate_band(values, level: float = 0.95) -> tuple[float, float]:
-    """Central empirical interval of replicate measure values.
+def replicate_band(values) -> tuple[float, float]:
+    """Central 95% empirical interval of replicate measure values.
 
-    Quantiles at (1 - level)/2 and 1 - (1 - level)/2, linear interpolation.
+    The 2.5th and 97.5th percentiles, linear interpolation.
     """
     vals = np.asarray(values, dtype=float)
     if vals.ndim != 1 or vals.size < 2:
         raise InsufficientValuesError(
             f"band needs at least two values, got {vals.size}"
         )
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must lie in (0, 1), got {level}")
-    tail = 0.5 * (1.0 - level)
+    # Not the literal 0.025: it differs in the last bit, and so would the bands.
+    tail = 0.5 * (1.0 - 0.95)
     lo, hi = np.quantile(vals, [tail, 1.0 - tail])
     return float(lo), float(hi)

@@ -197,19 +197,22 @@ class TestSweepCommand:
         assert open("r1/sweep.csv", "rb").read() == open("r3/sweep.csv", "rb").read()
         assert open("r1/bands.csv", "rb").read() == open("r3/bands.csv", "rb").read()
 
-    def test_seed_override_changes_results_and_is_echoed(self, workdir):
+    def test_config_seed_changes_results_and_is_echoed(self, workdir):
+        open("seed.ini", "w").write(CONFIG.replace("seed = 5", "seed = 123"))
         invoke(["sweep", "--config", "exp.ini", "--out", "r1"])
-        invoke(["sweep", "--config", "exp.ini", "--out", "r4", "--seed", "123"])
+        invoke(["sweep", "--config", "seed.ini", "--out", "r4"])
         assert open("r1/sweep.csv", "rb").read() != open("r4/sweep.csv", "rb").read()
         assert "seed = 123" in open("r4/manifest.ini").read()
 
-    def test_run_section_keeps_the_seed_through_a_manifest_rerun(self, workdir):
-        assert invoke(["sweep", "--config", "exp.ini", "--out", "r4", "--seed", "123"])[0] == 0
+    def test_mcmc_section_keeps_the_seed_through_a_manifest_rerun(self, workdir):
+        open("seed.ini", "w").write(CONFIG.replace("seed = 5", "seed = 123"))
+        assert invoke(["sweep", "--config", "seed.ini", "--out", "r4"])[0] == 0
         assert invoke(["sweep", "--config", "r4/manifest.ini", "--out", "r5"])[0] == 0
         for out in ("r4", "r5"):
             manifest = configparser.ConfigParser(interpolation=None)
             manifest.read(f"{out}/manifest.ini", encoding="utf-8")
-            assert manifest["run"]["base_seed"] == "123", out
+            assert manifest["mcmc"]["seed"] == "123", out
+            assert "base_seed" not in manifest["run"], out
         assert open("r4/sweep.csv", "rb").read() == open("r5/sweep.csv", "rb").read()
 
     def test_out_flag_is_not_echoed_in_manifest(self, workdir):
@@ -264,7 +267,10 @@ class TestSweepCommand:
         assert one[0] == two[0] == 2
         first = one[2].splitlines()[0]
         assert first == two[2].splitlines()[0]
-        assert first == "INTERNAL: MemoryError((40, 100000000000), dtype('float64'))"
+        assert first == (
+            "INTERNAL: MemoryError((40, 100000000000), dtype('float64'))"
+            " [sweep task failed at the baseline, replicate 1]"
+        )
 
     def test_out_naming_a_file_fails_before_any_task_runs(self, workdir, monkeypatch):
         calls = []
@@ -295,34 +301,14 @@ class TestSweepCommand:
         assert open("res/densities.csv", "rb").read() == open("rerun.csv", "rb").read()
 
 
-class TestPresetFlag:
-    def test_flag_runs_the_sweep_that_the_preset_key_gives(self, workdir):
-        # --preset swaps only the parameter, values and band values, so the
-        # other [sweep] keys (2 replicates, 6 components) survive it.
-        text = CONFIG.replace("d_components = 4", "d_components = 6")
-        open("exp.ini", "w").write(text)
-        keyed, n_removed = re.subn(r"^(parameter|values|band_values) = .*\n", "", text, flags=re.M)
-        assert n_removed == 3
-        open("keyed.ini", "w").write(keyed.replace("[sweep]\n", "[sweep]\npreset = alpha\n"))
-        for argv in (
-            ["--config", "exp.ini", "--out", "flag", "--preset", "alpha"],
-            ["--config", "keyed.ini", "--out", "key"],
-            ["--config", "flag/manifest.ini", "--out", "rerun"],
-        ):
-            rc, _, err = invoke(["sweep", *argv])
-            assert rc == 0, err
-        sections = []
-        for out in ("flag", "key"):
-            manifest = configparser.ConfigParser(interpolation=None)
-            manifest.read(f"{out}/manifest.ini", encoding="utf-8")
-            sections.append(dict(manifest["sweep"]))
-        assert sections[0] == sections[1]
-        assert sections[0]["replicates"] == "2" and sections[0]["d_components"] == "6"
-        assert len(sections[0]["values"].split(",")) == 15
-        for name in ("sweep.csv", "bands.csv"):
-            flag = open(f"flag/{name}", "rb").read()
-            assert open(f"key/{name}", "rb").read() == flag, name
-            assert open(f"rerun/{name}", "rb").read() == flag, name
+class TestRetiredFlags:
+    @pytest.mark.parametrize("flag", [["--preset", "alpha"], ["--seed", "1"]])
+    def test_sweep_rejects_the_flag(self, workdir, flag):
+        # The seed and the preset are set in the config, which the manifest echoes.
+        rc, _, err = invoke(["sweep", "--config", "exp.ini", "--out", "res", *flag])
+        assert rc == 1
+        assert err.splitlines()[-1].startswith("CLI_USAGE: unrecognized arguments")
+        assert not os.path.exists("res")
 
 
 class TestValidateConfigCommand:
@@ -607,6 +593,22 @@ class TestGeodesicCommand:
         assert rc == 0
         assert len(out.strip().splitlines()) == 4
 
+    def test_reader_that_closes_stdout_ends_the_run_silently(self, workdir, rng):
+        # As `frsense geodesic ... | head -1`: 200 rows overfill the pipe, so
+        # the write fails once the reader has gone.
+        self.setup_endpoints(rng)
+        code = "import sys; from frsense.cli import main; sys.exit(main(sys.argv[1:]))"
+        argv = ["geodesic", "--from", "a.csv", "--to", "b.csv", "--steps", "200"]
+        with subprocess.Popen(
+            [sys.executable, "-c", code, *argv],
+            env=_child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        ) as proc:
+            assert proc.stdout.readline().endswith(b"\n")
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=120) == 1
+        assert err == b""
+
     def test_grid_mismatch_is_a_user_error(self, workdir, rng):
         g1, g2 = Grid(32), Grid(64)
         write_density_matrix("a.csv", [random_mixture_pdf(g1, rng)])
@@ -815,13 +817,16 @@ class TestExitCodes:
         assert err.startswith("INTERNAL:")
 
 
+def _child_env() -> dict:
+    """This process's environment, with this package's source on the path."""
+    src = os.path.dirname(os.path.dirname(frsense.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
 def _run_child(code: str) -> str:
     """Run ``python -c code`` on this package's source; return its stdout."""
-    src = os.path.dirname(os.path.dirname(frsense.__file__))
-    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    env = dict(os.environ, PYTHONPATH=path)
     result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True, check=True
     )
     return result.stdout.strip()
 

@@ -20,7 +20,6 @@ from frsense import (
     McmcControl,
     SweepSpec,
     UniformBase,
-    apply_preset,
     dump_config,
     load_config,
     model_config,
@@ -347,9 +346,10 @@ class TestPresetConfigs:
         assert cfg.spec.band_values == (values[0], 4.321, values[-1])
 
     def test_preset_keeps_explicit_replicates(self, tmp_path):
-        body = PRESET_BODY.format(alpha=5.0) + "replicates = 4\n"
+        body = PRESET_BODY.format(alpha=5.0) + "replicates = 4\nd_components = 6\n"
         cfg = load_config(write_config(tmp_path, body))
         assert cfg.spec.replicates == 4
+        assert cfg.spec.d_components == 6
 
     def test_unknown_preset_name(self, tmp_path):
         body = PRESET_BODY.format(alpha=5.0).replace("preset = alpha", "preset = beta")
@@ -362,24 +362,6 @@ class TestPresetConfigs:
         with pytest.raises(ConfigError) as exc:
             load_config(write_config(tmp_path, body))
         assert exc.value.code == "CONFIG_BAD_PRESET"
-
-    def test_apply_preset_keeps_replicates_and_components(self, tmp_path):
-        # Only the parameter, values and band values change, so the result
-        # is the config that names the preset in its [sweep] section.
-        extra = "replicates = 4\nd_components = 6\n\n[geometry]\nn_points = 16\n"
-        swapped = apply_preset(load_minimal(tmp_path, extra=extra), "alpha")
-        assert swapped.spec.replicates == 4
-        assert swapped.spec.d_components == 6
-        keyed = load_config(write_config(tmp_path, PRESET_BODY.format(alpha=5.0) + extra))
-        assert swapped == keyed
-
-    def test_apply_preset_keeps_mcmc_and_aggregate(self, tmp_path):
-        cfg = load_minimal(tmp_path, extra="\n[mcmc]\nseed = 321\n")
-        swapped = apply_preset(cfg, "alpha")
-        assert swapped.spec.mcmc.seed == 321
-        assert swapped.aggregate == cfg.aggregate
-        assert swapped.spec.values == default_preset("dp", "alpha")[0]
-        assert swapped.spec.baseline == cfg.spec.baseline
 
 
 def baselines(cls):
@@ -590,6 +572,6 @@ def test_manifest_layout_is_fixed(tmp_path, model):
     sections = dump_config(cfg)
     assert [(name, list(keys)) for name, keys in sections.items()] == expected
     manifest = tmp_path / "manifest.ini"
-    write_manifest(str(manifest), cfg, {"base_seed": 0})
+    write_manifest(str(manifest), cfg, {"n_workers": 1})
     headers = [line[1:-1] for line in manifest.read_text().splitlines() if line.startswith("[")]
     assert headers == [name for name, _ in expected] + ["run"]

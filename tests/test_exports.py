@@ -25,7 +25,8 @@ MODULES = sorted(info.name for info in pkgutil.walk_packages(frsense.__path__, "
 #: Modules whose names ``import frsense`` leaves to load on first use.
 DEFERRED = ("frsense.samplers", "frsense.sweep", "frsense.config")
 
-#: Names that only tests called; their oracles live in ``tests/_oracles.py``.
+#: Names that only tests called, whose oracles live in ``tests/_oracles.py``,
+#: and ``apply_preset``, a second way to set ``[sweep] preset``.
 REMOVED = (
     "tangent_project",
     "exp_map",
@@ -35,6 +36,7 @@ REMOVED = (
     "smoothed_centering_measure",
     "sweep_grid_presets",
     "GRID_POINTS",
+    "apply_preset",
 )
 
 #: (class, attribute) pairs that nothing outside the tests read.  A sample

@@ -330,7 +330,7 @@ class TestSampleSummary:
 
 class TestReplicateBand:
     def test_quantile_oracle(self):
-        lo, hi = replicate_band(np.arange(1.0, 101.0), level=0.95)
+        lo, hi = replicate_band(np.arange(1.0, 101.0))
         assert lo == pytest.approx(3.475, abs=1e-12)
         assert hi == pytest.approx(97.525, abs=1e-12)
 
@@ -340,14 +340,10 @@ class TestReplicateBand:
     def test_contains_median(self, rng):
         for _ in range(10):
             vals = rng.standard_normal(rng.integers(2, 40))
-            lo, hi = replicate_band(vals, level=0.9)
+            lo, hi = replicate_band(vals)
             med = np.median(vals)
             assert lo <= med <= hi
 
     def test_too_few_values_rejected(self):
         with pytest.raises(InsufficientValuesError):
             replicate_band([1.0])
-
-    def test_bad_level_rejected(self):
-        with pytest.raises(ValueError):
-            replicate_band([1.0, 2.0], level=1.5)
