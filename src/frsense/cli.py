@@ -16,6 +16,7 @@ starts with a stable machine-readable code, e.g. ``CONFIG_BAD_PARAM: ...``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 import traceback
@@ -294,15 +295,19 @@ def main(argv=None) -> int:
         return 1
     except Exception as exc:
         code = _user_code(exc)
-        if code is not None:
-            print(f"{code}: {exc}", file=sys.stderr)
-            return 1
-        # A sweep task's position rides as a note when the arguments are
-        # not a message; print it on the first line as a message carries it.
-        notes = "".join(f" [{note}]" for note in getattr(exc, "__notes__", ()))
-        print(f"INTERNAL: {exc!r}{notes}", file=sys.stderr)
-        traceback.print_exc()
-        return 2
+        # The exit status tells input problems from internal failures even
+        # when stderr cannot be written, e.g. because its reader has gone.
+        with contextlib.suppress(OSError):
+            if code is not None:
+                print(f"{code}: {exc}", file=sys.stderr)
+            else:
+                # A sweep task's position rides as a note when the arguments
+                # are not a message; print it on the first line as a message
+                # carries it.
+                notes = "".join(f" [{note}]" for note in getattr(exc, "__notes__", ()))
+                print(f"INTERNAL: {exc!r}{notes}", file=sys.stderr)
+                traceback.print_exc()
+        return 1 if code is not None else 2
 
 
 if __name__ == "__main__":

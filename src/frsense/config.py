@@ -68,6 +68,11 @@ _KNOWN_SECTIONS = (
 )
 
 
+#: Bytes that one ``(n_samples, n_points)`` float64 matrix of a sample may
+#: take; a sweep task holds a few such matrices at once.
+SAMPLE_MATRIX_BYTES = 2**30
+
+
 @dataclass(frozen=True)
 class GeometryOptions:
     """Grid resolution and Karcher-mean iteration controls."""
@@ -118,6 +123,15 @@ class ExperimentConfig:
     output: OutputOptions
 
     def __post_init__(self):
+        n_samples, n_points = self.spec.mcmc.n_samples, self.geometry.n_points
+        matrix_bytes = 8 * n_samples * n_points
+        if matrix_bytes > SAMPLE_MATRIX_BYTES:
+            raise ConfigError(
+                "CONFIG_BAD_GEOMETRY",
+                f"n_points = {n_points} with n_samples = {n_samples} needs "
+                f"{matrix_bytes / 2**30:.3g} GiB per sample; "
+                f"the limit is {SAMPLE_MATRIX_BYTES / 2**30:g} GiB",
+            )
         # A summary has min(n_samples, n_points) eigenvalues; SweepSpec
         # already requires n_samples > d_components.
         if self.spec.d_components > self.geometry.n_points:

@@ -166,74 +166,21 @@ class PosteriorSample(DensityMatrix):
         return list(self)
 
 
-_MASK32 = 0xFFFFFFFF
-_BASELINE_SLOT = _MASK32
+#: The spawn-key slot of a replicate's baseline run (value index None).
+_BASELINE_SLOT = 0xFFFFFFFF
 
 
 def derived_seed(base_seed: int, replicate: int, value_index: int | None = None) -> int:
     """Deterministic per-task seed from the base seed and the task position.
 
     ``value_index=None`` addresses the replicate's baseline run.  The seed is
-    ``np.random.SeedSequence(base_seed, spawn_key=(replicate, slot))
-    .generate_state(1, np.uint64)[0]``, computed in Python integers so that
-    planning a sweep does not import ``numpy.random``; a test pins it to
-    numpy.  A negative input raises ValueError, as numpy does.
+    the first uint64 of ``SeedSequence(base_seed, spawn_key=(replicate,
+    slot))``; ``numpy.random`` loads on the first call, in the process that
+    samples.  A negative input raises ValueError, as numpy does.
     """
     slot = _BASELINE_SLOT if value_index is None else value_index
-    return _seed_sequence_u64(base_seed, (replicate, slot))
-
-
-def _u32_words(n) -> list:
-    """A non-negative integer as little-endian 32-bit words, 0 as [0]."""
-    n = int(n)
-    if n < 0:
-        raise ValueError(f"expected a non-negative integer, got {n}")
-    words = [n & _MASK32]
-    while n > _MASK32:
-        n >>= 32
-        words.append(n & _MASK32)
-    return words
-
-
-def _seed_sequence_u64(entropy, spawn_key) -> int:
-    """numpy's SeedSequence hash: the first uint64 of ``generate_state``.
-
-    With a spawn key, the entropy words are padded with zeros to the 4-word
-    pool.  The pool takes the first 4 words, mixes every word into every
-    other, then mixes in the remaining words; two output words are drawn
-    from it and read as one little-endian uint64.
-    """
-    run = _u32_words(entropy)
-    words = run + [0] * (4 - len(run)) + [w for k in spawn_key for w in _u32_words(k)]
-    hash_const = 0x43B0D7E5
-
-    def hashmix(value):
-        nonlocal hash_const
-        value ^= hash_const
-        hash_const = hash_const * 0x931E8875 & _MASK32
-        value = value * hash_const & _MASK32
-        return value ^ value >> 16
-
-    def mix(x, y):
-        result = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
-        return result ^ result >> 16
-
-    pool = [hashmix(w) for w in words[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in words[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    hash_const = 0x8B51F9DD
-    out = 0
-    for i in range(2):
-        value = pool[i] ^ hash_const
-        hash_const = hash_const * 0x58F38DED & _MASK32
-        value = value * hash_const & _MASK32
-        out |= (value ^ value >> 16) << (32 * i)
-    return out
+    sequence = np.random.SeedSequence(base_seed, spawn_key=(replicate, slot))
+    return int(sequence.generate_state(1, np.uint64)[0])
 
 
 def make_rng(seed: int) -> np.random.Generator:

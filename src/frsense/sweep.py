@@ -6,9 +6,10 @@ replaced, and reduces every run to a SampleSummary.  Comparing the
 baseline summary of a replicate against each perturbed summary of the
 same replicate yields one MeasureTriple per grid value; quantile bands
 over replicates quantify the Monte Carlo noise of the measures at
-selected grid values.  ``SweepSpec.runs()`` plans the runs and keys each
-seed by replicate and value index: appending replicates or grid values
-keeps every earlier row, inserting a value reseeds the values after it.
+selected grid values.  ``SweepSpec.runs()`` lists the runs; each task
+derives its run's seed from the replicate and value index, so appending
+replicates or grid values keeps every earlier row, and inserting a value
+reseeds the values after it.
 """
 
 from __future__ import annotations
@@ -245,14 +246,12 @@ class SweepSpec:
         return set_config_value(self.baseline, self.parameter, value)
 
     def runs(self) -> tuple:
-        """Every sampler run as (replicate, value index, seed), in run order.
+        """Every sampler run as (replicate, value index), in run order.
 
-        Replicates run in turn, each baseline (index None) first.  Seeds are
-        keyed by replicate and index: appending replicates or values keeps
-        every earlier run; inserting a value reseeds the values after it.
+        Replicates run in turn, each baseline (index None) first.
         """
         return tuple(
-            (r, idx, derived_seed(self.mcmc.seed, r, idx))
+            (r, idx)
             for r in range(1, self.replicates + 1)
             for idx in (None, *range(len(self.values)))
         )
@@ -310,14 +309,15 @@ def _run_task(
 ) -> tuple[SampleSummary, PosteriorSample | None]:
     """One sweep task: the sampler run `run` of ``spec.runs()``, summarized.
 
-    Only replicate 1's baseline run hands back its sample, for densities.csv.
+    The run's seed is keyed by its replicate and value index.  Only
+    replicate 1's baseline run hands back its sample, for densities.csv.
     A failure keeps its type and gains the task's grid position in its message.
     """
-    r, idx, seed = run
+    r, idx = run
     value = spec.baseline_value if idx is None else spec.values[idx]
     label = "the baseline" if idx is None else f"{spec.parameter}={value:g}"
     try:
-        ctl = dataclasses.replace(spec.mcmc, seed=seed)
+        ctl = dataclasses.replace(spec.mcmc, seed=derived_seed(spec.mcmc.seed, r, idx))
         sample = model_sampler(spec.model)(data, spec.config_for(value), ctl, grid=grid)
         summary = summarize_sample(sample, spec.d_components, **karcher)
     except Exception as exc:
@@ -375,7 +375,7 @@ def run_sweep(
             max_workers=min(n_workers, len(runs)), mp_context=context
         ) as pool:
             outcomes = list(pool.map(task, runs))
-    summaries = {(r, idx): summary for (r, idx, _), (summary, _) in zip(runs, outcomes)}
+    summaries = {run: summary for run, (summary, _) in zip(runs, outcomes)}
 
     per_replicate = []
     for r in range(1, spec.replicates + 1):

@@ -342,7 +342,8 @@ class TestValidateConfigCommand:
         assert seeds == []
         assert invoke(["sweep", "--config", "plan.ini", "--out", "res"])[0] == 0
         assert f"sampler runs: {len(seeds)}\n" in out
-        assert seeds == [seed for _, _, seed in load_config("plan.ini").spec.runs()]
+        spec = load_config("plan.ini").spec
+        assert seeds == [derived_seed(spec.mcmc.seed, r, idx) for r, idx in spec.runs()]
 
     def test_dp_plan_prints_the_expected_absorbed_remainder(self, workdir):
         # n = 30 and truncation 60: ((alpha + 30) / (alpha + 31))^59 is largest
@@ -451,6 +452,8 @@ class TestValidateConfigCommand:
         "edit, code",
         [
             (("n_points = 64", "n_points = 8"), "CONFIG_BAD_GEOMETRY"),
+            # One 16-draw sample would take 12.8 TB.
+            (("n_points = 64", "n_points = 100000000000"), "CONFIG_BAD_GEOMETRY"),
             (("values = 1.0,", "values = -1.0, 1.0,"), "CONFIG_BAD_VALUE"),
             (("kind = dp", "kind = gp"), "CONFIG_BAD_MODEL"),
             # Kernels this narrow vanish between the 64 grid points.
@@ -458,7 +461,10 @@ class TestValidateConfigCommand:
             (("truncation = 60", "truncation = 60\nbandwidth = 1e-300"), "CONFIG_BAD_VALUE"),
             (BANDWIDTH_SWEEP, "CONFIG_BAD_VALUE"),
         ],
-        ids=["geometry", "value", "model", "bandwidth", "bandwidth-tiny", "bandwidth-swept"],
+        ids=[
+            "geometry", "geometry-huge", "value", "model", "bandwidth",
+            "bandwidth-tiny", "bandwidth-swept",
+        ],
     )
     def test_bad_config_fails_before_any_sampler_runs(
         self, workdir, monkeypatch, command, edit, code
@@ -784,6 +790,27 @@ class TestExitCodes:
             assert rc == 1
             assert err == f"{code}: {exc}\n"
 
+    @pytest.mark.parametrize(
+        "exc, status",
+        [(RuntimeError("boom"), 2), (ConfigError("CONFIG_BAD_GRID", "went wrong"), 1)],
+        ids=["internal", "input"],
+    )
+    def test_status_stands_when_the_stderr_reader_has_gone(
+        self, workdir, monkeypatch, exc, status
+    ):
+        import frsense.cli as cli_mod
+
+        class GoneReader(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        def fail(path):
+            raise exc
+
+        monkeypatch.setattr(cli_mod, "load_config", fail)
+        with contextlib.redirect_stderr(GoneReader()):
+            assert main(["validate-config", "--config", "exp.ini"]) == status
+
     def test_unknown_subcommand(self, workdir):
         rc, _, err = invoke(["frobnicate"])
         assert rc == 1
@@ -865,10 +892,10 @@ def test_cli_import_does_not_load_scipy_special(workdir):
     ids=["validate-config", "sweep-threads-2", "sweep-threads-1"],
 )
 def test_only_a_sampling_process_loads_numpy_random(workdir, argv, loaded):
-    # Seeds are derived in Python integers, so neither validate-config nor
-    # the parent of a worker pool imports numpy.random (about 5 MB and
-    # 15 ms); only the samplers' generators need it.  A --threads 1 sweep
-    # samples in this process, which shows that the check sees the import.
+    # Each task derives its seed where it samples, so neither validate-config
+    # nor the parent of a worker pool imports numpy.random (about 5 MB and
+    # 15 ms); only the tasks' seeds and generators need it.  A --threads 1
+    # sweep samples in this process, which shows that the check sees the import.
     code = (
         "import sys, contextlib, io\n"
         "from frsense.cli import main\n"

@@ -1,12 +1,8 @@
 """Shared sampler plumbing: data rescaling, chain controls, seed derivation."""
 
-import itertools
-
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from frsense import Dataset, McmcControl
 from frsense.errors import ConfigError, EmptyDatasetError
@@ -153,35 +149,31 @@ class TestSeedDerivation:
         assert 0 <= s < 2**64
 
     @pytest.mark.parametrize(
-        "seed, replicate, index",
-        itertools.product((0, 1, 2**63, 2**64 - 1), (1, 2**32 + 5), (None, 0, 2**40)),
+        "seed, replicate, index, expected",
+        [
+            (0, 1, None, 3682273485447514370),
+            (0, 1, 0, 11539782348902174461),
+            (0, 1, 2**40, 1741940739854610235),
+            (0, 2**32 + 5, None, 12637782392506088915),
+            (0, 2**32 + 5, 0, 18319752144774102445),
+            (0, 2**32 + 5, 2**40, 13158275039760856247),
+            (2**64 - 1, 1, None, 15040810866446499073),
+            (2**64 - 1, 1, 0, 7415890644094193115),
+            (2**64 - 1, 1, 2**40, 12519309192707428739),
+            (2**64 - 1, 2**32 + 5, None, 1414545892428455254),
+            (2**64 - 1, 2**32 + 5, 0, 11775085574141951879),
+            (2**64 - 1, 2**32 + 5, 2**40, 11654953040704222153),
+        ],
     )
-    def test_edge_cases_match_numpy(self, seed, replicate, index):
-        assert derived_seed(seed, replicate, index) == numpy_seed(seed, replicate, index)
-
-    @settings(max_examples=2000, deadline=None)
-    @given(
-        seed=st.integers(0, 2**160),
-        replicate=st.integers(0, 2**40),
-        index=st.none() | st.integers(0, 2**40),
-    )
-    def test_matches_numpy(self, seed, replicate, index):
-        # Seeds past 128 bits fill the 4-word pool and mix in the rest.
-        assert derived_seed(seed, replicate, index) == numpy_seed(seed, replicate, index)
+    def test_pinned_values(self, seed, replicate, index, expected):
+        # Every sweep's outputs rest on these seeds, so a numpy release that
+        # changed SeedSequence would change every archive.
+        assert derived_seed(seed, replicate, index) == expected
 
     @pytest.mark.parametrize("args", [(-1, 1), (1, -1), (1, 1, -1)], ids=["seed", "replicate", "index"])
     def test_negative_input_raises_as_numpy_does(self, args):
         with pytest.raises(ValueError):
-            numpy_seed(*args)
-        with pytest.raises(ValueError):
             derived_seed(*args)
-
-
-def numpy_seed(seed, replicate, index=None):
-    """The seed derived_seed must give, computed by numpy itself."""
-    slot = 0xFFFFFFFF if index is None else index
-    ss = np.random.SeedSequence(seed, spawn_key=(replicate, slot))
-    return int(ss.generate_state(1, np.uint64)[0])
 
 
 class TestSilvermanBandwidth:

@@ -24,6 +24,7 @@ from frsense.samplers import (
     DpgmmConfig,
     McmcControl,
     derived_seed,
+    dp_posterior,
 )
 from frsense.sweep import (
     SweepSpec,
@@ -414,33 +415,45 @@ class TestRunSweep:
 
 
 class TestRunPlan:
-    @pytest.mark.parametrize("replicates", [1, 3])
-    @pytest.mark.parametrize("values", [(5.0,), (0.5, 5.0, 12.0, 20.0)], ids=["1value", "4values"])
-    def test_sweep_makes_exactly_the_planned_runs(self, monkeypatch, replicates, values):
-        dp_sampler = frsense.sweep._MODELS["dp"][1]
+    @staticmethod
+    def sampler_calls(monkeypatch, spec) -> list:
+        """(alpha, seed) of every sampler call of a 1-worker sweep of ``spec``."""
         calls = []
 
         def counting(data, config, ctl, grid=None):
             calls.append((config.alpha, ctl.seed))
-            return dp_sampler(data, config, ctl, grid=grid)
+            return dp_posterior(data, config, ctl, grid=grid)
 
         monkeypatch.setitem(frsense.sweep._MODELS, "dp", (DpConfig, counting))
-        spec = small_dp_spec(replicates=replicates, values=values)
         run_sweep(uniform_dataset(), spec, n_workers=1)
+        return calls
+
+    @pytest.mark.parametrize("replicates", [1, 3])
+    @pytest.mark.parametrize("values", [(5.0,), (0.5, 5.0, 12.0, 20.0)], ids=["1value", "4values"])
+    def test_sweep_makes_exactly_the_planned_runs(self, monkeypatch, replicates, values):
+        spec = small_dp_spec(replicates=replicates, values=values)
+        calls = self.sampler_calls(monkeypatch, spec)
         expected = [
-            (r, idx, derived_seed(spec.mcmc.seed, r, idx))
-            for r in range(1, replicates + 1)
-            for idx in (None, *range(len(values)))
+            (r, idx) for r in range(1, replicates + 1) for idx in (None, *range(len(values)))
         ]
         assert list(spec.runs()) == expected
         assert len(calls) == len(spec.runs()) == replicates * (len(values) + 1)
         assert calls == [
-            (spec.baseline_value if idx is None else values[idx], seed)
-            for _, idx, seed in expected
+            (
+                spec.baseline_value if idx is None else values[idx],
+                derived_seed(spec.mcmc.seed, r, idx),
+            )
+            for r, idx in expected
         ]
 
-    def test_added_replicate_extends_the_plan(self):
-        short = small_dp_spec(replicates=2).runs()
-        long = small_dp_spec(replicates=3).runs()
-        assert long[: len(short)] == short
-        assert [r for r, _, _ in long[len(short):]] == [3] * 4
+    def test_added_replicate_extends_the_plan(self, monkeypatch):
+        short, long = small_dp_spec(replicates=2), small_dp_spec(replicates=3)
+        n = len(short.runs())
+        assert long.runs()[:n] == short.runs()
+        assert long.runs()[n:] == ((3, None), (3, 0), (3, 1), (3, 2))
+        # The added replicate leaves every earlier run's value and seed as it was.
+        calls = self.sampler_calls(monkeypatch, long)
+        assert calls[:n] == self.sampler_calls(monkeypatch, short)
+        assert [seed for _, seed in calls] == [
+            derived_seed(long.mcmc.seed, r, idx) for r, idx in long.runs()
+        ]
