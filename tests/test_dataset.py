@@ -157,12 +157,31 @@ class TestSeedDerivation:
             (0, 2**32 + 5, None, 12637782392506088915),
             (0, 2**32 + 5, 0, 18319752144774102445),
             (0, 2**32 + 5, 2**40, 13158275039760856247),
+            (1, 1, None, 15244435365362942311),
+            (1, 1, 0, 4654460112120296358),
+            (1, 1, 2**40, 263665147563979940),
+            (1, 2**32 + 5, None, 7357475801014545619),
+            (1, 2**32 + 5, 0, 6238631287437588161),
+            (1, 2**32 + 5, 2**40, 24916021837551561),
+            (2**63, 1, None, 6372931469981846311),
+            (2**63, 1, 0, 7205852960274806534),
+            (2**63, 1, 2**40, 6875323173226797141),
+            (2**63, 2**32 + 5, None, 14401253656540754858),
+            (2**63, 2**32 + 5, 0, 13146490595976467636),
+            (2**63, 2**32 + 5, 2**40, 4432016315166400382),
             (2**64 - 1, 1, None, 15040810866446499073),
             (2**64 - 1, 1, 0, 7415890644094193115),
             (2**64 - 1, 1, 2**40, 12519309192707428739),
             (2**64 - 1, 2**32 + 5, None, 1414545892428455254),
             (2**64 - 1, 2**32 + 5, 0, 11775085574141951879),
             (2**64 - 1, 2**32 + 5, 2**40, 11654953040704222153),
+            # Seeds past 128 bits fill the 4-word pool and mix in the rest.
+            (2**128, 1, None, 13701748449009996638),
+            (2**128, 3, 7, 2015207129929861973),
+            (2**160, 1, None, 9717470593749895773),
+            (2**160, 3, 7, 13615000969280243239),
+            (2**160 + 12345, 1, None, 17163592422895110803),
+            (2**160 + 12345, 3, 7, 11156100758816501394),
         ],
     )
     def test_pinned_values(self, seed, replicate, index, expected):
