@@ -23,7 +23,7 @@ import traceback
 
 import numpy as np
 
-from . import __version__
+from . import __version__, samplers
 from .config import load_config
 from .errors import FrsenseError, ParseError
 from .geometry import geodesic_path, karcher_mean, karcher_variance, tangent_pca
@@ -39,7 +39,6 @@ from .io import (
     write_manifest,
     write_sweep_csv,
 )
-from .samplers.dp import expected_remainder
 from .sweep import run_sweep
 
 __all__ = ["main"]
@@ -64,7 +63,9 @@ class _Parser(argparse.ArgumentParser):
     """Raises instead of exiting so bad flags map onto exit status 1."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
+        # The exit status must not depend on whether stderr can be written.
+        with contextlib.suppress(OSError):
+            self.print_usage(sys.stderr)
         raise _UsageError(message)
 
 
@@ -155,7 +156,9 @@ def _cmd_validate(args) -> int:
     if spec.model == "dp":
         # dp draws are iid stick-breaking realizations: no burn-in, no thinning.
         print(f"mcmc: keep {mcmc.n_samples} iid draws, seed {mcmc.seed}")
-        remainder = {v: expected_remainder(spec.config_for(v), data.n) for v in spec.values}
+        remainder = {
+            v: samplers.expected_remainder(spec.config_for(v), data.n) for v in spec.values
+        }
         largest = max(spec.values, key=remainder.get)
         print(
             f"expected absorbed remainder: {remainder[spec.baseline_value]:.3g} at the "
@@ -278,7 +281,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:
-        print(f"CLI_USAGE: {exc}", file=sys.stderr)
+        with contextlib.suppress(OSError):
+            print(f"CLI_USAGE: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:
         # argparse exits directly for --help/--version

@@ -44,7 +44,8 @@ from .errors import ConfigError
 from .geometry import KARCHER_EPS1, KARCHER_MAX_ITER, KARCHER_STEP
 from .grid import DEFAULT_N_POINTS, MIN_POINTS, Grid
 from .io import TRANSFORMS
-from .samplers import BetaBase, McmcControl, UniformBase
+from . import samplers
+from .samplers import McmcControl
 from .sweep import AGGREGATES, SweepSpec, get_config_value, model_config
 
 __all__ = [
@@ -276,17 +277,17 @@ def _read_sections(path: str) -> dict:
 
 def _build_g0(sections):
     if "model.baseline.g0" not in sections:
-        return UniformBase()
+        return samplers.UniformBase()
     block = _Block(sections, "model.baseline.g0", "CONFIG_BAD_PARAM")
     kind = block.take("kind", default=_REQUIRED, choices=("uniform", "beta"))
     if kind == "uniform":
         block.finish()
-        return UniformBase()
+        return samplers.UniformBase()
     a = block.take("a", float, _REQUIRED)
     b = block.take("b", float, _REQUIRED)
     block.finish()
     try:
-        return BetaBase(a, b)
+        return samplers.BetaBase(a, b)
     except ValueError as exc:
         raise ConfigError("CONFIG_BAD_VALUE", str(exc)) from exc
 
@@ -494,7 +495,7 @@ def dump_config(config: ExperimentConfig) -> dict:
     }
     g0 = getattr(spec.baseline, "g0", None)
     if g0 is not None:
-        kind = "beta" if isinstance(g0, BetaBase) else "uniform"
+        kind = "beta" if isinstance(g0, samplers.BetaBase) else "uniform"
         sections["model.baseline.g0"] = {"kind": kind, **_fields_text(g0)}
     sections["sweep"] = {
         "parameter": spec.parameter,

@@ -74,7 +74,7 @@ BOUNDARY_MARGIN = 1e-9
 #: Karcher iteration defaults of every entry point: the gradient-norm
 #: tolerance, the step size and the iteration cap.
 KARCHER_EPS1 = 1e-6
-KARCHER_STEP = 0.5
+KARCHER_STEP = 1.0
 KARCHER_MAX_ITER = 200
 
 

@@ -228,5 +228,21 @@ def replicate_band(values) -> tuple[float, float]:
         )
     # Not the literal 0.025: it differs in the last bit, and so would the bands.
     tail = 0.5 * (1.0 - 0.95)
-    lo, hi = np.quantile(vals, [tail, 1.0 - tail])
-    return float(lo), float(hi)
+    ordered = np.sort(vals).tolist()
+    return _linear_quantile(ordered, tail), _linear_quantile(ordered, 1.0 - tail)
+
+
+def _linear_quantile(ordered: list, q: float) -> float:
+    """``np.quantile(ordered, q)`` for sorted values, with numpy's arithmetic.
+
+    Computed here because ``np.quantile`` imports ``numpy.ma``, which every
+    sweep process would otherwise load for its bands alone.
+    """
+    index = (len(ordered) - 1) * q
+    below = math.floor(index)
+    if below >= len(ordered) - 1:
+        return ordered[-1]
+    a, b = ordered[below], ordered[below + 1]
+    t = index - below
+    # numpy's lerp: from the nearer end, so that t = 1 gives b exactly.
+    return b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t

@@ -8,11 +8,13 @@ centering measure
 
 F_n the empirical distribution of the rescaled data.  Each draw realizes the
 truncated stick-breaking series of that posterior and is smoothed with a
-Gaussian kernel into a density on the grid.
+Gaussian kernel into a density on the grid: exactly at its data atoms, and
+after linear binning onto the grid at its G0 atoms.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -155,33 +157,98 @@ def _kernel(grid: Grid, atoms: np.ndarray, bw: float) -> np.ndarray:
     return z
 
 
-def _smooth(grid: Grid, atoms: np.ndarray, weights: np.ndarray, bw: float) -> np.ndarray:
-    """Gaussian-kernel mixture of the atoms, evaluated on the grid."""
-    return _kernel(grid, atoms, bw) @ weights
+def _fft_length(n: int) -> int:
+    """The smallest integer >= n with no prime factor above 7."""
+    length = n
+    while True:
+        rest = length
+        for factor in (2, 3, 5, 7):
+            while rest % factor == 0:
+                rest //= factor
+        if rest == 1:
+            return length
+        length += 1
 
 
-def _data_atom_rows(
-    grid: Grid, x: np.ndarray, bw: float, weights: np.ndarray, data_idx: np.ndarray
+@functools.lru_cache(maxsize=16)
+def _kernel_spectrum(n_points: int, bw: float) -> tuple[int, np.ndarray]:
+    """FFT length and real spectrum of the Gaussian kernel at grid offsets.
+
+    The length is at least ``2 * n_points - 1``, so a circular convolution
+    of a zero-padded row with the kernel at offsets 0, +-1, ... grid steps
+    is the linear one on the row's own ``n_points`` entries.
+    """
+    length = _fft_length(2 * n_points - 1)
+    steps = np.arange(length)
+    z = np.minimum(steps, length - steps) * (1.0 / ((n_points - 1) * bw))
+    spectrum = np.fft.rfft(np.exp(-0.5 * z * z))
+    spectrum.flags.writeable = False
+    return length, spectrum
+
+
+#: Entries of one block's FFT buffer; a block of draws is emitted at once.
+_BLOCK_ENTRIES = 2**19
+
+
+def _bin_sums(cells: np.ndarray, weights: np.ndarray, n_rows: int, width: int) -> np.ndarray:
+    """The weights summed by cell, as ``n_rows`` rows of ``width`` cells."""
+    return np.bincount(cells, weights=weights, minlength=n_rows * width).reshape(n_rows, width)
+
+
+def _emit_rows(
+    grid: Grid,
+    x: np.ndarray,
+    bw: float,
+    weights: np.ndarray,
+    from_g0: np.ndarray,
+    g0_atoms: np.ndarray,
+    data_idx: np.ndarray,
 ) -> np.ndarray:
-    """Each draw's data atoms smoothed on the grid, one row per draw.
+    """Each draw's atoms smoothed on the grid, one unnormalized row per draw.
 
     A share n / (alpha + n) of the atoms are copies of data points: their
     kernels are columns of one table, weighted by each draw's summed sticks
-    per point (``weights`` must be zero on the G0 atoms).  One bincount sums
-    a block of draws and one product emits it; a block holds at most
-    ``n_points`` draws, so its summed sticks never outgrow the table.
+    per point, so one bincount and one product emit a block of draws.  The
+    G0 atoms of a block are split linearly between the two grid points
+    around each (Silverman 1982) in one bincount, and the binned rows are
+    convolved with the kernel by FFT.  A block holds at most ``n_points``
+    draws, so its summed sticks never outgrow the table, and its FFT
+    buffers hold about ``_BLOCK_ENTRIES`` numbers each.
     """
-    m = weights.shape[0]
+    m, p = weights.shape[0], grid.n_points
+    length, spectrum = _kernel_spectrum(p, bw)
     table = _kernel(grid, x, bw)
-    rows = np.empty((m, grid.n_points))
-    for start in range(0, m, grid.n_points):
-        block = slice(start, min(start + grid.n_points, m))
-        size = block.stop - start
-        cells = data_idx[block] + x.size * np.arange(size)[:, None]
-        summed = np.bincount(
-            cells.ravel(), weights=weights[block].ravel(), minlength=size * x.size
+    rows = np.empty((m, p))
+    size = max(1, min(p, _BLOCK_ENTRIES // length))
+    for start in range(0, m, size):
+        block = slice(start, min(start + size, m))
+        n_block = block.stop - start
+        g0, w = from_g0[block], weights[block]
+
+        cells = data_idx[block] + x.size * np.arange(n_block)[:, None]
+        data_w = np.where(g0, 0.0, w)
+        data_sums = _bin_sums(cells.ravel(), data_w.ravel(), n_block, x.size)
+        np.matmul(data_sums, table.T, out=rows[block])
+
+        # Atom a lies between grid points floor(t) and floor(t) + 1, t = a / spacing.
+        t = g0_atoms[block][g0] * (p - 1)
+        if not t.size:
+            continue
+        left = np.minimum(t.astype(np.intp), p - 2)
+        g0_w = w[g0]
+        right_w = g0_w * (t - left)
+        left += length * np.nonzero(g0)[0]
+        binned = _bin_sums(
+            np.concatenate((left, left + 1)),
+            np.concatenate((g0_w - right_w, right_w)),
+            n_block,
+            length,
         )
-        np.matmul(summed.reshape(size, x.size), table.T, out=rows[block])
+        spectra = np.fft.rfft(binned)
+        spectra *= spectrum
+        smoothed = np.fft.irfft(spectra, length, out=binned)[:, :p]
+        # The transforms leave round-off of either sign where the kernel is ~0.
+        rows[block] += np.maximum(smoothed, 0.0, out=smoothed)
     return rows
 
 
@@ -189,22 +256,12 @@ def _draw_rows(rng, config: DpConfig, x: np.ndarray, m: int, grid: Grid, bw: flo
     """The unnormalized density rows and absorbed remainders of ``m`` draws.
 
     The variate blocks live only in this call and the data kernel table only
-    in ``_data_atom_rows``, so neither is held while the next step runs.
+    in ``_emit_rows``, so neither is held while the next step runs.
     """
     weights, remainders, from_g0, g0_atoms, data_idx = _draw_atoms_and_weights(
         rng, config, x.size, centering_weight(config.alpha, x.size), m
     )
-    # Row-major order groups the G0 atoms by draw.
-    atoms, atom_weights = g0_atoms[from_g0], weights[from_g0]
-    weights[from_g0] = 0.0
-    rows = _data_atom_rows(grid, x, bw, weights, data_idx)
-
-    # Only G0 atoms are smoothed draw by draw.
-    counts = from_g0.sum(axis=1)
-    bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
-    for i in np.flatnonzero(counts).tolist():
-        own = slice(bounds[i], bounds[i + 1])
-        rows[i] += _smooth(grid, atoms[own], atom_weights[own], bw)
+    rows = _emit_rows(grid, x, bw, weights, from_g0, g0_atoms, data_idx)
     return rows, remainders
 
 

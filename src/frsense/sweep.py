@@ -33,20 +33,8 @@ from .measures import (
     summarize_sample,
     triple_from_summaries,
 )
-from .samplers import (
-    CcvConfig,
-    Dataset,
-    DcvConfig,
-    DpConfig,
-    DpgmmConfig,
-    McmcControl,
-    PosteriorSample,
-    ccv_posterior,
-    dcv_posterior,
-    derived_seed,
-    dp_posterior,
-    dpgmm_posterior,
-)
+from . import samplers
+from .samplers import Dataset, McmcControl, PosteriorSample, derived_seed
 
 __all__ = [
     "BandTriple",
@@ -60,11 +48,13 @@ __all__ = [
     "set_config_value",
 ]
 
+#: Each model tag's config class and sampler, by their names in ``samplers``;
+#: looking a tag up loads only that model's sampler module.
 _MODELS = {
-    "dp": (DpConfig, dp_posterior),
-    "dpgmm": (DpgmmConfig, dpgmm_posterior),
-    "ccv": (CcvConfig, ccv_posterior),
-    "dcv": (DcvConfig, dcv_posterior),
+    "dp": ("DpConfig", "dp_posterior"),
+    "dpgmm": ("DpgmmConfig", "dpgmm_posterior"),
+    "ccv": ("CcvConfig", "ccv_posterior"),
+    "dcv": ("DcvConfig", "dcv_posterior"),
 }
 
 MODEL_TAGS = tuple(sorted(_MODELS))
@@ -79,7 +69,7 @@ def _model_entry(model: str) -> tuple:
         raise UnknownModelError(
             f"unknown model tag {model!r}; expected one of " + ", ".join(MODEL_TAGS)
         )
-    return _MODELS[model]
+    return tuple(getattr(samplers, name) for name in _MODELS[model])
 
 
 def model_config(model: str) -> type:

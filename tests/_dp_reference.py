@@ -2,11 +2,13 @@
 
 This is the sampler that ``frsense.samplers.dp`` replaced with block draws:
 four RNG calls per draw (sticks, G0 coins, G0 atoms, data indices), then
-that draw's emission.  The block sampler draws the same independent
-variates for all of a run's draws at once, so the two sample one law from
-different streams.  Kept only as the oracle for that comparison:
-``same_law_statistics`` gives per-draw statistics of a block run and of a
-reference run with another seed, for the two-sample tests of ``_law``.
+that draw's emission, every atom smoothed exactly by ``smooth``.  The block
+sampler draws the same independent variates for all of a run's draws at
+once, so the two sample one law from different streams, and it bins its G0
+atoms onto the grid before smoothing them.  Kept only as the oracle for
+that comparison: ``same_law_statistics`` gives per-draw statistics of a
+block run and of a reference run with another seed, for the two-sample
+tests of ``_law``.
 """
 
 from __future__ import annotations
@@ -32,7 +34,12 @@ from frsense import (
     silverman_bandwidth,
 )
 from frsense.errors import TruncationTooSmallError
-from frsense.samplers.dp import MASS_TOL, _kernel, _smooth
+from frsense.samplers.dp import MASS_TOL, _kernel
+
+
+def smooth(grid: Grid, atoms: np.ndarray, weights: np.ndarray, bw: float) -> np.ndarray:
+    """Gaussian-kernel mixture of the atoms, each evaluated exactly on the grid."""
+    return _kernel(grid, atoms, bw) @ weights
 
 
 def draw_atoms_and_weights(rng, config: DpConfig, n: int, w_g0: float):
@@ -75,7 +82,7 @@ def reference_posterior(
             data_idx[from_data], weights=weights[from_data], minlength=x.size
         )
         if from_g0.any():
-            rows[i] += _smooth(grid, g0_atoms[from_g0], weights[from_g0], bw)
+            rows[i] += smooth(grid, g0_atoms[from_g0], weights[from_g0], bw)
     return PosteriorSample(
         grid=grid,
         densities=normalize_rows(grid, rows),

@@ -22,7 +22,6 @@ from frsense import (
     ConfigError,
     DcvConfig,
     DegenerateSampleError,
-    DpConfig,
     Grid,
     derived_seed,
     dp_posterior,
@@ -240,14 +239,14 @@ class TestSweepCommand:
     def test_task_error_exits_alike_at_any_thread_count(
         self, workdir, monkeypatch, make_error, code
     ):
-        dp_sampler = frsense.sweep._MODELS["dp"][1]
+        dp_sampler = frsense.model_sampler("dp")
 
         def failing(data, config, ctl, grid=None):
             if config.alpha == 8.0:
                 raise make_error()
             return dp_sampler(data, config, ctl, grid=grid)
 
-        monkeypatch.setitem(frsense.sweep._MODELS, "dp", (DpConfig, failing))
+        monkeypatch.setattr(frsense.samplers, "dp_posterior", failing)
         one = invoke(["sweep", "--config", "exp.ini", "--out", "r1", "--threads", "1"])
         two = invoke(["sweep", "--config", "exp.ini", "--out", "r2", "--threads", "2"])
         assert one[0] == two[0] == 1
@@ -261,7 +260,7 @@ class TestSweepCommand:
         def failing(data, config, ctl, grid=None):
             raise _ArrayMemoryError((40, 10**11), np.dtype(float))
 
-        monkeypatch.setitem(frsense.sweep._MODELS, "dp", (DpConfig, failing))
+        monkeypatch.setattr(frsense.samplers, "dp_posterior", failing)
         one = invoke(["sweep", "--config", "exp.ini", "--out", "r1", "--threads", "1"])
         two = invoke(["sweep", "--config", "exp.ini", "--out", "r2", "--threads", "2"])
         assert one[0] == two[0] == 2
@@ -325,14 +324,14 @@ class TestValidateConfigCommand:
     @pytest.mark.parametrize("replicates", [1, 3])
     @pytest.mark.parametrize("values", ["3.0", "1.0, 3.0, 8.0, 12.0"], ids=["1value", "4values"])
     def test_plan_counts_the_runs_a_sweep_makes(self, workdir, monkeypatch, replicates, values):
-        dp_sampler = frsense.sweep._MODELS["dp"][1]
+        dp_sampler = frsense.model_sampler("dp")
         seeds = []
 
         def counting(data, config, ctl, grid=None):
             seeds.append(ctl.seed)
             return dp_sampler(data, config, ctl, grid=grid)
 
-        monkeypatch.setitem(frsense.sweep._MODELS, "dp", (DpConfig, counting))
+        monkeypatch.setattr(frsense.samplers, "dp_posterior", counting)
         open("plan.ini", "w").write(CONFIG.replace(
             "values = 1.0, 3.0, 8.0\nreplicates = 2\nband_values = 1.0, 8.0\n",
             f"values = {values}\nreplicates = {replicates}\n",
@@ -800,16 +799,21 @@ class TestExitCodes:
     ):
         import frsense.cli as cli_mod
 
-        class GoneReader(io.StringIO):
-            def write(self, text):
-                raise BrokenPipeError(32, "Broken pipe")
-
         def fail(path):
             raise exc
 
         monkeypatch.setattr(cli_mod, "load_config", fail)
         with contextlib.redirect_stderr(GoneReader()):
             assert main(["validate-config", "--config", "exp.ini"]) == status
+
+    @pytest.mark.parametrize(
+        "argv", [["frobnicate"], ["sweep"], ["validate-config", "--config", "exp.ini", "-x"]]
+    )
+    def test_usage_error_status_stands_when_the_stderr_reader_has_gone(self, workdir, argv):
+        # argparse prints the usage and main the CLI_USAGE line; neither may
+        # turn the usage error into a raised BrokenPipeError
+        with contextlib.redirect_stderr(GoneReader()):
+            assert main(argv) == 1
 
     def test_unknown_subcommand(self, workdir):
         rc, _, err = invoke(["frobnicate"])
@@ -842,6 +846,13 @@ class TestExitCodes:
         rc, _, err = invoke(["validate-config", "--config", "exp.ini"])
         assert rc == 2
         assert err.startswith("INTERNAL:")
+
+
+class GoneReader(io.StringIO):
+    """A stderr whose reader has gone: every write raises BrokenPipeError."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
 
 
 def _child_env() -> dict:
@@ -903,4 +914,27 @@ def test_only_a_sampling_process_loads_numpy_random(workdir, argv, loaded):
         f"    rc = main({argv!r})\n"
         "print(rc, 'numpy.random' in sys.modules)"
     )
+    assert _run_child(code) == f"0 {loaded}"
+
+
+@pytest.mark.parametrize(
+    "config, model_module",
+    [(CONFIG, "dp"), (DPGMM_CONFIG, "dpgmm"), (DP_CONFIG, "dp")],
+    ids=["dp", "dpgmm", "dp-beta-g0"],
+)
+def test_a_sweep_loads_only_its_model_sampler(workdir, config, model_module):
+    # A model's sampler module loads on the first use of its names, so a
+    # sweep and its manifest never import the other models' samplers, nor
+    # numpy.ma, which np.quantile would import for the replicate bands.
+    with open("model.ini", "w") as fh:
+        fh.write(config)
+    code = (
+        "import sys, contextlib, io\n"
+        "from frsense.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = main(['sweep', '--config', 'model.ini', '--out', 'res'])\n"
+        "print(rc, sorted(m for m in sys.modules\n"
+        "    if m.startswith('frsense.samplers.') or m == 'numpy.ma'))"
+    )
+    loaded = ["frsense.samplers.common", f"frsense.samplers.{model_module}"]
     assert _run_child(code) == f"0 {loaded}"

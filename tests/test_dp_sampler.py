@@ -1,10 +1,12 @@
 """Truncated stick-breaking sampler for the conjugate Dirichlet process."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from _dp_reference import LAW_CASES, LAW_GRID, law_data, same_law_statistics
+from _dp_reference import LAW_CASES, LAW_GRID, law_data, same_law_statistics, smooth
 from _law import assert_same_law
 from _oracles import smoothed_centering_measure
 
@@ -21,9 +23,10 @@ from frsense import (
     make_rng,
     normalize_pdf,
     normalize_rows,
+    silverman_bandwidth,
 )
 from frsense.errors import InvalidSettingError, TruncationTooSmallError
-from frsense.samplers.dp import _draw_atoms_and_weights, _smooth
+from frsense.samplers.dp import _draw_atoms_and_weights, _fft_length, _kernel_spectrum
 
 
 class TestCenteringWeight:
@@ -215,15 +218,44 @@ def skipping_draws(data, cfg, ctl, grid):
     ``dp_posterior``, makes a draw for every chain sweep (burn-in and
     thinning included) and keeps every ``thin``-th one after ``burn_in``.
     The draws are one block of ``_draw_atoms_and_weights``; each kept draw
-    is smoothed atom by atom, without the data kernel table."""
+    is smoothed atom by atom, exactly, without the data kernel table or the
+    binning of the G0 atoms.  Also returns whether each kept draw has a G0
+    atom."""
     x = data.rescaled
     weights, remainders, from_g0, g0_atoms, data_idx = _draw_atoms_and_weights(
         make_rng(ctl.seed), cfg, x.size, centering_weight(cfg.alpha, data.n), ctl.n_sweeps
     )
     kept = slice(ctl.burn_in, None, ctl.thin)
     atoms = np.where(from_g0, g0_atoms, x[data_idx])[kept]
-    rows = [_smooth(grid, a, w, cfg.bandwidth) for a, w in zip(atoms, weights[kept])]
-    return normalize_rows(grid, np.array(rows)), remainders[kept]
+    rows = [smooth(grid, a, w, cfg.bandwidth) for a, w in zip(atoms, weights[kept])]
+    return normalize_rows(grid, np.array(rows)), remainders[kept], from_g0[kept].any(axis=1)
+
+
+#: Linear binning moves each G0 atom's kernel at a grid point by at most
+#: (spacing / bw)^2 / 8 of its peak, the interpolation error of a function
+#: whose second derivative is at most 1 / bw^2 in size.  Summed over a
+#: draw's atoms, that error is at most sqrt(3 / 2) times the row's maximum,
+#: since |z^2 - 1| exp(-z^2 / 2) <= exp(-z^2 / 6), a kernel sqrt(3) times
+#: wider; about 0.15 (spacing / bw)^2 in all, and the normalization adds a
+#: little.  The rows measured here reach about 0.12.
+BINNING_ERROR = 0.2
+
+
+def assert_binned_emission(densities, exact, has_g0, grid, bw):
+    """``dp_posterior`` rows against the exact smoothing of the same draws.
+
+    Rows without a G0 atom are exact to rounding; the others lie within the
+    binning bound of their maximum.
+    """
+    npt.assert_allclose(densities[~has_g0], exact[~has_g0], rtol=1e-13, atol=0)
+    error = np.abs(densities - exact).max(axis=1) / exact.max(axis=1)
+    assert error.max() <= BINNING_ERROR * (grid.spacing / bw) ** 2
+
+
+@pytest.fixture(scope="module")
+def data():
+    # the two groups of the sweep benchmarks' data
+    return law_data()
 
 
 class TestSameLawAsSkippingDraws:
@@ -232,17 +264,14 @@ class TestSameLawAsSkippingDraws:
     GRID = LAW_GRID
     CFG = LAW_CASES["uniform-alpha-5"]
 
-    @pytest.fixture(scope="class")
-    def data(self):
-        return law_data()
-
     def test_rebuild_is_the_sampler_at_burn_in_zero(self, data):
         ctl = McmcControl(n_samples=20, burn_in=0, thin=1, seed=4)
-        rows, remainders = skipping_draws(data, self.CFG, ctl, self.GRID)
+        rows, remainders, has_g0 = skipping_draws(data, self.CFG, ctl, self.GRID)
         ps = dp_posterior(data, self.CFG, ctl, grid=self.GRID)
         # the same stream, so the same remainders; the table path sums each
-        # row in another order, so the densities agree to rounding only
-        npt.assert_allclose(ps.densities, rows, rtol=1e-13, atol=0)
+        # row in another order and the G0 atoms are binned, so the densities
+        # agree to rounding only where a draw has no G0 atom
+        assert_binned_emission(ps.densities, rows, has_g0, self.GRID, self.CFG.bandwidth)
         npt.assert_array_equal(ps.trace["absorbed_remainder"], remainders)
 
     @pytest.mark.parametrize("case", list(LAW_CASES))
@@ -253,8 +282,10 @@ class TestSameLawAsSkippingDraws:
 
 
 class TestTableEmission:
-    """``dp_posterior`` emits data atoms from one kernel table of the data;
-    smoothing every atom directly from the same draws gives the same rows."""
+    """``dp_posterior`` emits data atoms from one kernel table of the data
+    and G0 atoms by linear binning and an FFT convolution; smoothing every
+    atom directly from the same draws gives the same rows, up to the
+    binning error where a draw has G0 atoms."""
 
     GRID = Grid(128)
 
@@ -277,9 +308,9 @@ class TestTableEmission:
         from_g0 = _draw_atoms_and_weights(make_rng(ctl.seed), cfg, data.n, w_g0, ctl.n_samples)[2]
         assert g0_share[0] <= np.mean(from_g0) <= g0_share[1]
 
-        rows, remainders = skipping_draws(data, cfg, ctl, self.GRID)
+        rows, remainders, has_g0 = skipping_draws(data, cfg, ctl, self.GRID)
         ps = dp_posterior(data, cfg, ctl, grid=self.GRID)
-        npt.assert_allclose(ps.densities, rows, rtol=1e-13, atol=0)
+        assert_binned_emission(ps.densities, rows, has_g0, self.GRID, cfg.bandwidth)
         npt.assert_array_equal(ps.trace["absorbed_remainder"], remainders)
 
     def test_rows_match_direct_smoothing_across_product_blocks(self):
@@ -288,7 +319,66 @@ class TestTableEmission:
         data = Dataset.from_observations(np.random.default_rng(8).normal(0.0, 1.0, 100))
         cfg = DpConfig(alpha=5.0, truncation=60, bandwidth=0.1)
         ctl = McmcControl(n_samples=40, burn_in=0, thin=1, seed=6)
-        rows, remainders = skipping_draws(data, cfg, ctl, grid)
+        rows, remainders, has_g0 = skipping_draws(data, cfg, ctl, grid)
         ps = dp_posterior(data, cfg, ctl, grid=grid)
-        npt.assert_allclose(ps.densities, rows, rtol=1e-13, atol=0)
+        assert_binned_emission(ps.densities, rows, has_g0, grid, cfg.bandwidth)
         npt.assert_array_equal(ps.trace["absorbed_remainder"], remainders)
+
+
+class TestBinnedG0Emission:
+    """The G0 atoms' binning error: its bound, its order and its memory."""
+
+    @pytest.mark.parametrize("alpha", [1.0, 25.0, 1e3])
+    @pytest.mark.parametrize("bw_steps", [None, 2, 4], ids=["silverman", "floor", "4-steps"])
+    def test_error_within_bound(self, data, alpha, bw_steps):
+        # the benchmark's grid and truncation, at its Silverman bandwidth
+        # (about 57 grid steps) and at the bandwidth floor of 2 steps
+        grid = Grid(512)
+        if bw_steps is None:
+            bw = silverman_bandwidth(data.rescaled, grid)
+        else:
+            bw = bw_steps * grid.spacing
+        cfg = DpConfig(alpha=alpha, truncation=200, bandwidth=bw)
+        ctl = McmcControl(n_samples=40, burn_in=0, thin=1, seed=11)
+        rows, _, has_g0 = skipping_draws(data, cfg, ctl, grid)
+        assert_binned_emission(dp_posterior(data, cfg, ctl, grid=grid).densities, rows, has_g0, grid, bw)
+
+    def test_error_falls_fourfold_per_halved_spacing(self, data):
+        # second order in the spacing: putting each atom on its nearest grid
+        # point instead would halve the error only
+        cfg = DpConfig(alpha=1e3, truncation=60, bandwidth=0.05)
+        ctl = McmcControl(n_samples=20, burn_in=0, thin=1, seed=3)
+        errors = []
+        for n_points in (65, 129, 257, 513):
+            grid = Grid(n_points)
+            rows, _, _ = skipping_draws(data, cfg, ctl, grid)
+            errors.append(np.abs(dp_posterior(data, cfg, ctl, grid=grid).densities - rows).max())
+        ratios = np.array(errors[:-1]) / np.array(errors[1:])
+        assert np.all((3.4 < ratios) & (ratios < 4.6)), ratios
+
+    def test_no_array_grows_with_the_square_of_the_grid(self, data):
+        # one (n_points, n_points) float64 array would take 537 MB here
+        grid = Grid(8193)
+        ctl = McmcControl(n_samples=20, burn_in=0, thin=1, seed=3)
+        tracemalloc.start()
+        try:
+            dp_posterior(data, DpConfig(alpha=25.0), ctl, grid=grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20
+
+    def test_fft_length_is_the_next_7_smooth_number(self):
+        smooth_numbers = sorted(
+            2**a * 3**b * 5**c * 7**d
+            for a in range(15) for b in range(10) for c in range(7) for d in range(6)
+        )
+        for n in range(1, 5000):
+            assert _fft_length(n) == next(s for s in smooth_numbers if s >= n)
+        assert _fft_length(2 * 8193 - 1) == 16464
+
+    def test_kernel_spectrum_is_cached_and_read_only(self):
+        length, spectrum = _kernel_spectrum(512, 0.05)
+        assert _kernel_spectrum(512, 0.05)[1] is spectrum
+        assert length == 1024 and spectrum.shape == (513,)
+        assert not spectrum.flags.writeable

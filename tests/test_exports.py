@@ -1,7 +1,8 @@
 """Every name a module declares public exists and the package re-exports it.
 
 ``import frsense`` loads only the geometry core; the names of the samplers,
-the sweep driver and the config reader resolve on first use.
+the sweep driver and the config reader resolve on first use, and a sampler
+name loads only its own model's module.
 """
 
 import importlib
@@ -175,6 +176,40 @@ def test_deferred_modules_resolve_without_an_import():
         "]))"
     )
     assert run_fresh(code) == [*DEFERRED, "frsense.sweep", "frsense.samplers.dp"]
+
+
+def test_sampler_index_lists_each_model_module_exports():
+    from frsense import samplers
+
+    for module_name, names in samplers._MODULE_NAMES.items():
+        module = importlib.import_module(f"frsense.samplers.{module_name}")
+        assert names == tuple(module.__all__), module_name
+
+
+def test_a_sampler_name_loads_only_its_own_module():
+    code = (
+        "import json, sys\n"
+        "import frsense\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('frsense.samplers.'))\n"
+        "steps = [loaded()]\n"
+        "frsense.DcvConfig\n"
+        "steps.append(loaded())\n"
+        "from frsense.samplers import DpgmmConfig\n"
+        "steps.append(loaded())\n"
+        "frsense.samplers.dp.MASS_TOL\n"
+        "steps.append(loaded())\n"
+        "print(json.dumps(steps))"
+    )
+    common, dp, dpgmm, griffin = (
+        f"frsense.samplers.{name}" for name in ("common", "dp", "dpgmm", "griffin")
+    )
+    assert run_fresh(code) == [
+        [],
+        [common, griffin],
+        [common, dpgmm, griffin],
+        [common, dp, dpgmm, griffin],
+    ]
 
 
 def test_unknown_names_raise_attribute_error():

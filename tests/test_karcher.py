@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from frsense import (
     karcher_variance,
 )
 from frsense import geometry
-from frsense.geometry import KARCHER_STEP
+from frsense.geometry import KARCHER_EPS1, KARCHER_STEP
 
 from _oracles import exp_map
 from conftest import mixture_density, random_srd
@@ -69,6 +71,25 @@ class TestKarcherMean:
         assert info.n_iter == 2
         with pytest.warns(RuntimeWarning):
             karcher_mean(samples, eps1=1e-13, max_iter=2)
+
+    def test_unit_step_on_a_dispersed_sample(self, grid):
+        # Nine narrow bumps spread over [0, 1], each about 1.2 from the mean:
+        # one unit step does not reach it, and the iteration must still
+        # meet eps1, or say that it did not.
+        samples = [mixture_density(grid, [c], [0.02], [1.0]) for c in np.linspace(0.1, 0.9, 9)]
+        assert KARCHER_STEP == 1.0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            mean, info = karcher_mean(samples, full_output=True)
+            karcher_mean(samples)
+        assert info.n_iter > 1
+        if info.converged:
+            assert info.grad_norm < KARCHER_EPS1
+            assert not caught
+        else:
+            assert [w.category for w in caught] == [RuntimeWarning]
+        # the half step of earlier versions reaches the same mean
+        assert fr_distance(mean, karcher_mean(samples, eps2=0.5)) < 1e-6
 
     def test_step_is_the_mean_of_the_explicit_tangents(self, grid, rng, monkeypatch):
         # A step takes the mean log map from two matrix-vector products; at

@@ -347,3 +347,21 @@ class TestReplicateBand:
     def test_too_few_values_rejected(self):
         with pytest.raises(InsufficientValuesError):
             replicate_band([1.0])
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(min_value=-1e6, max_value=1e6),
+                # few distinct values, so that ties are common
+                st.sampled_from([-2.5, -1e-300, 0.0, 0.1, 3.0]),
+            ),
+            min_size=2,
+            max_size=50,
+        )
+    )
+    def test_matches_numpy_quantile_bit_for_bit(self, values):
+        tail = 0.5 * (1.0 - 0.95)
+        expected = np.quantile(np.array(values), [tail, 1.0 - tail])
+        got = np.array(replicate_band(values))
+        assert got.tobytes() == expected.tobytes()

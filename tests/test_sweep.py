@@ -164,7 +164,7 @@ class TestSpecValidation:
 
     def test_model_registry_lookups(self):
         assert model_config("dcv") is DcvConfig
-        assert model_sampler("dp") is frsense.sweep.dp_posterior
+        assert model_sampler("dp") is frsense.samplers.dp.dp_posterior
         for lookup in (model_config, model_sampler):
             with pytest.raises(UnknownModelError):
                 lookup("gp")
@@ -290,14 +290,14 @@ class TestRunSweep:
         ids=["config", "degenerate"],
     )
     def test_task_error_is_the_same_at_any_worker_count(self, monkeypatch, make_error):
-        dp_sampler = frsense.sweep._MODELS["dp"][1]
+        dp_sampler = model_sampler("dp")
 
         def failing(data, config, ctl, grid=None):
             if config.alpha == 12.0:
                 raise make_error()
             return dp_sampler(data, config, ctl, grid=grid)
 
-        monkeypatch.setitem(frsense.sweep._MODELS, "dp", (DpConfig, failing))
+        monkeypatch.setattr(frsense.samplers, "dp_posterior", failing)
         outcomes = []
         for n_workers in (1, 2):
             with pytest.raises(FrsenseError) as info:
@@ -316,7 +316,7 @@ class TestRunSweep:
         def failing(data, config, ctl, grid=None):
             raise _ArrayMemoryError((40, 10**11), np.dtype(float))
 
-        monkeypatch.setitem(frsense.sweep._MODELS, "dp", (DpConfig, failing))
+        monkeypatch.setattr(frsense.samplers, "dp_posterior", failing)
         outcomes = []
         for n_workers in (1, 2):
             with pytest.raises(MemoryError) as info:
@@ -386,14 +386,14 @@ class TestRunSweep:
         assert base_band.v_spread[0] < 0.0 < base_band.v_spread[1]
 
     def test_sampler_error_carries_grid_position(self, monkeypatch):
-        dp_sampler = frsense.sweep._MODELS["dp"][1]
+        dp_sampler = model_sampler("dp")
 
         def fragile(data, config, ctl, grid=None):
             if config.truncation == 60:
                 raise ValueError("chain blew up")
             return dp_sampler(data, config, ctl, grid=grid)
 
-        monkeypatch.setitem(frsense.sweep._MODELS, "dp", (DpConfig, fragile))
+        monkeypatch.setattr(frsense.samplers, "dp_posterior", fragile)
         spec = SweepSpec(
             model="dp",
             baseline=DpConfig(),
@@ -424,7 +424,7 @@ class TestRunPlan:
             calls.append((config.alpha, ctl.seed))
             return dp_posterior(data, config, ctl, grid=grid)
 
-        monkeypatch.setitem(frsense.sweep._MODELS, "dp", (DpConfig, counting))
+        monkeypatch.setattr(frsense.samplers, "dp_posterior", counting)
         run_sweep(uniform_dataset(), spec, n_workers=1)
         return calls
 
