@@ -154,15 +154,13 @@ def _cmd_validate(args) -> int:
     print(f"bands at: {bands if bands else 'none'}")
     mcmc = spec.mcmc
     if spec.model == "dp":
-        # dp draws are iid stick-breaking realizations: no burn-in, no thinning.
+        # dp draws are independent: no burn-in, no thinning.
         print(f"mcmc: keep {mcmc.n_samples} iid draws, seed {mcmc.seed}")
-        remainder = {
-            v: samplers.expected_remainder(spec.config_for(v), data.n) for v in spec.values
-        }
-        largest = max(spec.values, key=remainder.get)
+        tail = {v: samplers.expected_remainder(spec.config_for(v), data.n) for v in spec.values}
+        largest = max(spec.values, key=tail.get)
         print(
-            f"expected absorbed remainder: {remainder[spec.baseline_value]:.3g} at the "
-            f"baseline, largest {remainder[largest]:.3g} at {spec.parameter} = {largest:g}"
+            f"expected tail mass: {tail[spec.baseline_value]:.3g} at the "
+            f"baseline, largest {tail[largest]:.3g} at {spec.parameter} = {largest:g}"
         )
     else:
         print(

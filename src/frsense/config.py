@@ -141,20 +141,18 @@ class ExperimentConfig:
                 f"d_components={self.spec.d_components} exceeds the "
                 f"{self.geometry.n_points} grid points",
             )
-        # A dp kernel narrower than this is below 1e-300 at both grid points
-        # around an atom halfway between them, so its draws cannot be
-        # normalized.  Every swept value is checked: bandwidth may be swept.
+        # dp bins the atoms of Q onto the grid; below one grid spacing the
+        # binning error outgrows its bound of 0.15 (spacing / bandwidth)^2 of
+        # a row's maximum.  Every swept value is checked: bandwidth may be swept.
         if self.spec.model == "dp":
-            floor = Grid(self.geometry.n_points).spacing / (
-                2.0 * math.sqrt(2.0 * math.log(1e300))
-            )
+            floor = Grid(self.geometry.n_points).spacing
             for value in self.spec.values:
                 bandwidth = self.spec.config_for(value).bandwidth
                 if bandwidth is not None and bandwidth < floor:
                     raise ConfigError(
                         "CONFIG_BAD_VALUE",
-                        f"bandwidth = {bandwidth!r} is below {floor:.3g}, too narrow "
-                        f"for the {self.geometry.n_points}-point grid",
+                        f"bandwidth = {bandwidth!r} is below the grid spacing "
+                        f"{floor:.3g} of the {self.geometry.n_points}-point grid",
                     )
 
 

@@ -17,7 +17,6 @@ _MODULE_NAMES = {
         "BetaBase",
         "DpConfig",
         "dp_posterior",
-        "centering_weight",
         "expected_remainder",
     ),
     "dpgmm": ("DpgmmConfig", "dpgmm_posterior"),

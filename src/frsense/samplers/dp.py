@@ -1,15 +1,19 @@
-"""Conjugate Dirichlet process posterior, sampled by truncated stick-breaking.
+"""Conjugate Dirichlet process posterior, drawn by its exact Dirichlet split.
 
 Given data x_1..x_n and a DP(alpha, G0) prior, the posterior over the random
-distribution is again a Dirichlet process with concentration alpha + n and
-centering measure
+distribution is
 
-    (alpha / (alpha + n)) G0  +  (n / (alpha + n)) F_n,
+    P = W_1 delta(x_1) + ... + W_n delta(x_n) + W_0 Q,
 
-F_n the empirical distribution of the rescaled data.  Each draw realizes the
-truncated stick-breaking series of that posterior and is smoothed with a
-Gaussian kernel into a density on the grid: exactly at its data atoms, and
-after linear binning onto the grid at its G0 atoms.
+with (W_1, ..., W_n, W_0) ~ Dirichlet(1, ..., 1, alpha) and Q ~ DP(alpha, G0)
+independent of the weights (Ferguson 1973; Ghosal & van der Vaart 2017,
+*Fundamentals of Nonparametric Bayesian Inference*, ch. 4).  The data part,
+Rubin's (1981) Bayesian bootstrap, is exact: n Exp(1) variates and one
+Gamma(alpha) variate divided by their sum.  Only Q is truncated, at
+``truncation`` Beta(1, alpha) sticks whose last atom absorbs the unbroken
+mass.  Each draw is smoothed with a Gaussian kernel into a density on the
+grid: exactly at the data, and after linear binning onto the grid at the
+atoms of Q.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ __all__ = [
     "BetaBase",
     "DpConfig",
     "dp_posterior",
-    "centering_weight",
     "expected_remainder",
 ]
 
@@ -72,6 +75,8 @@ class BetaBase:
 class DpConfig:
     """Dirichlet process model: concentration, base measure, truncation, kernel.
 
+    ``truncation`` is the number of atoms of Q ~ DP(alpha, g0), the prior
+    part of each posterior draw; the data part is not truncated.
     ``bandwidth=None`` selects the Silverman rule floored at twice the grid
     spacing.
     """
@@ -97,54 +102,68 @@ class DpConfig:
                 )
 
 
-def centering_weight(alpha: float, n: int) -> float:
-    """Posterior mixing weight of the prior base measure, alpha / (alpha + n)."""
-    return alpha / (alpha + n)
-
-
 def expected_remainder(config: DpConfig, n: int) -> float:
-    """Expected stick mass a draw's last atom absorbs with n observations.
+    """Expected mass a draw's last atom absorbs with n observations.
 
-    ((alpha + n) / (alpha + n + 1))^(truncation - 1), the mean of the product
-    of ``truncation - 1`` independent Beta(alpha + n, 1) variables.
+    alpha / (alpha + n) * (alpha / (alpha + 1))^(truncation - 1): the mean of
+    W_0 times the mean of the product of ``truncation - 1`` independent
+    Beta(alpha, 1) variables, the stick Q leaves unbroken.
     """
-    return math.exp((config.truncation - 1) * math.log1p(-1.0 / (config.alpha + n + 1.0)))
+    alpha = config.alpha
+    return alpha / (alpha + n) * math.exp(
+        (config.truncation - 1) * math.log1p(-1.0 / (alpha + 1.0))
+    )
 
 
-def _draw_atoms_and_weights(rng, config: DpConfig, n: int, w_g0: float, m: int):
-    """``m`` truncated stick-breaking realizations of the posterior DP.
+def _stick_weights(sticks: np.ndarray):
+    """The ``(k, m)`` weights of a ``(k - 1, m)`` block of sticks, one column per draw.
 
-    Each kind of variate is drawn for all ``m`` draws as one block, in the
-    order sticks, G0 coins, G0 atoms, data indices; row ``i`` of every
-    returned array belongs to draw ``i``.  Returns the stick weights, the
-    absorbed remainders, and for each of the ``truncation`` atoms whether it
-    comes from G0, its G0 draw and its data index; atom ``j`` of draw ``i``
-    is ``g0_atoms[i, j]`` where ``from_g0[i, j]`` and data point
-    ``data_idx[i, j]`` elsewhere.  The final weight of a draw absorbs all of
-    its remaining stick mass, so its weights sum to one exactly; the
-    conservation guard catches the (pathological) draws where they do not.
+    The last weight of a draw absorbs its unbroken mass, returned as well, so
+    its weights sum to one exactly; the conservation guard catches the
+    (pathological) draws where they do not.
     """
-    k = config.truncation
-    sticks = rng.beta(1.0, config.alpha + n, size=(m, k - 1))
-    weights = np.empty((m, k))
-    weights[:, 0] = 1.0
-    np.cumprod(1.0 - sticks[:, :-1], axis=1, out=weights[:, 1:-1])
-    weights[:, :-1] *= sticks
-    taken = weights[:, :-1].sum(axis=1)
+    k = sticks.shape[0] + 1
+    weights = np.empty((k, sticks.shape[1]))
+    weights[0] = 1.0
+    np.cumprod(1.0 - sticks[:-1], axis=0, out=weights[1:-1])
+    weights[:-1] *= sticks
+    taken = weights[:-1].sum(axis=0)
     remainders = 1.0 - taken
-    weights[:, -1] = np.maximum(remainders, 0.0)
-    broken = np.flatnonzero(~(np.abs(1.0 - (taken + weights[:, -1])) <= MASS_TOL))
+    weights[-1] = np.maximum(remainders, 0.0)
+    broken = np.flatnonzero(~(np.abs(1.0 - (taken + weights[-1])) <= MASS_TOL))
     if broken.size:
         first = int(broken[0])
         raise TruncationTooSmallError(
             f"stick mass not conserved at truncation {k} in draw {first}; "
             f"residual {float(remainders[first])!r}"
         )
+    return weights, remainders
 
-    from_g0 = rng.random((m, k)) < w_g0
-    g0_atoms = config.g0.sample(rng, (m, k))
-    data_idx = rng.integers(0, n, size=(m, k))
-    return weights, remainders, from_g0, g0_atoms, data_idx
+
+def _draw_split(rng, config: DpConfig, n: int, m: int):
+    """``m`` draws of the posterior's Dirichlet split with ``n`` observations.
+
+    Each kind of variate comes from its own child stream of ``rng``: the
+    ``(m, n)`` Exp(1) block of the data weights, the Gamma(alpha) variate of
+    each W_0, Q's Beta(1, alpha) sticks (by inverse CDF) and its G0 atoms,
+    the last two as ``(truncation - 1, m)`` and ``(truncation, m)`` blocks,
+    so a larger truncation only appends rows.  Returns the data weights,
+    one row per draw; the weights of Q's atoms already scaled by W_0, and
+    the atoms, one column per draw; and W_0 times Q's absorbed remainder.
+    """
+    exp_rng, w0_rng, stick_rng, atom_rng = rng.spawn(4)
+    data_weights = exp_rng.standard_exponential((m, n))
+    w0 = w0_rng.standard_gamma(config.alpha, m)
+    total = data_weights.sum(axis=1) + w0
+    data_weights /= total[:, None]
+    w0 /= total
+    # A tiny alpha sends log(1 - U) / alpha to -inf: a stick of 1.
+    with np.errstate(over="ignore"):
+        sticks = -np.expm1(np.log1p(-stick_rng.random((config.truncation - 1, m))) / config.alpha)
+    g0_weights, remainders = _stick_weights(sticks)
+    g0_weights *= w0
+    g0_atoms = config.g0.sample(atom_rng, (config.truncation, m))
+    return data_weights, g0_weights, g0_atoms, w0 * remainders
 
 
 def _kernel(grid: Grid, atoms: np.ndarray, bw: float) -> np.ndarray:
@@ -190,79 +209,46 @@ def _kernel_spectrum(n_points: int, bw: float) -> tuple[int, np.ndarray]:
 _BLOCK_ENTRIES = 2**19
 
 
-def _bin_sums(cells: np.ndarray, weights: np.ndarray, n_rows: int, width: int) -> np.ndarray:
-    """The weights summed by cell, as ``n_rows`` rows of ``width`` cells."""
-    return np.bincount(cells, weights=weights, minlength=n_rows * width).reshape(n_rows, width)
-
-
 def _emit_rows(
     grid: Grid,
     x: np.ndarray,
     bw: float,
-    weights: np.ndarray,
-    from_g0: np.ndarray,
+    data_weights: np.ndarray,
+    g0_weights: np.ndarray,
     g0_atoms: np.ndarray,
-    data_idx: np.ndarray,
 ) -> np.ndarray:
-    """Each draw's atoms smoothed on the grid, one unnormalized row per draw.
+    """Each draw smoothed on the grid, one unnormalized row per draw.
 
-    A share n / (alpha + n) of the atoms are copies of data points: their
-    kernels are columns of one table, weighted by each draw's summed sticks
-    per point, so one bincount and one product emit a block of draws.  The
-    G0 atoms of a block are split linearly between the two grid points
-    around each (Silverman 1982) in one bincount, and the binned rows are
-    convolved with the kernel by FFT.  A block holds at most ``n_points``
-    draws, so its summed sticks never outgrow the table, and its FFT
-    buffers hold about ``_BLOCK_ENTRIES`` numbers each.
+    The data part of every draw is its weight row times one kernel table of
+    the data, exact to rounding.  The atoms of Q in a block of draws are
+    split linearly between the two grid points around each (Silverman 1982)
+    in one bincount, and the binned rows are convolved with the kernel by
+    FFT.  A block's FFT buffers hold about ``_BLOCK_ENTRIES`` numbers each.
     """
-    m, p = weights.shape[0], grid.n_points
+    p = grid.n_points
     length, spectrum = _kernel_spectrum(p, bw)
-    table = _kernel(grid, x, bw)
-    rows = np.empty((m, p))
-    size = max(1, min(p, _BLOCK_ENTRIES // length))
+    rows = data_weights @ _kernel(grid, x, bw).T
+    m = rows.shape[0]
+    size = max(1, _BLOCK_ENTRIES // length)
     for start in range(0, m, size):
         block = slice(start, min(start + size, m))
-        n_block = block.stop - start
-        g0, w = from_g0[block], weights[block]
-
-        cells = data_idx[block] + x.size * np.arange(n_block)[:, None]
-        data_w = np.where(g0, 0.0, w)
-        data_sums = _bin_sums(cells.ravel(), data_w.ravel(), n_block, x.size)
-        np.matmul(data_sums, table.T, out=rows[block])
-
+        w = g0_weights[:, block]
         # Atom a lies between grid points floor(t) and floor(t) + 1, t = a / spacing.
-        t = g0_atoms[block][g0] * (p - 1)
-        if not t.size:
-            continue
+        t = g0_atoms[:, block] * (p - 1)
         left = np.minimum(t.astype(np.intp), p - 2)
-        g0_w = w[g0]
-        right_w = g0_w * (t - left)
-        left += length * np.nonzero(g0)[0]
-        binned = _bin_sums(
-            np.concatenate((left, left + 1)),
-            np.concatenate((g0_w - right_w, right_w)),
-            n_block,
-            length,
-        )
+        right_w = w * (t - left)
+        left += length * np.arange(w.shape[1])
+        binned = np.bincount(
+            np.concatenate((left, left + 1), axis=None),
+            weights=np.concatenate((w - right_w, right_w), axis=None),
+            minlength=w.shape[1] * length,
+        ).reshape(-1, length)
         spectra = np.fft.rfft(binned)
         spectra *= spectrum
         smoothed = np.fft.irfft(spectra, length, out=binned)[:, :p]
         # The transforms leave round-off of either sign where the kernel is ~0.
         rows[block] += np.maximum(smoothed, 0.0, out=smoothed)
     return rows
-
-
-def _draw_rows(rng, config: DpConfig, x: np.ndarray, m: int, grid: Grid, bw: float):
-    """The unnormalized density rows and absorbed remainders of ``m`` draws.
-
-    The variate blocks live only in this call and the data kernel table only
-    in ``_emit_rows``, so neither is held while the next step runs.
-    """
-    weights, remainders, from_g0, g0_atoms, data_idx = _draw_atoms_and_weights(
-        rng, config, x.size, centering_weight(config.alpha, x.size), m
-    )
-    rows = _emit_rows(grid, x, bw, weights, from_g0, g0_atoms, data_idx)
-    return rows, remainders
 
 
 def dp_posterior(
@@ -280,7 +266,10 @@ def dp_posterior(
     grid = grid or default_grid()
     x = data.rescaled
     bw = config.bandwidth if config.bandwidth is not None else silverman_bandwidth(x, grid)
-    rows, remainders = _draw_rows(make_rng(ctl.seed), config, x, ctl.n_samples, grid, bw)
+    data_weights, g0_weights, g0_atoms, remainders = _draw_split(
+        make_rng(ctl.seed), config, x.size, ctl.n_samples
+    )
+    rows = _emit_rows(grid, x, bw, data_weights, g0_weights, g0_atoms)
     return PosteriorSample(
         grid=grid,
         densities=normalize_rows(grid, rows),

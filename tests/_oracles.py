@@ -21,7 +21,6 @@ from frsense import (
     ConfigError,
     Srd,
     TangentVector,
-    centering_weight,
     default_grid,
     get_config_value,
     model_config,
@@ -80,7 +79,7 @@ def smoothed_centering_measure(data, config, grid=None):
     """
     grid = grid or default_grid()
     x = data.rescaled
-    w_g0 = centering_weight(config.alpha, data.n)
+    w_g0 = config.alpha / (config.alpha + data.n)
     bw = config.bandwidth if config.bandwidth is not None else silverman_bandwidth(x, grid)
 
     # Both parts use the unnormalized kernel exp(-z^2/2).  The empirical part

@@ -1,7 +1,7 @@
-"""Pinned archives of small Gibbs sweeps, and the script that regenerates them.
+"""Pinned archives of small sweeps, and the script that regenerates them.
 
-The cases are small versions of the ``sweep-dpgmm`` and ``sweep-dcv-t2``
-benchmark sweeps and a small ``ccv`` sweep, at seeds 1, 2 and 7.  Each case
+The cases are small versions of the ``sweep-dpgmm``, ``sweep-dcv-t2`` and
+``sweep-dp`` benchmark sweeps and a small ``ccv`` sweep, at seeds 1, 2 and 7.  Each case
 directory under ``tests/reference_sweeps/`` holds the dataset, the INI config
 and the files that ``frsense sweep`` wrote from them: ``sweep.csv``,
 ``bands.csv`` and ``densities.csv``.  ``test_reference_sweeps.py`` reruns every case
@@ -90,11 +90,33 @@ thin = 1
 seed = {seed}
 """
 
+_DP = """\
+[model]
+kind = dp
+
+[model.baseline]
+alpha = 5.0
+
+[sweep]
+parameter = alpha
+values = 1.0, 5.0, 25.0
+replicates = 2
+band_values = 1.0, 5.0, 25.0
+d_components = 10
+
+[mcmc]
+n_samples = 20
+burn_in = 0
+thin = 1
+seed = {seed}
+"""
+
 #: Case name: (worker count, archive files pinned, config after [dataset]).
 CASES = {
     "dpgmm": (1, ("sweep.csv", "bands.csv", "densities.csv"), _DPGMM),
     "dcv-t2": (2, ("sweep.csv", "bands.csv", "densities.csv"), _DCV),
     "ccv": (1, ("sweep.csv", "bands.csv", "densities.csv"), _CCV),
+    "dp": (1, ("sweep.csv", "bands.csv", "densities.csv"), _DP),
 }
 
 #: Shared by every case; coarser than the package default to keep the

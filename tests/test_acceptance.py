@@ -45,20 +45,24 @@ TREND_BUDGET_SECONDS = 600.0
 
 @pytest.fixture(scope="module")
 def dp_trend():
-    """Concentration sweep of the stick-breaking model on flat data.
+    """Concentration sweep of the DP model on flat data, at the default truncation.
 
-    Large truncation keeps the absorbed stick remainder negligible and the
-    explicit kernel bandwidth keeps draw variability high-dimensional; both
-    settings hold discretization noise below the trends being measured.
+    The explicit kernel bandwidth keeps draw variability high-dimensional,
+    which holds discretization noise below the trends being measured.  With
+    flat data the posterior variance falls as 1 / (alpha + n + 1), so V moves
+    by about 0.01 over the lower half of the ladder, where alpha is small
+    against n = 100; 60 replicates average the Karcher variances finely
+    enough to rank those values (with 5, test 7b passed at about a third
+    of the seeds).
     """
     data = Dataset.from_observations(np.random.default_rng(2024).uniform(size=100))
-    baseline = DpConfig(alpha=5.0, truncation=1000, bandwidth=0.03)
+    baseline = DpConfig(alpha=5.0, bandwidth=0.03)
     spec = SweepSpec(
         model="dp",
         baseline=baseline,
         parameter="alpha",
         values=_preset("dp", baseline, "alpha")[0],
-        replicates=5,
+        replicates=60,
         mcmc=McmcControl(n_samples=200, burn_in=0, thin=1, seed=424242),
     )
     start = time.perf_counter()

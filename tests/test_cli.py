@@ -344,17 +344,17 @@ class TestValidateConfigCommand:
         spec = load_config("plan.ini").spec
         assert seeds == [derived_seed(spec.mcmc.seed, r, idx) for r, idx in spec.runs()]
 
-    def test_dp_plan_prints_the_expected_absorbed_remainder(self, workdir):
-        # n = 30 and truncation 60: ((alpha + 30) / (alpha + 31))^59 is largest
-        # at the largest alpha
+    def test_dp_plan_prints_the_expected_tail_mass(self, workdir):
+        # n = 30 and truncation 60: alpha / (alpha + 30) * (alpha / (alpha + 1))^59
+        # is largest at the largest alpha
         rc, out, err = invoke(["validate-config", "--config", "exp.ini"])
         assert rc == 0, err
-        baseline, largest = (((a + 30.0) / (a + 31.0)) ** 59 for a in (3.0, 8.0))
+        baseline, largest = (a / (a + 30.0) * (a / (a + 1.0)) ** 59 for a in (3.0, 8.0))
         assert (
-            f"expected absorbed remainder: {baseline:.3g} at the baseline, "
+            f"expected tail mass: {baseline:.3g} at the baseline, "
             f"largest {largest:.3g} at alpha = 8\n"
         ) in out
-        assert (baseline, largest) == pytest.approx((0.1718, 0.2160), abs=1e-4)
+        assert (baseline, largest) == pytest.approx((3.866e-9, 2.020e-4), rel=1e-3)
 
     def test_plan_names_burn_in_and_thinning_for_chains(self, workdir):
         open("gm.ini", "w").write(DPGMM_CONFIG)
@@ -362,7 +362,7 @@ class TestValidateConfigCommand:
         assert rc == 0, err
         assert "mcmc: keep 12, burn-in 0, thin 1, seed 5\n" in out
         assert "sampler runs: 3" in out
-        assert "absorbed remainder" not in out
+        assert "tail mass" not in out
 
     def test_unknown_parameter_exit_code(self, workdir):
         bad = CONFIG.replace("parameter = alpha", "parameter = alhpa")
@@ -478,6 +478,25 @@ class TestValidateConfigCommand:
         rc, _, err = invoke([command, "--config", "bad.ini"])
         assert rc == 1, err
         assert err.startswith(code + ":")
+
+    @pytest.mark.parametrize("command", ["validate-config", "sweep"])
+    @pytest.mark.parametrize("swept", [False, True], ids=["baseline", "swept"])
+    def test_bandwidth_floor_is_the_grid_spacing(self, workdir, command, swept):
+        # Below one grid spacing the binned atoms of Q outgrow their error
+        # bound, so a set bandwidth must reach it at every value.
+        for factor, expected_rc in ((0.99, 1), (1.0, 0)):
+            bandwidth = repr(factor * Grid(64).spacing)
+            if swept:
+                text = CONFIG.replace(*BANDWIDTH_SWEEP).replace("1e-6", bandwidth)
+            else:
+                line = "truncation = 60"
+                text = CONFIG.replace(line, f"{line}\nbandwidth = {bandwidth}")
+            open("floor.ini", "w").write(text)
+            out = ["--out", f"res-{factor}"] if command == "sweep" else []
+            rc, _, err = invoke([command, "--config", "floor.ini", *out])
+            assert rc == expected_rc, (factor, err)
+            if rc:
+                assert err.startswith("CONFIG_BAD_VALUE:") and "grid spacing" in err
 
     @pytest.mark.parametrize("command", ["validate-config", "sweep"])
     def test_more_components_than_grid_points(self, workdir, monkeypatch, command):

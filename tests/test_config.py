@@ -1,6 +1,7 @@
 """Experiment config files: INI parsing, presets and validation codes."""
 
 import dataclasses
+import math
 import os
 import tempfile
 
@@ -413,8 +414,11 @@ def experiment_configs(draw, dataset_path):
     spec = SweepSpec(
         model, baseline, parameter, values, replicates, band_values, mcmc, d_components
     )
+    # A set dp bandwidth must be at least the grid spacing.
+    widths = [getattr(spec.config_for(v), "bandwidth", None) for v in values]
+    fewest = [math.ceil(1.0 / w) + 1 for w in widths if w is not None]
     geometry = GeometryOptions(
-        n_points=draw(st.integers(max(16, d_components), 1024)),
+        n_points=draw(st.integers(max(16, d_components, *fewest), 1024)),
         karcher_eps1=draw(st.floats(1e-12, 1e-2)),
         karcher_step=draw(st.floats(0.01, 1.0)),
         karcher_max_iter=draw(st.integers(1, 500)),

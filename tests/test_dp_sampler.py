@@ -1,12 +1,13 @@
-"""Truncated stick-breaking sampler for the conjugate Dirichlet process."""
+"""The conjugate Dirichlet process posterior, drawn by its exact Dirichlet split."""
 
 import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy import stats
 
-from _dp_reference import LAW_CASES, LAW_GRID, law_data, same_law_statistics, smooth
+from _dp_reference import LAW_CASES, case_statistics, law_data, smooth
 from _law import assert_same_law
 from _oracles import smoothed_centering_measure
 
@@ -17,8 +18,8 @@ from frsense import (
     Grid,
     McmcControl,
     UniformBase,
-    centering_weight,
     dp_posterior,
+    expected_remainder,
     fr_distance,
     make_rng,
     normalize_pdf,
@@ -26,17 +27,41 @@ from frsense import (
     silverman_bandwidth,
 )
 from frsense.errors import InvalidSettingError, TruncationTooSmallError
-from frsense.samplers.dp import _draw_atoms_and_weights, _fft_length, _kernel_spectrum
+from frsense.samplers import dp
+from frsense.samplers.dp import _draw_split, _fft_length, _kernel_spectrum, _stick_weights
 
 
-class TestCenteringWeight:
-    def test_known_value(self):
-        # alpha = 5 with 10 observations puts exactly one third on the base
-        assert centering_weight(5.0, 10) == pytest.approx(1.0 / 3.0, abs=1e-15)
+class TestExpectedRemainder:
+    def test_known_values(self):
+        # one observation at alpha = 1: W_0 has mean 1/2 and each stick of Q 1/2
+        assert expected_remainder(DpConfig(alpha=1.0, truncation=50), 1) == pytest.approx(
+            2.0**-50, rel=1e-12
+        )
+        assert expected_remainder(DpConfig(alpha=5.0, truncation=60), 10) == pytest.approx(
+            5.0 / 15.0 * (5.0 / 6.0) ** 59, rel=1e-12
+        )
 
-    def test_limits(self):
-        assert centering_weight(1e-8, 100) < 1e-9
-        assert centering_weight(1e8, 100) > 0.999
+    def test_mean_of_the_traced_remainder(self):
+        # alpha = 50 with 10 observations and the smallest truncation leave
+        # about 0.32 of each draw's mass to the last atom of Q
+        data = Dataset.from_observations(np.random.default_rng(4).normal(0.0, 1.0, 10))
+        cfg = DpConfig(alpha=50.0, truncation=50)
+        ctl = McmcControl(n_samples=4000, burn_in=0, thin=1, seed=19)
+        rem = dp_posterior(data, cfg, ctl, grid=Grid(32)).trace["absorbed_remainder"]
+        expected = expected_remainder(cfg, data.n)
+        assert expected == pytest.approx(0.316, abs=1e-3)
+        assert abs(rem.mean() - expected) < 4.0 * rem.std() / np.sqrt(rem.size)
+
+    def test_larger_truncation_only_appends_atoms(self):
+        # each kind of variate has its own stream and Q's rows come first, so
+        # the first sticks and atoms of every draw stay bit for bit
+        draws = [
+            _draw_split(make_rng(23), DpConfig(alpha=3.0, truncation=k), 40, 12) for k in (50, 80)
+        ]
+        (data_a, g0_w_a, atoms_a, _), (data_b, g0_w_b, atoms_b, _) = draws
+        npt.assert_array_equal(data_a, data_b)
+        npt.assert_array_equal(g0_w_a[:-1], g0_w_b[:49])
+        npt.assert_array_equal(atoms_a, atoms_b[:50])
 
 
 class TestBaseMeasures:
@@ -58,42 +83,41 @@ class TestBaseMeasures:
         assert draws.min() >= 0.0 and draws.max() <= 1.0
 
 
-class TestStickWeights:
+class TestSplitWeights:
     def test_weights_sum_to_one(self, rng):
         cfg = DpConfig(alpha=5.0, truncation=200)
-        weights, remainders, from_g0, g0_atoms, data_idx = _draw_atoms_and_weights(
-            rng, cfg, 100, 0.05, 10
-        )
-        npt.assert_allclose(weights.sum(axis=1), 1.0, rtol=0, atol=1e-12)
-        assert weights.min() >= 0.0
-        for piece in (weights, from_g0, g0_atoms, data_idx):
-            assert piece.shape == (10, 200)
+        data_weights, g0_weights, g0_atoms, remainders = _draw_split(rng, cfg, 100, 10)
+        assert data_weights.shape == (10, 100)
+        assert g0_weights.shape == g0_atoms.shape == (200, 10)
         assert remainders.shape == (10,)
-        npt.assert_allclose(remainders, weights[:, -1], rtol=0, atol=1e-15)
+        total = data_weights.sum(axis=1) + g0_weights.sum(axis=0)
+        npt.assert_allclose(total, 1.0, rtol=0, atol=1e-12)
+        assert data_weights.min() >= 0.0 and g0_weights.min() >= 0.0
+        # the last atom of Q carries W_0 times the mass its sticks left
+        npt.assert_allclose(remainders, g0_weights[-1], rtol=0, atol=1e-15)
+
+    def test_variates_follow_their_laws(self):
+        # W_0 ~ Beta(alpha, n), a data weight ~ Beta(1, alpha + n - 1), Q's
+        # first stick ~ Beta(1, alpha) and its atoms ~ G0
+        alpha, n, m = 3.0, 10, 2000
+        cfg = DpConfig(alpha=alpha, g0=BetaBase(2.0, 5.0), truncation=50)
+        data_weights, g0_weights, g0_atoms, _ = _draw_split(make_rng(31), cfg, n, m)
+        w0 = g0_weights.sum(axis=0)
+        for sample, law in (
+            (w0, stats.beta(alpha, n)),
+            (data_weights[:, 0], stats.beta(1.0, alpha + n - 1.0)),
+            (g0_weights[0] / w0, stats.beta(1.0, alpha)),
+            (g0_atoms[7], stats.beta(2.0, 5.0)),
+        ):
+            assert stats.kstest(sample, law.cdf).pvalue > 1e-3
 
     def test_conservation_guard_fires_on_broken_sticks(self):
         # sticks outside [0, 1] destroy mass conservation; the guard must
         # catch it and name the first draw it fails in
+        sticks = np.full((199, 5), 0.5)
+        sticks[:, [2, 4]] = 2.0
         with pytest.raises(TruncationTooSmallError, match=r"in draw 2; residual -1\.0$"):
-            _draw_atoms_and_weights(BrokenRng(broken_draws=[2, 4]), DpConfig(alpha=1.0), 1, 0.5, 5)
-
-
-class BrokenRng:
-    """Sticks of 0.5, except in ``broken_draws``, whose sticks are all 2."""
-
-    def __init__(self, broken_draws):
-        self.broken_draws = broken_draws
-
-    def beta(self, a, b, size=None):
-        sticks = np.full(size, 0.5)
-        sticks[self.broken_draws] = 2.0
-        return sticks
-
-    def random(self, size=None):
-        return np.zeros(size)
-
-    def integers(self, lo, hi, size=None):
-        return np.zeros(size, dtype=np.int64)
+            _stick_weights(sticks)
 
 
 class TestDpConfig:
@@ -132,6 +156,16 @@ class TestPosteriorDraws:
         for p in ps.pdfs:
             assert p.grid.integrate(p.values) == pytest.approx(1.0, abs=1e-8)
 
+    def test_tiny_alpha_puts_every_draw_on_the_data(self):
+        # log(1 - U) / alpha overflows to -inf below about 2e-307, a stick of
+        # 1, without a warning; W_0 is then 0
+        cfg = DpConfig(alpha=1e-308, bandwidth=0.05)
+        x = np.linspace(0.1, 0.9, 30)
+        data_weights, g0_weights, g0_atoms, _ = _draw_split(make_rng(3), cfg, x.size, 10)
+        assert not g0_weights.any()
+        rows = dp._emit_rows(Grid(64), x, 0.05, data_weights, g0_weights, g0_atoms)
+        npt.assert_allclose(rows, [smooth(Grid(64), x, w, 0.05) for w in data_weights], rtol=1e-13)
+
     def test_bandwidth_override_recorded(self):
         data = Dataset.from_observations(np.linspace(0.0, 1.0, 30))
         ps = dp_posterior(
@@ -160,8 +194,8 @@ class TestPosteriorDraws:
         assert fr_distance(mean, smoothed_centering_measure(data, cfg)) < 0.1
 
     def test_truncation_unbiased_and_stable(self):
-        # K = 200 vs K = 400 at alpha + n = 115: both means sit on the smoothed
-        # centering measure; their difference is Monte Carlo noise only
+        # Q truncated at 200 vs 400 atoms at alpha = 5: both means sit on the
+        # smoothed centering measure; their difference is Monte Carlo noise only
         crng = np.random.default_rng(3)
         data = Dataset.from_observations(crng.normal(0.0, 1.0, size=110))
         ctl = McmcControl(n_samples=400, burn_in=0, thin=1, seed=21)
@@ -179,8 +213,9 @@ class TestPosteriorDraws:
         ps = dp_posterior(data, DpConfig(alpha=5.0), McmcControl(n_samples=50, burn_in=0, thin=1, seed=8))
         rem = ps.trace["absorbed_remainder"]
         assert rem.shape == (50,)
-        # E[remainder] = ((a+n)/(a+n+1))^(K-1) ~ 0.178 here; all draws positive
-        assert 0.0 < rem.mean() < 0.5
+        # E[remainder] = alpha / (alpha + n) (alpha / (alpha + 1))^(K - 1) ~ 7e-18
+        # here, below the round-off of the summed sticks
+        assert np.abs(rem).max() < 1e-12
 
 
 class TestDeterminism:
@@ -213,25 +248,22 @@ class TestDeterminism:
             )
 
 
-def skipping_draws(data, cfg, ctl, grid):
-    """The rows and remainders of a dp run that, like earlier versions of
-    ``dp_posterior``, makes a draw for every chain sweep (burn-in and
-    thinning included) and keeps every ``thin``-th one after ``burn_in``.
-    The draws are one block of ``_draw_atoms_and_weights``; each kept draw
-    is smoothed atom by atom, exactly, without the data kernel table or the
-    binning of the G0 atoms.  Also returns whether each kept draw has a G0
-    atom."""
+def exact_rows(data, cfg, ctl, grid):
+    """The rows of a dp run's draws with every atom smoothed exactly: each
+    draw's data weights and Q's atoms one by one, without the binning of
+    Q's atoms."""
     x = data.rescaled
-    weights, remainders, from_g0, g0_atoms, data_idx = _draw_atoms_and_weights(
-        make_rng(ctl.seed), cfg, x.size, centering_weight(cfg.alpha, data.n), ctl.n_sweeps
+    data_weights, g0_weights, g0_atoms, _ = _draw_split(
+        make_rng(ctl.seed), cfg, x.size, ctl.n_samples
     )
-    kept = slice(ctl.burn_in, None, ctl.thin)
-    atoms = np.where(from_g0, g0_atoms, x[data_idx])[kept]
-    rows = [smooth(grid, a, w, cfg.bandwidth) for a, w in zip(atoms, weights[kept])]
-    return normalize_rows(grid, np.array(rows)), remainders[kept], from_g0[kept].any(axis=1)
+    rows = [
+        smooth(grid, np.concatenate((x, atoms)), np.concatenate((d, w)), cfg.bandwidth)
+        for d, w, atoms in zip(data_weights, g0_weights.T, g0_atoms.T)
+    ]
+    return normalize_rows(grid, np.array(rows))
 
 
-#: Linear binning moves each G0 atom's kernel at a grid point by at most
+#: Linear binning moves each atom's kernel at a grid point by at most
 #: (spacing / bw)^2 / 8 of its peak, the interpolation error of a function
 #: whose second derivative is at most 1 / bw^2 in size.  Summed over a
 #: draw's atoms, that error is at most sqrt(3 / 2) times the row's maximum,
@@ -241,13 +273,9 @@ def skipping_draws(data, cfg, ctl, grid):
 BINNING_ERROR = 0.2
 
 
-def assert_binned_emission(densities, exact, has_g0, grid, bw):
-    """``dp_posterior`` rows against the exact smoothing of the same draws.
-
-    Rows without a G0 atom are exact to rounding; the others lie within the
-    binning bound of their maximum.
-    """
-    npt.assert_allclose(densities[~has_g0], exact[~has_g0], rtol=1e-13, atol=0)
+def assert_binned_emission(densities, exact, grid, bw):
+    """``dp_posterior`` rows within the binning bound of their maximum of
+    the exact smoothing of the same draws."""
     error = np.abs(densities - exact).max(axis=1) / exact.max(axis=1)
     assert error.max() <= BINNING_ERROR * (grid.spacing / bw) ** 2
 
@@ -258,34 +286,30 @@ def data():
     return law_data()
 
 
-class TestSameLawAsSkippingDraws:
-    """Block draws follow the law of the per-draw sampler they replaced."""
-
-    GRID = LAW_GRID
-    CFG = LAW_CASES["uniform-alpha-5"]
-
-    def test_rebuild_is_the_sampler_at_burn_in_zero(self, data):
-        ctl = McmcControl(n_samples=20, burn_in=0, thin=1, seed=4)
-        rows, remainders, has_g0 = skipping_draws(data, self.CFG, ctl, self.GRID)
-        ps = dp_posterior(data, self.CFG, ctl, grid=self.GRID)
-        # the same stream, so the same remainders; the table path sums each
-        # row in another order and the G0 atoms are binned, so the densities
-        # agree to rounding only where a draw has no G0 atom
-        assert_binned_emission(ps.densities, rows, has_g0, self.GRID, self.CFG.bandwidth)
-        npt.assert_array_equal(ps.trace["absorbed_remainder"], remainders)
+class TestSameLawAsStickBreaking:
+    """The split draws the law of stick-breaking of the posterior DP."""
 
     @pytest.mark.parametrize("case", list(LAW_CASES))
-    def test_two_sample_ks(self, data, case):
+    def test_two_sample_ks(self, case):
         # 400 iid draws from each sampler; tests/dp_law_repeat.py repeats
         # this over many seeds and reports how often p < 0.05
-        assert_same_law(*same_law_statistics(data, LAW_CASES[case], 400, 12, 13))
+        oracle = case_statistics(case, "oracle", 400, 13)
+        assert_same_law(case_statistics(case, "split", 400, 12), oracle)
+
+    @pytest.mark.parametrize("case", ["alpha-5", "alpha-25"])
+    def test_the_old_truncated_law_fails_the_check(self, case):
+        # stick-breaking truncated at 200 sticks of the posterior DP, as dp
+        # drew before 0.11.0: its last atom takes 15-20% of the mass here
+        oracle = case_statistics(case, "oracle", 400, 13)
+        with pytest.raises(AssertionError):
+            assert_same_law(case_statistics(case, "old", 400, 12), oracle)
 
 
 class TestTableEmission:
-    """``dp_posterior`` emits data atoms from one kernel table of the data
-    and G0 atoms by linear binning and an FFT convolution; smoothing every
-    atom directly from the same draws gives the same rows, up to the
-    binning error where a draw has G0 atoms."""
+    """``dp_posterior`` emits the data part from one kernel table of the data
+    and the atoms of Q by linear binning and an FFT convolution; smoothing
+    every atom directly from the same draws gives the same rows, up to the
+    binning error."""
 
     GRID = Grid(128)
 
@@ -293,9 +317,9 @@ class TestTableEmission:
     @pytest.mark.parametrize(
         "alpha, n_obs, g0_share",
         [
-            pytest.param(1e-3, 100, (0.0, 0.001), id="no-g0-atom-in-most-draws"),
+            pytest.param(1e-3, 100, (0.0, 0.001), id="almost-no-g0-mass"),
             pytest.param(5.0, 100, (0.02, 0.1), id="alpha-5"),
-            pytest.param(1e3, 100, (0.85, 0.95), id="mostly-g0-atoms"),
+            pytest.param(1e3, 100, (0.85, 0.95), id="mostly-g0-mass"),
             pytest.param(5.0, 1, (0.75, 0.9), id="one-observation"),
         ],
     )
@@ -304,35 +328,45 @@ class TestTableEmission:
         cfg = DpConfig(alpha=alpha, g0=g0, truncation=60, bandwidth=0.05)
         ctl = McmcControl(n_samples=30, burn_in=0, thin=1, seed=6)
 
-        w_g0 = centering_weight(alpha, data.n)
-        from_g0 = _draw_atoms_and_weights(make_rng(ctl.seed), cfg, data.n, w_g0, ctl.n_samples)[2]
-        assert g0_share[0] <= np.mean(from_g0) <= g0_share[1]
+        _, g0_weights, _, remainders = _draw_split(make_rng(ctl.seed), cfg, data.n, ctl.n_samples)
+        assert g0_share[0] <= g0_weights.sum(axis=0).mean() <= g0_share[1]
 
-        rows, remainders, has_g0 = skipping_draws(data, cfg, ctl, self.GRID)
         ps = dp_posterior(data, cfg, ctl, grid=self.GRID)
-        assert_binned_emission(ps.densities, rows, has_g0, self.GRID, cfg.bandwidth)
+        exact = exact_rows(data, cfg, ctl, self.GRID)
+        assert_binned_emission(ps.densities, exact, self.GRID, cfg.bandwidth)
         npt.assert_array_equal(ps.trace["absorbed_remainder"], remainders)
 
-    def test_rows_match_direct_smoothing_across_product_blocks(self):
-        # 40 draws on a 16-point grid are emitted as blocks of 16, 16 and 8
+    def test_data_part_is_exact(self):
+        # with no mass on Q a row is its data weights times the kernel table
+        x = np.random.default_rng(8).uniform(0.1, 0.9, 50)
+        data_weights, g0_weights, g0_atoms, _ = _draw_split(make_rng(2), DpConfig(), x.size, 20)
+        rows = dp._emit_rows(self.GRID, x, 0.05, data_weights, 0.0 * g0_weights, g0_atoms)
+        exact = [smooth(self.GRID, x, w, 0.05) for w in data_weights]
+        npt.assert_allclose(rows, exact, rtol=1e-13, atol=0)
+
+    def test_rows_match_direct_smoothing_across_fft_blocks(self, monkeypatch):
+        # FFT buffers of 512 entries split 40 draws on a 16-point grid (FFT
+        # length 32) into blocks of 16, 16 and 8
+        monkeypatch.setattr(dp, "_BLOCK_ENTRIES", 512)
         grid = Grid(16)
         data = Dataset.from_observations(np.random.default_rng(8).normal(0.0, 1.0, 100))
         cfg = DpConfig(alpha=5.0, truncation=60, bandwidth=0.1)
         ctl = McmcControl(n_samples=40, burn_in=0, thin=1, seed=6)
-        rows, remainders, has_g0 = skipping_draws(data, cfg, ctl, grid)
         ps = dp_posterior(data, cfg, ctl, grid=grid)
-        assert_binned_emission(ps.densities, rows, has_g0, grid, cfg.bandwidth)
-        npt.assert_array_equal(ps.trace["absorbed_remainder"], remainders)
+        assert_binned_emission(ps.densities, exact_rows(data, cfg, ctl, grid), grid, cfg.bandwidth)
 
 
 class TestBinnedG0Emission:
-    """The G0 atoms' binning error: its bound, its order and its memory."""
+    """The binning error of Q's atoms: its bound, its order and its memory."""
 
     @pytest.mark.parametrize("alpha", [1.0, 25.0, 1e3])
-    @pytest.mark.parametrize("bw_steps", [None, 2, 4], ids=["silverman", "floor", "4-steps"])
+    @pytest.mark.parametrize(
+        "bw_steps", [None, 1, 2, 4], ids=["silverman", "config-floor", "silverman-floor", "4-steps"]
+    )
     def test_error_within_bound(self, data, alpha, bw_steps):
         # the benchmark's grid and truncation, at its Silverman bandwidth
-        # (about 57 grid steps) and at the bandwidth floor of 2 steps
+        # (about 57 grid steps), at the floor of 2 steps that the Silverman
+        # rule keeps and at the floor of 1 step that config files keep
         grid = Grid(512)
         if bw_steps is None:
             bw = silverman_bandwidth(data.rescaled, grid)
@@ -340,19 +374,22 @@ class TestBinnedG0Emission:
             bw = bw_steps * grid.spacing
         cfg = DpConfig(alpha=alpha, truncation=200, bandwidth=bw)
         ctl = McmcControl(n_samples=40, burn_in=0, thin=1, seed=11)
-        rows, _, has_g0 = skipping_draws(data, cfg, ctl, grid)
-        assert_binned_emission(dp_posterior(data, cfg, ctl, grid=grid).densities, rows, has_g0, grid, bw)
+        ps = dp_posterior(data, cfg, ctl, grid=grid)
+        assert_binned_emission(ps.densities, exact_rows(data, cfg, ctl, grid), grid, bw)
 
     def test_error_falls_fourfold_per_halved_spacing(self, data):
         # second order in the spacing: putting each atom on its nearest grid
-        # point instead would halve the error only
+        # point instead would halve the error only.  A row's error follows
+        # where its heaviest atom falls between two grid points, so the
+        # ratio is of the mean row error over 100 draws
         cfg = DpConfig(alpha=1e3, truncation=60, bandwidth=0.05)
-        ctl = McmcControl(n_samples=20, burn_in=0, thin=1, seed=3)
+        ctl = McmcControl(n_samples=100, burn_in=0, thin=1, seed=3)
         errors = []
         for n_points in (65, 129, 257, 513):
             grid = Grid(n_points)
-            rows, _, _ = skipping_draws(data, cfg, ctl, grid)
-            errors.append(np.abs(dp_posterior(data, cfg, ctl, grid=grid).densities - rows).max())
+            exact = exact_rows(data, cfg, ctl, grid)
+            error = np.abs(dp_posterior(data, cfg, ctl, grid=grid).densities - exact).max(axis=1)
+            errors.append(np.mean(error / exact.max(axis=1)))
         ratios = np.array(errors[:-1]) / np.array(errors[1:])
         assert np.all((3.4 < ratios) & (ratios < 4.6)), ratios
 

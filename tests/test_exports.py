@@ -27,7 +27,9 @@ MODULES = sorted(info.name for info in pkgutil.walk_packages(frsense.__path__, "
 DEFERRED = ("frsense.samplers", "frsense.sweep", "frsense.config")
 
 #: Names that only tests called, whose oracles live in ``tests/_oracles.py``,
-#: and ``apply_preset``, a second way to set ``[sweep] preset``.
+#: ``apply_preset``, a second way to set ``[sweep] preset``, and
+#: ``centering_weight``, the G0 share of the atoms, which the dp sampler no
+#: longer draws atom by atom.
 REMOVED = (
     "tangent_project",
     "exp_map",
@@ -38,6 +40,7 @@ REMOVED = (
     "sweep_grid_presets",
     "GRID_POINTS",
     "apply_preset",
+    "centering_weight",
 )
 
 #: (class, attribute) pairs that nothing outside the tests read.  A sample

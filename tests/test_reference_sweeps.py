@@ -1,4 +1,4 @@
-"""Small Gibbs sweeps reproduce their pinned archives.
+"""Small sweeps of every model reproduce their pinned archives.
 
 Every other contract test compares a run with itself, so a changed random
 stream or formula would pass them.  Numbers are compared at rtol 1e-9, not
