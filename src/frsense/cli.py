@@ -97,6 +97,7 @@ def _cmd_sweep(args) -> int:
     out_dir = args.out if args.out is not None else config.output.directory
 
     data = load_dataset(config.dataset_path, config.transform)
+    config.check_dataset_size(data.n)
     # A destination that cannot be a directory fails before any sampler runs.
     os.makedirs(out_dir, exist_ok=True)
     geo = config.geometry
@@ -140,6 +141,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_validate(args) -> int:
     config = load_config(args.config)
     data = load_dataset(config.dataset_path, config.transform)
+    config.check_dataset_size(data.n)
     spec = config.spec
     print(f"config ok: {args.config}")
     print(f"dataset: {config.dataset_path} (n={data.n}, transform={config.transform})")

@@ -23,7 +23,6 @@ __all__ = [
     "InsufficientSamplesError",
     "DegenerateSampleError",
     "EmptyDatasetError",
-    "TruncationTooSmallError",
     "InvalidSettingError",
     "InvalidPhiError",
     "UnknownModelError",
@@ -87,12 +86,6 @@ class EmptyDatasetError(FrsenseError, ValueError):
     """A dataset with no observations."""
 
     code = "DATA_EMPTY"
-
-
-class TruncationTooSmallError(FrsenseError, ValueError):
-    """Stick-breaking truncation left unassigned mass after absorption."""
-
-    code = "SAMPLER_TRUNCATION"
 
 
 class InvalidSettingError(FrsenseError, ValueError):

@@ -37,7 +37,6 @@ import numpy as np
 from .errors import (
     AntipodalOrBoundaryError,
     EmptyInputError,
-    FrsenseError,
     GridMismatchError,
     InsufficientSamplesError,
 )
@@ -351,13 +350,15 @@ def _tangent_spectrum(fit: _KarcherFit, vectors: bool = False):
     holds them.  From the Gram matrix's eigenvectors U they are ``S^T U``
     orthonormalized by one QR, which keeps null directions orthonormal too,
     where dividing by ``sqrt((n - 1) lambda)`` would blow up rounding noise.
+    The matrix is positive semidefinite, so the eigenvalues that rounding
+    leaves below zero are clipped to zero.
     """
     scaled = fit.tangents
     n, p = scaled.shape
     gram = n <= p
     small = (scaled @ scaled.T if gram else scaled.T @ scaled) / (n - 1)
     if not vectors:
-        return _checked_spectrum(np.linalg.eigvalsh(small)[::-1])
+        return np.clip(np.linalg.eigvalsh(small)[::-1], 0.0, None)
     evals, evecs = np.linalg.eigh(small)
     evecs = evecs[:, ::-1]
     if gram:
@@ -365,13 +366,7 @@ def _tangent_spectrum(fit: _KarcherFit, vectors: bool = False):
     funcs = evecs / np.sqrt(fit.grid.weights)[:, None]
     flip = funcs[np.argmax(np.abs(funcs), axis=0), np.arange(funcs.shape[1])] < 0
     funcs[:, flip] *= -1.0
-    return _checked_spectrum(evals[::-1]), funcs
-
-
-def _checked_spectrum(evals: np.ndarray) -> np.ndarray:
-    if evals[-1] < -1e-10:
-        raise FrsenseError(f"covariance produced eigenvalue {evals[-1]:.3e} < -1e-10")
-    return np.clip(evals, 0.0, None)
+    return np.clip(evals[::-1], 0.0, None), funcs
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import InvalidSettingError, TruncationTooSmallError
+from ..errors import InvalidSettingError
 from ..grid import Grid, default_grid, normalize_rows
 from .common import (
     Dataset,
@@ -42,9 +42,6 @@ __all__ = [
     "dp_posterior",
     "expected_remainder",
 ]
-
-#: After remainder absorption the stick weights must sum to one within this.
-MASS_TOL = 1e-6
 
 _MIN_TRUNCATION = 50
 
@@ -115,31 +112,6 @@ def expected_remainder(config: DpConfig, n: int) -> float:
     )
 
 
-def _stick_weights(sticks: np.ndarray):
-    """The ``(k, m)`` weights of a ``(k - 1, m)`` block of sticks, one column per draw.
-
-    The last weight of a draw absorbs its unbroken mass, returned as well, so
-    its weights sum to one exactly; the conservation guard catches the
-    (pathological) draws where they do not.
-    """
-    k = sticks.shape[0] + 1
-    weights = np.empty((k, sticks.shape[1]))
-    weights[0] = 1.0
-    np.cumprod(1.0 - sticks[:-1], axis=0, out=weights[1:-1])
-    weights[:-1] *= sticks
-    taken = weights[:-1].sum(axis=0)
-    remainders = 1.0 - taken
-    weights[-1] = np.maximum(remainders, 0.0)
-    broken = np.flatnonzero(~(np.abs(1.0 - (taken + weights[-1])) <= MASS_TOL))
-    if broken.size:
-        first = int(broken[0])
-        raise TruncationTooSmallError(
-            f"stick mass not conserved at truncation {k} in draw {first}; "
-            f"residual {float(remainders[first])!r}"
-        )
-    return weights, remainders
-
-
 def _draw_split(rng, config: DpConfig, n: int, m: int):
     """``m`` draws of the posterior's Dirichlet split with ``n`` observations.
 
@@ -160,7 +132,15 @@ def _draw_split(rng, config: DpConfig, n: int, m: int):
     # A tiny alpha sends log(1 - U) / alpha to -inf: a stick of 1.
     with np.errstate(over="ignore"):
         sticks = -np.expm1(np.log1p(-stick_rng.random((config.truncation - 1, m))) / config.alpha)
-    g0_weights, remainders = _stick_weights(sticks)
+    # Every stick lies in [0, 1], so the weights before Q's last sum to at
+    # most one; the last absorbs the unbroken mass.  Rounding can leave that
+    # mass at about -1e-15, which is clamped.
+    g0_weights = np.empty((config.truncation, m))
+    g0_weights[0] = 1.0
+    np.cumprod(1.0 - sticks[:-1], axis=0, out=g0_weights[1:-1])
+    g0_weights[:-1] *= sticks
+    remainders = 1.0 - g0_weights[:-1].sum(axis=0)
+    g0_weights[-1] = np.maximum(remainders, 0.0)
     g0_weights *= w0
     g0_atoms = config.g0.sample(atom_rng, (config.truncation, m))
     return data_weights, g0_weights, g0_atoms, w0 * remainders

@@ -185,10 +185,13 @@ class DcvConfig:
         if self.aux_m < 1:
             raise InvalidSettingError(f"aux_m must be >= 1, got {self.aux_m}")
         _check_start(self)
-        try:  # the new-cluster quadrature's weights total Gamma(phi)
-            math.gamma(self.phi)
-        except OverflowError:
-            raise InvalidSettingError(f"phi = {self.phi!r} overflows Gamma(phi)") from None
+        # The largest entry k (k + phi - 1) of the new-cluster quadrature's
+        # Jacobi matrix, as _laguerre_rule computes it.
+        k = _QUAD_NODES - 1.0
+        if not math.isfinite(k * (k + (self.phi - 1.0))):
+            raise InvalidSettingError(
+                f"phi = {self.phi!r} overflows the new-cluster quadrature"
+            )
 
 
 def _laguerre_rule(n: int, alpha: float) -> tuple:

@@ -68,6 +68,12 @@ BANDWIDTH_SWEEP = (
     "values = 1e-6, 0.05\nreplicates = 2\nband_values = 0.05\n",
 )
 
+#: CONFIG edited to sweep truncation up to 1e11.
+TRUNCATION_SWEEP = (
+    "parameter = alpha\nvalues = 1.0, 3.0, 8.0\nreplicates = 2\nband_values = 1.0, 8.0\n",
+    "parameter = truncation\nvalues = 60, 100000000000\nreplicates = 2\nband_values = 60\n",
+)
+
 
 #: A tiny dpgmm sweep whose numeric keys the mutation test overwrites.
 DPGMM_CONFIG = """\
@@ -137,6 +143,10 @@ UNFORESEEABLE = {
     ("ccv", "s1", "1e308"): "MEASURE_DEGENERATE",
     ("dcv", "s1", "1e308"): "MEASURE_DEGENERATE",
 }
+
+#: Integer keys that size an array; a huge value must be refused up front.
+#: A huge burn_in or thin is only a long run.
+ARRAY_SIZE_KEYS = ("n_samples", "truncation", "aux_m")
 
 MUTATED_KEYS = [
     *(pytest.param("dpgmm", key, id=key) for key in (
@@ -459,10 +469,13 @@ class TestValidateConfigCommand:
             (("truncation = 60", "truncation = 60\nbandwidth = 1e-6"), "CONFIG_BAD_VALUE"),
             (("truncation = 60", "truncation = 60\nbandwidth = 1e-300"), "CONFIG_BAD_VALUE"),
             (BANDWIDTH_SWEEP, "CONFIG_BAD_VALUE"),
+            # Q's atoms of 16 draws would take 12.8 TB.
+            (("truncation = 60", "truncation = 100000000000"), "CONFIG_BAD_VALUE"),
+            (TRUNCATION_SWEEP, "CONFIG_BAD_VALUE"),
         ],
         ids=[
             "geometry", "geometry-huge", "value", "model", "bandwidth",
-            "bandwidth-tiny", "bandwidth-swept",
+            "bandwidth-tiny", "bandwidth-swept", "truncation-huge", "truncation-swept",
         ],
     )
     def test_bad_config_fails_before_any_sampler_runs(
@@ -497,6 +510,52 @@ class TestValidateConfigCommand:
             assert rc == expected_rc, (factor, err)
             if rc:
                 assert err.startswith("CONFIG_BAD_VALUE:") and "grid spacing" in err
+
+    @pytest.mark.parametrize("command", ["validate-config", "sweep"])
+    @pytest.mark.parametrize(
+        "model, edit, code",
+        [
+            # 200,000 draws of 1,000 data weights would take 1.6 GB,
+            ("dp", ("n_samples = 12", "n_samples = 200000"), "CONFIG_BAD_MCMC"),
+            # and so would the kernel table of 1,000 observations on 200,000 points.
+            ("dp", ("n_points = 64", "n_points = 200000"), "CONFIG_BAD_GEOMETRY"),
+            # 10,000 slots per observation would take 1.36 GB a sweep.
+            ("dcv", ("aux_m = 3", "aux_m = 10000"), "CONFIG_BAD_VALUE"),
+            ("dcv", ("parameter = a0\nvalues = 1.0, 2.0", "parameter = aux_m\nvalues = 3, 10000"),
+             "CONFIG_BAD_VALUE"),
+        ],
+        ids=["dp-weights", "dp-kernel", "dcv-slots", "dcv-slots-swept"],
+    )
+    def test_arrays_sized_by_the_data_fail_before_any_sampler_runs(
+        self, workdir, monkeypatch, command, model, edit, code
+    ):
+        import frsense.cli as cli_mod
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("a sweep started")
+
+        monkeypatch.setattr(cli_mod, "run_sweep", no_sweep)
+        np.savetxt("obs.txt", np.random.default_rng(3).normal(size=1000))
+        config = DP_CONFIG if model == "dp" else griffin_config(model)
+        open("ok.ini", "w").write(config)
+        assert invoke(["validate-config", "--config", "ok.ini"])[0] == 0
+        open("big.ini", "w").write(config.replace(*edit))
+        rc, _, err = invoke([command, "--config", "big.ini"])
+        assert rc == 1, err
+        assert err.startswith(code + ":") and "observations" in err
+
+    @pytest.mark.parametrize("command", ["validate-config", "sweep"])
+    def test_dcv_phi_is_bounded_by_its_quadrature_not_gamma(self, workdir, command):
+        # Gamma(200) overflows, but the quadrature's weights are normalized
+        # and never form it; 1e308 overflows the quadrature itself.
+        for phi, expected_rc in (("200.0", 0), ("1e308", 1)):
+            text = griffin_config("dcv").replace("phi = 2.0", f"phi = {phi}")
+            open("phi.ini", "w").write(text)
+            out = ["--out", f"res-{phi}"] if command == "sweep" else []
+            rc, _, err = invoke([command, "--config", "phi.ini", *out])
+            assert rc == expected_rc, (phi, err)
+            if rc:
+                assert err.startswith("CONFIG_BAD_VALUE:") and "quadrature" in err
 
     @pytest.mark.parametrize("command", ["validate-config", "sweep"])
     def test_more_components_than_grid_points(self, workdir, monkeypatch, command):
@@ -536,7 +595,10 @@ class TestValidateConfigCommand:
         # value may surface as an internal error (exit 2).
         config = {"dpgmm": DPGMM_CONFIG, "dp": DP_CONFIG}.get(model) or griffin_config(model)
         assert re.search(rf"^{key} = ", config, flags=re.M)
-        for value in ("nan", "inf", "-inf", "1e308", "0", "-1"):
+        values = ["nan", "inf", "-inf", "1e308", "0", "-1"]
+        if key in ARRAY_SIZE_KEYS:
+            values.append("100000000000")
+        for value in values:
             text = re.sub(rf"^{key} = .*$", f"{key} = {value}", config, flags=re.M)
             open("mutated.ini", "w").write(text)
             outcomes = []
@@ -759,7 +821,6 @@ ERROR_CODES = {
     "InsufficientSamplesError": "MEASURE_TOO_FEW_DRAWS",
     "DegenerateSampleError": "MEASURE_DEGENERATE",
     "EmptyDatasetError": "DATA_EMPTY",
-    "TruncationTooSmallError": "SAMPLER_TRUNCATION",
     "InvalidSettingError": "CONFIG_BAD_VALUE",
     "InvalidPhiError": "CONFIG_BAD_VALUE",
     "UnknownModelError": "CONFIG_BAD_MODEL",

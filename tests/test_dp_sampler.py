@@ -26,9 +26,9 @@ from frsense import (
     normalize_rows,
     silverman_bandwidth,
 )
-from frsense.errors import InvalidSettingError, TruncationTooSmallError
+from frsense.errors import InvalidSettingError
 from frsense.samplers import dp
-from frsense.samplers.dp import _draw_split, _fft_length, _kernel_spectrum, _stick_weights
+from frsense.samplers.dp import _draw_split, _fft_length, _kernel_spectrum
 
 
 class TestExpectedRemainder:
@@ -96,6 +96,16 @@ class TestSplitWeights:
         # the last atom of Q carries W_0 times the mass its sticks left
         npt.assert_allclose(remainders, g0_weights[-1], rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("alpha", [1e-300, 1e-3, 1e10, 1e300])
+    def test_no_alpha_leaves_mass_unassigned(self, alpha):
+        # every stick lies in [0, 1], so the last atom of Q absorbs what
+        # its sticks leave, at any alpha
+        cfg = DpConfig(alpha=alpha, truncation=50)
+        data_weights, g0_weights, _, remainders = _draw_split(make_rng(3), cfg, 10, 1000)
+        total = data_weights.sum(axis=1) + g0_weights.sum(axis=0)
+        npt.assert_allclose(total, 1.0, rtol=0, atol=1e-15)
+        assert g0_weights.min() >= 0.0 and remainders.min() >= -1e-15
+
     def test_variates_follow_their_laws(self):
         # W_0 ~ Beta(alpha, n), a data weight ~ Beta(1, alpha + n - 1), Q's
         # first stick ~ Beta(1, alpha) and its atoms ~ G0
@@ -110,14 +120,6 @@ class TestSplitWeights:
             (g0_atoms[7], stats.beta(2.0, 5.0)),
         ):
             assert stats.kstest(sample, law.cdf).pvalue > 1e-3
-
-    def test_conservation_guard_fires_on_broken_sticks(self):
-        # sticks outside [0, 1] destroy mass conservation; the guard must
-        # catch it and name the first draw it fails in
-        sticks = np.full((199, 5), 0.5)
-        sticks[:, [2, 4]] = 2.0
-        with pytest.raises(TruncationTooSmallError, match=r"in draw 2; residual -1\.0$"):
-            _stick_weights(sticks)
 
 
 class TestDpConfig:

@@ -83,6 +83,15 @@ class TestConfigs:
         with pytest.raises(InvalidPhiError):
             DcvConfig(phi=0.5)
 
+    def test_phi_bound_is_the_quadrature_overflow(self):
+        # the new-cluster quadrature's Jacobi matrix holds 23 (22 + phi),
+        # which overflows just above phi = 7.8e306; Gamma(phi) is never formed
+        for phi in (172.0, 200.0, 1e300, 7.8e306):
+            _laguerre_rule(24, DcvConfig(phi=phi).phi - 1.0)
+        for phi in (7.9e306, 1e308):
+            with pytest.raises(InvalidSettingError, match="new-cluster quadrature"):
+                DcvConfig(phi=phi)
+
     def test_aux_slots_at_least_one(self):
         with pytest.raises(ValueError):
             DcvConfig(aux_m=0)
