@@ -18,7 +18,7 @@ from .geometry import *  # noqa: F401,F403
 from .measures import *  # noqa: F401,F403
 from .io import *  # noqa: F401,F403
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"
 
 #: Submodules loaded on first use, in the order a missing name is looked up.
 _DEFERRED = ("samplers", "sweep", "config")

@@ -90,14 +90,19 @@ def _read_densities(path: str):
     return rows
 
 
+def _load_plan(path: str) -> tuple:
+    """The config at ``path`` and its dataset, the plan checked against both."""
+    config = load_config(path)
+    data = load_dataset(config.dataset_path, config.transform)
+    config.spec.check(Grid(config.geometry.n_points), data.n)
+    return config, data
+
+
 def _cmd_sweep(args) -> int:
-    config = load_config(args.config)
+    config, data = _load_plan(args.config)
     # --out is a runtime destination only; the manifest echoes the config's
     # own directory so reruns from the manifest are destination-independent.
     out_dir = args.out if args.out is not None else config.output.directory
-
-    data = load_dataset(config.dataset_path, config.transform)
-    config.check_dataset_size(data.n)
     # A destination that cannot be a directory fails before any sampler runs.
     os.makedirs(out_dir, exist_ok=True)
     geo = config.geometry
@@ -139,9 +144,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    config = load_config(args.config)
-    data = load_dataset(config.dataset_path, config.transform)
-    config.check_dataset_size(data.n)
+    config, data = _load_plan(args.config)
     spec = config.spec
     print(f"config ok: {args.config}")
     print(f"dataset: {config.dataset_path} (n={data.n}, transform={config.transform})")

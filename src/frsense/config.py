@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .geometry import KARCHER_EPS1, KARCHER_MAX_ITER, KARCHER_STEP
-from .grid import DEFAULT_N_POINTS, MIN_POINTS, Grid
+from .grid import DEFAULT_N_POINTS, MIN_POINTS
 from .io import TRANSFORMS
 from . import samplers
 from .samplers import McmcControl
@@ -67,27 +67,6 @@ _KNOWN_SECTIONS = (
     "output",
     "run",
 )
-
-
-#: Bytes that one ``(n_samples, n_points)`` float64 matrix of a sample, or
-#: any other array a sampler holds, may take; a sweep task holds a few such
-#: arrays at once.
-SAMPLE_MATRIX_BYTES = 2**30
-
-#: Bytes per auxiliary slot of one dcv sweep: five float64 arrays (the
-#: slots' observations, means, zetas, variances and log weights) and the
-#: three lists that ``_DcvChain._assign`` copies the weights, means and
-#: zetas to, at 8 bytes a pointer plus 24 a Python float.
-_DCV_SLOT_BYTES = 5 * 8 + 3 * (8 + 24)
-
-
-def _check_bytes(code: str, n_bytes: int, what: str) -> None:
-    if n_bytes > SAMPLE_MATRIX_BYTES:
-        raise ConfigError(
-            code,
-            f"{what} needs {n_bytes / 2**30:.3g} GiB in one array; "
-            f"the limit is {SAMPLE_MATRIX_BYTES / 2**30:g} GiB",
-        )
 
 
 @dataclass(frozen=True)
@@ -130,7 +109,8 @@ class OutputOptions:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a sweep run needs, already validated."""
+    """Everything a sweep run needs; ``spec.check`` holds the plan's rules
+    that need the grid or the data, which this record does not apply."""
 
     dataset_path: str
     transform: str
@@ -138,73 +118,6 @@ class ExperimentConfig:
     aggregate: str
     geometry: GeometryOptions
     output: OutputOptions
-
-    def __post_init__(self):
-        n_samples, n_points = self.spec.mcmc.n_samples, self.geometry.n_points
-        _check_bytes(
-            "CONFIG_BAD_GEOMETRY",
-            8 * n_samples * n_points,
-            f"n_points = {n_points} with n_samples = {n_samples}",
-        )
-        # A summary has min(n_samples, n_points) eigenvalues; SweepSpec
-        # already requires n_samples > d_components.
-        if self.spec.d_components > self.geometry.n_points:
-            raise ConfigError(
-                "CONFIG_BAD_COMPONENTS",
-                f"d_components={self.spec.d_components} exceeds the "
-                f"{self.geometry.n_points} grid points",
-            )
-        # dp bins the atoms of Q onto the grid; below one grid spacing the
-        # binning error outgrows its bound of 0.15 (spacing / bandwidth)^2 of
-        # a row's maximum.  dp also holds Q's atoms as one (truncation,
-        # n_samples) block.  Every swept value is checked: bandwidth and
-        # truncation may be swept.
-        if self.spec.model == "dp":
-            floor = Grid(self.geometry.n_points).spacing
-            for value in self.spec.values:
-                dp = self.spec.config_for(value)
-                if dp.bandwidth is not None and dp.bandwidth < floor:
-                    raise ConfigError(
-                        "CONFIG_BAD_VALUE",
-                        f"bandwidth = {dp.bandwidth!r} is below the grid spacing "
-                        f"{floor:.3g} of the {self.geometry.n_points}-point grid",
-                    )
-                _check_bytes(
-                    "CONFIG_BAD_VALUE",
-                    8 * dp.truncation * n_samples,
-                    f"truncation = {dp.truncation} with n_samples = {n_samples}",
-                )
-
-    def check_dataset_size(self, n: int) -> None:
-        """Refuse a plan whose sampler arrays for ``n`` observations are too large.
-
-        Each is held to ``SAMPLE_MATRIX_BYTES``: dp's ``(n_samples, n)``
-        block of data weights and ``(n_points, n)`` kernel table, and the
-        ``n * aux_m`` auxiliary slots of one dcv sweep, at every swept value.
-        ``validate-config`` and ``sweep`` call it once the dataset is loaded,
-        before any sampler runs.
-        """
-        spec = self.spec
-        if spec.model == "dp":
-            n_samples, n_points = spec.mcmc.n_samples, self.geometry.n_points
-            _check_bytes(
-                "CONFIG_BAD_MCMC",
-                8 * n_samples * n,
-                f"n_samples = {n_samples} with {n} observations",
-            )
-            _check_bytes(
-                "CONFIG_BAD_GEOMETRY",
-                8 * n_points * n,
-                f"n_points = {n_points} with {n} observations",
-            )
-        elif spec.model == "dcv":
-            for value in spec.values:
-                aux_m = spec.config_for(value).aux_m
-                _check_bytes(
-                    "CONFIG_BAD_VALUE",
-                    _DCV_SLOT_BYTES * n * aux_m,
-                    f"aux_m = {aux_m} with {n} observations",
-                )
 
 
 def _parse_bool(text: str) -> bool:

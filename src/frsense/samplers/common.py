@@ -100,9 +100,15 @@ class Dataset(_ReadOnlyArrays):
         return r
 
 
-def check_settings(obj, finite=(), positive=()) -> None:
+def check_settings(obj, finite=(), positive=(), integers=()) -> None:
     """Raise InvalidSettingError unless the named fields of ``obj`` are
-    finite numbers, and above zero where named in ``positive``."""
+    finite numbers, above zero where named in ``positive``, and Python or
+    numpy integers, stored as Python ints, where named in ``integers``."""
+    for name in integers:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise InvalidSettingError(f"{name} must be an integer, got {value!r}")
+        object.__setattr__(obj, name, int(value))
     for name in (*finite, *positive):
         value = getattr(obj, name)
         if not math.isfinite(value):
@@ -121,6 +127,7 @@ class McmcControl:
     seed: int = 0
 
     def __post_init__(self):
+        check_settings(self, integers=("n_samples", "burn_in", "thin", "seed"))
         if self.n_samples < 10:
             raise InvalidSettingError(f"n_samples must be >= 10, got {self.n_samples}")
         if self.burn_in < 0:

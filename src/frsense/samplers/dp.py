@@ -84,7 +84,7 @@ class DpConfig:
     bandwidth: float | None = None
 
     def __post_init__(self):
-        check_settings(self, positive=("alpha",))
+        check_settings(self, positive=("alpha",), integers=("truncation",))
         if self.truncation < _MIN_TRUNCATION:
             raise InvalidSettingError(
                 f"truncation must be >= {_MIN_TRUNCATION}, got {self.truncation}"

@@ -182,6 +182,7 @@ class DcvConfig:
         check_settings(self, finite=("mu00", "phi"), positive=_POSITIVE_FIELDS)
         if self.phi <= 1.0:
             raise InvalidPhiError(f"phi must exceed 1, got {self.phi}")
+        check_settings(self, integers=("aux_m",))
         if self.aux_m < 1:
             raise InvalidSettingError(f"aux_m must be >= 1, got {self.aux_m}")
         _check_start(self)

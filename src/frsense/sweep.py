@@ -10,6 +10,8 @@ selected grid values.  ``SweepSpec.runs()`` lists the runs; each task
 derives its run's seed from the replicate and value index, so appending
 replicates or grid values keeps every earlier row, and inserting a value
 reseeds the values after it.
+``SweepSpec.check(grid, n)`` holds the plan's rules that need the grid or
+the data; ``run_sweep`` applies it before any task runs.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import numpy as np
 
 from .errors import ConfigError, UnknownModelError, UnknownParameterError
 from .geometry import KARCHER_EPS1, KARCHER_MAX_ITER, KARCHER_STEP
+from .grid import Grid, default_grid
 from .measures import (
     DEFAULT_N_COMPONENTS,
     MeasureTriple,
@@ -38,7 +41,6 @@ from .samplers import Dataset, McmcControl, PosteriorSample, derived_seed
 
 __all__ = [
     "BandTriple",
-    "MODEL_TAGS",
     "SweepResult",
     "SweepSpec",
     "get_config_value",
@@ -57,17 +59,35 @@ _MODELS = {
     "dcv": ("DcvConfig", "dcv_posterior"),
 }
 
-MODEL_TAGS = tuple(sorted(_MODELS))
-
 #: How a sweep's per-replicate curves become its reported curve.
 AGGREGATES = ("first", "mean")
+
+#: Bytes that one ``(n_samples, n_points)`` float64 matrix of a sample, or
+#: any other array a sampler holds, may take; a sweep task holds a few such
+#: arrays at once.
+SAMPLE_MATRIX_BYTES = 2**30
+
+#: Bytes per auxiliary slot of one dcv sweep: five float64 arrays (the
+#: slots' observations, means, zetas, variances and log weights) and the
+#: three lists that ``_DcvChain._assign`` copies the weights, means and
+#: zetas to, at 8 bytes a pointer plus 24 a Python float.
+_DCV_SLOT_BYTES = 5 * 8 + 3 * (8 + 24)
+
+
+def _check_bytes(code: str, n_bytes: int, what: str) -> None:
+    if n_bytes > SAMPLE_MATRIX_BYTES:
+        raise ConfigError(
+            code,
+            f"{what} needs {n_bytes / 2**30:.3g} GiB in one array; "
+            f"the limit is {SAMPLE_MATRIX_BYTES / 2**30:g} GiB",
+        )
 
 
 def _model_entry(model: str) -> tuple:
     """The (config class, sampler) pair registered for a model tag."""
     if model not in _MODELS:
         raise UnknownModelError(
-            f"unknown model tag {model!r}; expected one of " + ", ".join(MODEL_TAGS)
+            f"unknown model tag {model!r}; expected one of " + ", ".join(sorted(_MODELS))
         )
     return tuple(getattr(samplers, name) for name in _MODELS[model])
 
@@ -225,6 +245,58 @@ class SweepSpec:
                 f"d_components={self.d_components}",
             )
 
+    def check(self, grid: Grid, n: int) -> None:
+        """Refuse a plan that ``grid`` and ``n`` observations cannot hold.
+
+        ``d_components`` must fit in the grid, a set dp bandwidth must reach
+        its spacing, and each array a sampler sizes from the plan must fit
+        in ``SAMPLE_MATRIX_BYTES``, at every swept value.
+        """
+        n_samples, n_points = self.mcmc.n_samples, grid.n_points
+        _check_bytes(
+            "CONFIG_BAD_GEOMETRY",
+            8 * n_samples * n_points,
+            f"n_points = {n_points} with n_samples = {n_samples}",
+        )
+        # A summary has min(n_samples, n_points) eigenvalues.
+        if self.d_components > n_points:
+            raise ConfigError(
+                "CONFIG_BAD_COMPONENTS",
+                f"d_components={self.d_components} exceeds the {n_points} grid points",
+            )
+        for config in map(self.config_for, self.values):
+            if self.model == "dp":
+                # Below one grid spacing the binned atoms of Q outgrow their
+                # error bound, 0.15 (spacing / bandwidth)^2 of a row's maximum.
+                if config.bandwidth is not None and config.bandwidth < grid.spacing:
+                    raise ConfigError(
+                        "CONFIG_BAD_VALUE",
+                        f"bandwidth = {config.bandwidth!r} is below the grid spacing "
+                        f"{grid.spacing:.3g} of the {n_points}-point grid",
+                    )
+                _check_bytes(
+                    "CONFIG_BAD_VALUE",
+                    8 * config.truncation * n_samples,
+                    f"truncation = {config.truncation} with n_samples = {n_samples}",
+                )
+            elif self.model == "dcv":
+                _check_bytes(
+                    "CONFIG_BAD_VALUE",
+                    _DCV_SLOT_BYTES * n * config.aux_m,
+                    f"aux_m = {config.aux_m} with {n} observations",
+                )
+        if self.model == "dp":
+            _check_bytes(
+                "CONFIG_BAD_MCMC",
+                8 * n_samples * n,
+                f"n_samples = {n_samples} with {n} observations",
+            )
+            _check_bytes(
+                "CONFIG_BAD_GEOMETRY",
+                8 * n_points * n,
+                f"n_points = {n_points} with {n} observations",
+            )
+
     @property
     def baseline_value(self) -> float:
         return get_config_value(self.baseline, self.parameter)
@@ -336,7 +408,8 @@ def run_sweep(
     other threads.  With n_workers == 1 every task runs in this process.
     Results are assembled in run order regardless of completion order, so
     output is a pure function of (data, spec, aggregate) and the geometry
-    settings; the worker count never changes it.
+    settings; the worker count never changes it.  ``spec.check`` runs first,
+    on the default grid when ``grid`` is None.
     """
     if aggregate not in AGGREGATES:
         raise ValueError(
@@ -344,6 +417,7 @@ def run_sweep(
         )
     if n_workers < 1:
         raise ValueError(f"n_workers must be >= 1, got {n_workers}")
+    spec.check(grid or default_grid(), data.n)
     start = time.perf_counter()
     runs = spec.runs()
 

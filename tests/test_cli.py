@@ -264,6 +264,17 @@ class TestSweepCommand:
             f"{code}: {make_error()} [sweep task failed at alpha=8, replicate 1]\n"
         )
 
+    def test_measure_failure_names_its_grid_position(self, workdir, monkeypatch):
+        def failing(base, other):
+            raise DegenerateSampleError("all draws are equal")
+
+        monkeypatch.setattr(frsense.sweep, "triple_from_summaries", failing)
+        rc, _, err = invoke(["sweep", "--config", "exp.ini", "--out", "res"])
+        assert rc == 1
+        assert err == (
+            "MEASURE_DEGENERATE: all draws are equal [measures failed at alpha=1, replicate 1]\n"
+        )
+
     def test_memory_error_exits_alike_at_any_thread_count(self, workdir, monkeypatch):
         # numpy's array MemoryError is rebuilt from (shape, dtype) alone, so
         # a worker's error must cross the pool with its arguments unchanged.

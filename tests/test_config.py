@@ -211,15 +211,6 @@ values = 2.0, 4.0, 8.0
             load_minimal(tmp_path, extra="\n[mcmc]\nthin = 0\n")
         assert exc.value.code == "CONFIG_BAD_MCMC"
 
-    def test_more_components_than_grid_points(self, tmp_path):
-        # A summary has at most n_points eigenvalues.
-        cfg = load_minimal(tmp_path, extra="d_components = 16\n\n[geometry]\nn_points = 16\n")
-        assert cfg.spec.d_components == cfg.geometry.n_points
-        with pytest.raises(ConfigError) as exc:
-            load_minimal(tmp_path, extra="\n[geometry]\nn_points = 16\n")
-        assert exc.value.code == "CONFIG_BAD_COMPONENTS"
-        assert "d_components=20" in str(exc.value)
-
 
 PRESET_BODY = """\
 [dataset]

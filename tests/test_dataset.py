@@ -4,11 +4,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from frsense import Dataset, McmcControl
-from frsense.errors import ConfigError, EmptyDatasetError
+from frsense import Dataset, DcvConfig, DpConfig, McmcControl
+from frsense.errors import ConfigError, EmptyDatasetError, InvalidSettingError
 from frsense.samplers import derived_seed, silverman_bandwidth
 from frsense.grid import default_grid, normalize_rows
 from frsense.samplers.common import MARGIN, _run_chain
+from frsense.sweep import set_config_value
 
 
 class TestDataset:
@@ -81,6 +82,39 @@ class TestMcmcControl:
             McmcControl(burn_in=-1)
         with pytest.raises(ValueError):
             McmcControl(seed=-3)
+
+
+@pytest.mark.parametrize(
+    "cls, name, value",
+    [
+        (McmcControl, "seed", 1.5),
+        (McmcControl, "n_samples", 12.5),
+        (McmcControl, "thin", 1.5),
+        (McmcControl, "burn_in", 2.5),
+        (DpConfig, "truncation", 60.5),
+        (DcvConfig, "aux_m", 2.5),
+        # Integral floats and bools are refused too, not truncated.
+        (McmcControl, "n_samples", 12.0),
+        (McmcControl, "thin", True),
+        (DcvConfig, "aux_m", np.float64(3.0)),
+    ],
+)
+def test_integer_fields_refuse_other_numbers(cls, name, value):
+    # Each would otherwise fail inside every sweep task, with a TypeError.
+    with pytest.raises(InvalidSettingError, match=f"{name} must be an integer"):
+        cls(**{name: value})
+
+
+def test_integer_fields_take_numpy_integers_as_python_ints():
+    ctl = McmcControl(
+        n_samples=np.int32(12), burn_in=np.int64(0), thin=np.uint8(1), seed=np.uint64(2**63)
+    )
+    assert ctl == McmcControl(n_samples=12, burn_in=0, thin=1, seed=2**63)
+    dp, dcv = DpConfig(truncation=np.int64(60)), DcvConfig(aux_m=np.int16(2))
+    fields = (ctl.n_samples, ctl.burn_in, ctl.thin, ctl.seed, dp.truncation, dcv.aux_m)
+    assert {type(value) for value in fields} == {int}
+    # So a numpy-int field sweeps as a Python one does.
+    assert set_config_value(dp, "truncation", 100.0).truncation == 100
 
 
 class _StubChain:

@@ -29,8 +29,9 @@ DEFERRED = ("frsense.samplers", "frsense.sweep", "frsense.config")
 #: Names that only tests called, whose oracles live in ``tests/_oracles.py``,
 #: ``apply_preset``, a second way to set ``[sweep] preset``,
 #: ``centering_weight``, the G0 share of the atoms, which the dp sampler no
-#: longer draws atom by atom, and ``TruncationTooSmallError``, whose check
-#: the dp sticks, each in [0, 1], could not trip.
+#: longer draws atom by atom, ``TruncationTooSmallError``, whose check the
+#: dp sticks, each in [0, 1], could not trip, and ``MODEL_TAGS``, which only
+#: filled an error message.
 REMOVED = (
     "tangent_project",
     "exp_map",
@@ -43,11 +44,13 @@ REMOVED = (
     "apply_preset",
     "centering_weight",
     "TruncationTooSmallError",
+    "MODEL_TAGS",
 )
 
 #: (class, attribute) pairs that nothing outside the tests read.  A sample
 #: run's model, seed and config stay with its caller, and a sweep's base
-#: seed and aggregate are its spec's and its caller's.
+#: seed and aggregate are its spec's and its caller's.  A config's plan is
+#: checked against its data by ``SweepSpec.check``.
 REMOVED_ATTRIBUTES = (
     ("PosteriorSample", "model"),
     ("PosteriorSample", "seed"),
@@ -60,6 +63,7 @@ REMOVED_ATTRIBUTES = (
     ("TpcaResult", "grid"),
     ("TpcaResult", "n_samples"),
     ("SampleSummary", "n_draws"),
+    ("ExperimentConfig", "check_dataset_size"),
 )
 
 
@@ -131,6 +135,14 @@ def test_removed_attributes_are_gone_from_built_instances(rng):
         "Srd": frsense.to_srd(sample[0]),
         "TpcaResult": frsense.tangent_pca(sample),
         "SampleSummary": frsense.summarize_sample(sample, 3),
+        "ExperimentConfig": frsense.ExperimentConfig(
+            dataset_path="obs.txt",
+            transform="none",
+            spec=spec,
+            aggregate="first",
+            geometry=frsense.GeometryOptions(n_points=32),
+            output=frsense.OutputOptions(),
+        ),
     }
     for cls, attribute in REMOVED_ATTRIBUTES:
         assert isinstance(built[cls], getattr(frsense, cls))

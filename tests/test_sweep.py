@@ -1,6 +1,7 @@
 """Sweep harness tests: SweepSpec validation, determinism, bands."""
 
 import concurrent.futures
+import math
 
 import numpy as np
 import numpy.testing as npt
@@ -15,6 +16,7 @@ from frsense.errors import (
     UnknownModelError,
     UnknownParameterError,
 )
+from frsense.grid import Grid
 from frsense.samplers import (
     BetaBase,
     CcvConfig,
@@ -193,6 +195,28 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             small_dp_spec(d_components=24)
 
+    @pytest.mark.parametrize(
+        "overrides, code, message",
+        [
+            (dict(values=()), "CONFIG_BAD_GRID", "values grid is empty"),
+            (dict(values=(5.0, math.nan)), "CONFIG_BAD_GRID", "non-finite"),
+            (dict(values=(5.0, math.inf)), "CONFIG_BAD_GRID", "non-finite"),
+            (dict(replicates=0), "CONFIG_BAD_REPLICATES", "replicates must be >= 1"),
+            (dict(band_values=(5.0, 5.0)), "CONFIG_BAD_GRID", "band_values contains duplicates"),
+            (dict(mcmc="fast"), "CONFIG_BAD_MCMC", "mcmc must be an McmcControl"),
+            (dict(d_components=1), "CONFIG_BAD_COMPONENTS", "integer >= 2"),
+            (dict(d_components=2.5), "CONFIG_BAD_COMPONENTS", "integer >= 2"),
+        ],
+        ids=[
+            "empty", "nan", "inf", "replicates", "band-duplicates", "mcmc",
+            "components-1", "components-float",
+        ],
+    )
+    def test_refusals_name_their_code(self, overrides, code, message):
+        with pytest.raises(ConfigError, match=message) as exc:
+            small_dp_spec(**overrides)
+        assert exc.value.code == code
+
     def test_out_of_domain_value_rejected_before_sampling(self):
         with pytest.raises(ConfigError) as exc:
             small_dp_spec(values=(-1.0, 5.0))
@@ -224,7 +248,117 @@ class TestSpecValidation:
         assert moved.truncation == spec.baseline.truncation
 
 
+#: Specs of run_sweep that the plan check refuses, with the grid, the number
+#: of observations, the code and a fragment of the message.
+PLAN_REFUSALS = {
+    # One 16-draw sample matrix on 1e11 points would take 12.8 TB.
+    "sample-matrix": (
+        dict(mcmc=McmcControl(n_samples=16, burn_in=0, thin=1)), Grid(10**11), 40,
+        "CONFIG_BAD_GEOMETRY", "n_points = 100000000000 with n_samples = 16",
+    ),
+    # A summary has min(draws, grid points) eigenvalues.
+    "components": (
+        dict(mcmc=McmcControl(n_samples=30, burn_in=0, thin=1), d_components=20), Grid(16), 40,
+        "CONFIG_BAD_COMPONENTS", "d_components=20 exceeds the 16 grid points",
+    ),
+    "bandwidth": (
+        dict(baseline=DpConfig(alpha=5.0, bandwidth=Grid(64).spacing / 8)), Grid(64), 40,
+        "CONFIG_BAD_VALUE", "below the grid spacing 0.0159 of the 64-point grid",
+    ),
+    "bandwidth-default-grid": (
+        dict(baseline=DpConfig(alpha=5.0, bandwidth=0.99 / 511)), None, 40,
+        "CONFIG_BAD_VALUE", "of the 512-point grid",
+    ),
+    "bandwidth-swept": (
+        dict(baseline=DpConfig(bandwidth=0.05), parameter="bandwidth", values=(0.001, 0.05)),
+        Grid(64), 40, "CONFIG_BAD_VALUE", "bandwidth = 0.001 is below",
+    ),
+    # Q's atoms of 24 draws would take 19 TB.
+    "truncation": (
+        dict(baseline=DpConfig(alpha=5.0, truncation=10**11)), Grid(64), 40,
+        "CONFIG_BAD_VALUE", "truncation = 100000000000 with n_samples = 24",
+    ),
+    "truncation-swept": (
+        dict(baseline=DpConfig(truncation=60), parameter="truncation", values=(60, 1e11)),
+        Grid(64), 40, "CONFIG_BAD_VALUE", "truncation = 100000000000",
+    ),
+    # 200,000 draws of 1,000 data weights would take 1.6 GB,
+    "dp-weights": (
+        dict(mcmc=McmcControl(n_samples=200_000, burn_in=0, thin=1)), Grid(64), 1000,
+        "CONFIG_BAD_MCMC", "n_samples = 200000 with 1000 observations",
+    ),
+    # and so would the kernel table of 1,000 observations on 200,000 points.
+    "dp-kernel": (
+        {}, Grid(200_000), 1000, "CONFIG_BAD_GEOMETRY", "n_points = 200000 with 1000 observations",
+    ),
+    # 10,000 slots per observation would take 1.36 GB a sweep.
+    "dcv-slots": (
+        dict(model="dcv", baseline=DcvConfig(aux_m=10_000), parameter="phi", values=(2.0,)),
+        Grid(64), 1000, "CONFIG_BAD_VALUE", "aux_m = 10000 with 1000 observations",
+    ),
+    "dcv-slots-swept": (
+        dict(model="dcv", baseline=DcvConfig(), parameter="aux_m", values=(3, 10_000)),
+        Grid(64), 1000, "CONFIG_BAD_VALUE", "aux_m = 10000 with 1000 observations",
+    ),
+}
+
+
+class TestPlanCheck:
+    def test_more_components_than_grid_points(self):
+        # A summary has at most n_points eigenvalues.
+        mcmc = McmcControl(n_samples=30, burn_in=0, thin=1)
+        small_dp_spec(mcmc=mcmc, d_components=16).check(Grid(16), 40)
+        with pytest.raises(ConfigError) as exc:
+            small_dp_spec(mcmc=mcmc, d_components=20).check(Grid(16), 40)
+        assert exc.value.code == "CONFIG_BAD_COMPONENTS"
+        assert "d_components=20" in str(exc.value)
+
+    @pytest.mark.parametrize("case", sorted(PLAN_REFUSALS))
+    def test_run_sweep_refuses_before_any_sampler_runs(self, monkeypatch, case):
+        overrides, grid, n, code, message = PLAN_REFUSALS[case]
+
+        def no_sampler(*args, **kwargs):
+            raise AssertionError("a sampler ran")
+
+        for name in ("dp_posterior", "dcv_posterior"):
+            monkeypatch.setattr(frsense.samplers, name, no_sampler)
+        spec = small_dp_spec(**overrides)
+        with pytest.raises(ConfigError, match=message) as exc:
+            spec.check(grid or frsense.grid.default_grid(), n)
+        assert exc.value.code == code
+        with pytest.raises(ConfigError, match=message) as exc:
+            run_sweep(uniform_dataset(n), spec, grid=grid)
+        assert exc.value.code == code
+
+    def test_bandwidth_at_the_grid_spacing_runs(self):
+        spec = small_dp_spec(
+            baseline=DpConfig(alpha=5.0, bandwidth=Grid(64).spacing), replicates=1
+        )
+        assert len(run_sweep(uniform_dataset(), spec, grid=Grid(64)).triples) == 3
+
+
 class TestRunSweep:
+    def test_worker_count_must_be_positive(self):
+        with pytest.raises(ValueError, match="n_workers must be >= 1, got 0"):
+            run_sweep(uniform_dataset(), small_dp_spec(), n_workers=0)
+
+    def test_measure_failure_carries_grid_position(self, monkeypatch):
+        calls = []
+
+        def failing(base, other):
+            calls.append(None)
+            # The fifth comparison is replicate 2's at alpha = 5.
+            if len(calls) == 5:
+                raise DegenerateSampleError("all draws are equal")
+            return frsense.measures.triple_from_summaries(base, other)
+
+        monkeypatch.setattr(frsense.sweep, "triple_from_summaries", failing)
+        with pytest.raises(DegenerateSampleError) as exc:
+            run_sweep(uniform_dataset(), small_dp_spec())
+        assert exc.value.args == (
+            "all draws are equal [measures failed at alpha=5, replicate 2]",
+        )
+
     def test_shared_seed_gives_exact_zero_triple(self, monkeypatch):
         # force the baseline run and every grid run of a replicate onto the
         # same seed; at the baseline value the two samples are then
